@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .mgrit import CYCLE_KINDS, STOPPING_KINDS
+from .problems import SOURCES
 from .spatial import STRATEGIES
 
 PROBLEM_KINDS = ("linear", "nonlinear", "machine", "dahlquist")
@@ -59,6 +60,9 @@ class ExperimentConfig:
         if self.problem_kind not in PROBLEM_KINDS:
             raise ValueError(f"problem.kind must be one of {PROBLEM_KINDS}, "
                              f"got {self.problem_kind!r}")
+        if self.problem_source not in SOURCES:
+            raise ValueError(f"problem.source must be one of {SOURCES}, "
+                             f"got {self.problem_source!r}")
         if self.run_transport not in TRANSPORTS:
             raise ValueError(f"run.transport must be one of {TRANSPORTS}, "
                              f"got {self.run_transport!r}")

@@ -18,14 +18,22 @@ adds two full vectors (the kept restricted iterate and the right-hand
 side).  Index 0 never needs a slot: on every level the iterate there
 equals the restricted initial value, which the problem hands out per
 grid.  The measured peak in StorageReport counts exactly these workspace
-states; running states inside a sweep, Newton temporaries, and the
-transient buffers of the coarsest-level gather are not persistent and are
-not charged, mirroring how the serial baseline is charged a single
-running state.
+states; running states inside a sweep, Newton temporaries, the C-updates
+a sweep holds back until its walk is done, and the transient buffers of
+the coarsest-level gather are not persistent and are not charged,
+mirroring how the serial baseline is charged a single running state.
+
+The fine residual lives only at C-points, and the next cycle's first
+fine sweep steps into every C-point anyway, so the residual and the
+per-C-point losses are measured inside that sweep while it holds its
+C-updates back.  Only when the stopping test fails does the cycle go on
+to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
+that stops returns exactly the iterate it measured.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -141,7 +149,8 @@ class SolverRun:
     initial_residual: float = 0.0
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
-    level_seconds: list = field(default_factory=list)
+    level_seconds: list = field(default_factory=list)  # compute, per level
+    wait_seconds: list = field(default_factory=list)   # blocked in recv
     storage: StorageReport | None = None
     n_workers: int = 1
     failure: str | None = None
@@ -249,6 +258,36 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
 
 # --- the distributed engine --------------------------------------------------------
 
+class _TimedTransport:
+    """The solver's transport, totalling the seconds blocked in recv."""
+
+    def __init__(self, inner):
+        self.send, self._recv = inner.send, inner.recv
+        self.rank, self.size, self.waited = inner.rank, inner.size, 0.0
+
+    def recv(self, src):
+        t0 = time.perf_counter()
+        try:
+            return self._recv(src)
+        finally:
+            self.waited += time.perf_counter() - t0
+
+
+def _charged(method):
+    """Charge a sweep to the level passed as its first argument: time
+    blocked in recv to the level's wait, the rest to its seconds."""
+    @functools.wraps(method)
+    def timed(self, lvl, *args, **kwargs):
+        t0, w0 = time.perf_counter(), self.transport.waited
+        try:
+            return method(self, lvl, *args, **kwargs)
+        finally:
+            waited = self.transport.waited - w0
+            lvl.wait += waited
+            lvl.seconds += time.perf_counter() - t0 - waited
+    return timed
+
+
 class _Level:
     """Per-worker workspace of one time level."""
 
@@ -279,6 +318,7 @@ class _Level:
                         for _ in range(n_owned)]
         self.use_rhs = False  # plain initial-value level until a descent fills it
         self.seconds = 0.0
+        self.wait = 0.0
 
     def kept(self, i):
         return self.u_keep[i - self.own_lo]
@@ -297,7 +337,8 @@ class MgritSolver:
         self.hierarchy = hierarchy
         self.cycle = cycle if cycle is not None else CycleSpec()
         self.stopping = stopping if stopping is not None else StoppingCriterion()
-        self.transport = transport if transport is not None else NullTransport()
+        self.transport = _TimedTransport(
+            transport if transport is not None else NullTransport())
 
         n_levels = hierarchy.n_levels
         if self.cycle.kind == "two-level" and n_levels > 2:
@@ -332,13 +373,9 @@ class MgritSolver:
 
     # --- communication helpers ---
 
-    def _rankwise(self, lvl):
-        rank = self.transport.rank
-        return rank, lvl.decomp
-
     def _exchange_left(self, lvl):
         """Send the last owned C-value right, fetch the left boundary."""
-        rank, d = self._rankwise(lvl)
+        rank, d = self.transport.rank, lvl.decomp
         if d.is_empty(rank):
             return None
         right = d.right_neighbor(rank)
@@ -365,55 +402,85 @@ class MgritSolver:
                                    smooth=self._smooth)
         return out
 
-    def _walk_frun(self, lvl, start_state, i_from, i_to):
-        """Propagate over points (i_from, i_to): the F-run interior."""
-        cur = start_state
-        for i in range(i_from + 1, i_to):
-            cur = self._step(lvl, cur, i)
-            r = lvl.rhs_at(i)
-            if r is not None:
-                cur.add_scaled(r, 1.0)
-        return cur
-
-    def _fc_sweep(self, lvl):
-        """Fused F-then-C relaxation over the owned units."""
-        t0 = time.perf_counter()
-        boundary = self._exchange_left(lvl)
-        start = boundary
+    def _walk(self, lvl, start):
+        """F-relax the owned units from the current C-values; yields
+        (k, c, last_f, step(last_f)) per closing C-point c."""
         prev_c = lvl.left_index
         for k, c in enumerate(lvl.c_idx):
-            last_f = self._walk_frun(lvl, start, prev_c, c)
-            next_start = lvl.c_store[k].clone()  # pre-update value
-            upd = self._step(lvl, last_f, c)
+            cur = start
+            for i in range(prev_c + 1, c):  # the F-run interior
+                cur = self._step(lvl, cur, i)
+                r = lvl.rhs_at(i)
+                if r is not None:
+                    cur.add_scaled(r, 1.0)
+            yield k, c, cur, self._step(lvl, cur, c)
+            start, prev_c = lvl.c_store[k], c
+
+    @staticmethod
+    def _commit(lvl, updates):
+        for s, upd in zip(lvl.c_store, updates):
+            s.copy_from(upd)
+
+    @_charged
+    def _fc_sweep(self, lvl):
+        """F-relaxation, then C-relaxation from the F-relaxed values."""
+        updates = []
+        for _, c, _, upd in self._walk(lvl, self._exchange_left(lvl)):
             r = lvl.rhs_at(c)
             if r is not None:
                 upd.add_scaled(r, 1.0)
-            lvl.c_store[k].copy_from(upd)
-            start, prev_c = next_start, c
-        lvl.seconds += time.perf_counter() - t0
+            updates.append(upd)
+        self._commit(lvl, updates)
 
-    def _restrict_sweep(self, lvl, nxt):
+    @_charged
+    def _measure(self, lvl, prev_losses=None):
+        """The next cycle's first fine sweep, run without committing.
+
+        Returns the fine residual norm, the loss change against
+        ``prev_losses`` (None without them), the per-C-point losses and
+        the held-back (left boundary, C-updates).  The fine level has no
+        FAS right-hand side: the residual at c is step(last_f) - u_c.
+        """
+        t = lvl.grid.points
+        sum_sq, updates = 0.0, []
+        losses = np.zeros(len(lvl.c_idx))
+        boundary = self._exchange_left(lvl)
+        for k, c, last_f, upd in self._walk(lvl, boundary):
+            sum_sq += (upd - lvl.c_store[k]).norm_sq()
+            losses[k] = joule_loss(last_f, lvl.c_store[k],
+                                   float(t[c] - t[c - 1]), self._loss_weights)
+            updates.append(upd)
+        norm = reduce_norm(self.transport, sum_sq)
+        change = None
+        if prev_losses is not None:
+            change = reduce_max(self.transport, qoi_change(losses, prev_losses)
+                                if losses.size else 0.0)
+        return norm, change, losses, (boundary, updates)
+
+    @_charged
+    def _restrict_sweep(self, lvl, nxt, held=None):
         """Final F-sweep fused with residual injection and the coarse fill.
 
         Computes, for every owned unit's closing C-point c with coarse
         index j = c / m: the kept restricted iterate and the coarse FAS
         right-hand side, then redistributes both to the coarse owner and
-        seeds the coarse iterate with the kept values.
+        seeds the coarse iterate with the kept values.  ``held`` is a
+        measuring sweep's (boundary, C-updates), which replace the walk.
         """
-        t0 = time.perf_counter()
         coarsen = nxt.spatial_level != lvl.spatial_level
         hier = self.problem.spatial
-        rank, d = self._rankwise(lvl)
-        boundary = self._exchange_left(lvl)
+        rank, d = self.transport.rank, lvl.decomp
+        if held is None:
+            boundary = self._exchange_left(lvl)
+            walk = self._walk(lvl, boundary)
+        else:
+            boundary, updates = held
+            walk = ((k, c, None, updates[k]) for k, c in enumerate(lvl.c_idx))
 
         outgoing = []  # (dest, j, kept, rhs)
         if not d.is_empty(rank):
-            start = boundary
-            prev_c = lvl.left_index
-            left_kept = hier.restrict_state(start) if coarsen else start
-            for k, c in enumerate(lvl.c_idx):
-                last_f = self._walk_frun(lvl, start, prev_c, c)
-                prop = self._step(lvl, last_f, c)
+            left_kept = hier.restrict_state(boundary) if coarsen else boundary
+            for k, c, _, prop in walk:
                 res = prop - lvl.c_store[k]
                 r = lvl.rhs_at(c)
                 if r is not None:
@@ -430,12 +497,12 @@ class MgritSolver:
                     nxt.rhs[j - nxt.own_lo].copy_from(rhs)
                 else:
                     outgoing.append((dest, j, kept, rhs))
-                start, prev_c, left_kept = lvl.c_store[k], c, kept
+                left_kept = kept
         for dest, j, kept, rhs in outgoing:
             self.transport.send(dest, (j, kept, rhs))
         # collect what other ranks computed for my coarse points
         for j in range(max(nxt.own_lo, 1), nxt.own_hi):
-            src = lvl.decomp.unit_owner(j - 1)
+            src = d.unit_owner(j - 1)
             if src == rank:
                 continue
             jj, kept, rhs = self.transport.recv(src)
@@ -447,13 +514,12 @@ class MgritSolver:
         # seed the coarse iterate at its own C-points
         for k, c in enumerate(nxt.c_idx):
             nxt.c_store[k].copy_from(nxt.kept(c))
-        lvl.seconds += time.perf_counter() - t0
 
+    @_charged
     def _coarsest_solve(self, lvl, nested=False):
         """Gather, sequential forward solve on rank 0, scatter.  In the
         main phase the kept slots then hold v - kept (the error); during
         nested iterations they hold v itself."""
-        t0 = time.perf_counter()
         rank = self.transport.rank
         chunk = ([s.clone() for s in lvl.rhs] if lvl.use_rhs
                  else [None] * max(lvl.own_hi - lvl.own_lo, 0))
@@ -479,21 +545,34 @@ class MgritSolver:
             chunks = None
         mine = scatter_from_root(self.transport, chunks)
         for off, vi in enumerate(mine):
-            i = lvl.own_lo + off
             slot = lvl.u_keep[off]
             if nested:
                 slot.copy_from(vi)
             else:
                 slot.field[:] = vi.field - slot.field
                 slot.scalars[:] = vi.scalars - slot.scalars
-            # deposit the solution at the coarsest level's own C-points
+        # deposit the solution at the coarsest level's own C-points
         for k, c in enumerate(lvl.c_idx):
             if nested:
                 lvl.c_store[k].copy_from(lvl.kept(c))
             else:
                 lvl.c_store[k].add_scaled(lvl.kept(c), 1.0)
-        lvl.seconds += time.perf_counter() - t0
 
+    def _points(self, lvl):
+        """Yield (i, u_i) over the owned range: C-values from the store,
+        F-values propagated from the left boundary."""
+        cur, k = self._exchange_left(lvl), 0
+        for i in range(lvl.left_index + 1, lvl.own_hi):
+            if k < len(lvl.c_idx) and i == lvl.c_idx[k]:
+                cur, k = lvl.c_store[k], k + 1
+            else:
+                cur = self._step(lvl, cur, i)
+                r = lvl.rhs_at(i)
+                if r is not None:
+                    cur.add_scaled(r, 1.0)
+            yield i, cur
+
+    @_charged
     def _ascend(self, coarse, fine, inject=False, solved=False):
         """Carry corrections (or, for nested iterations, values) from a
         coarse level into the fine C-store.
@@ -502,7 +581,6 @@ class MgritSolver:
         hold the payload for every owned point; otherwise an F-walk
         reconstructs the coarse iterate and emits v - kept on the fly.
         """
-        t0 = time.perf_counter()
         coarsen = coarse.spatial_level != fine.spatial_level
         hier = self.problem.spatial
         rank = self.transport.rank
@@ -521,31 +599,9 @@ class MgritSolver:
                 for i in range(max(coarse.own_lo, 1), coarse.own_hi):
                     emit(i, coarse.kept(i).clone(), outgoing)
             else:
-                boundary = self._exchange_left(coarse)
-                start = boundary
-                prev_c = coarse.left_index
-                closes = list(coarse.c_idx)
-                spans = list(zip([coarse.left_index] + closes[:-1], closes))
-                if closes and coarse.own_hi - 1 > closes[-1]:
-                    spans.append((closes[-1], coarse.own_hi - 1))
-                elif not closes:
-                    spans = [(coarse.left_index, coarse.own_hi - 1)]
-                for si, (lo_c, hi_c) in enumerate(spans):
-                    cur = start
-                    for i in range(lo_c + 1, hi_c + 1):
-                        at_c = si < len(coarse.c_idx) and i == hi_c
-                        if at_c:
-                            cur = coarse.c_store[si]
-                        else:
-                            cur = self._step(coarse, cur, i)
-                            r = coarse.rhs_at(i)
-                            if r is not None:
-                                cur.add_scaled(r, 1.0)
-                        if inject:
-                            emit(i, cur.clone(), outgoing)
-                        else:
-                            emit(i, cur - coarse.kept(i), outgoing)
-                    start = cur
+                for i, cur in self._points(coarse):
+                    emit(i, cur.clone() if inject else cur - coarse.kept(i),
+                         outgoing)
         for dest, j, payload in outgoing:
             self.transport.send(dest, (j, payload))
         for k in range(len(fine.c_idx)):
@@ -557,7 +613,6 @@ class MgritSolver:
             if jj != j:
                 raise RuntimeError(f"ascent order broke: {jj} != {j}")
             self._apply_payload(fine, j, payload, inject, coarsen, hier)
-        coarse.seconds += time.perf_counter() - t0
 
     def _apply_payload(self, fine, j, payload, inject, coarsen, hier):
         k = j - fine.decomp.first_unit(self.transport.rank) - 1
@@ -570,89 +625,62 @@ class MgritSolver:
         else:
             fine.c_store[k].add_scaled(payload, 1.0)
 
-    def _probe(self, lvl):
-        """Measure the fine residual and per-C-point losses without
-        touching stored state (F-values are recomputed transiently)."""
-        t0 = time.perf_counter()
-        rank, d = self._rankwise(lvl)
-        sum_sq = 0.0
-        losses = np.zeros(len(lvl.c_idx))
-        if not d.is_empty(rank):
-            boundary = self._exchange_left(lvl)
-            start = boundary
-            prev_c = lvl.left_index
-            dt_world = lvl.grid.points
-            for k, c in enumerate(lvl.c_idx):
-                last_f = self._walk_frun(lvl, start, prev_c, c)
-                prop = self._step(lvl, last_f, c)
-                res = prop - lvl.c_store[k]
-                r = lvl.rhs_at(c)
-                if r is not None:
-                    res.add_scaled(r, 1.0)
-                sum_sq += res.norm_sq()
-                dt = float(dt_world[c] - dt_world[c - 1])
-                losses[k] = joule_loss(last_f, lvl.c_store[k], dt,
-                                       self._loss_weights)
-                start, prev_c = lvl.c_store[k], c
-        lvl.seconds += time.perf_counter() - t0
-        return sum_sq, losses
-
     # --- cycles ---
 
-    def _descend(self, l):
-        lvl = self.levels[l]
-        for _ in range(self.cycle.gamma):
+    def _descend(self, l, held=None):
+        """Relax level l and restrict to l + 1.  ``held`` is what the
+        driver's measuring sweep of level 0 held back: it stands in for
+        the first FC-sweep, or for the restriction's walk when gamma = 0."""
+        lvl, sweeps = self.levels[l], self.cycle.gamma
+        if held is not None and sweeps:
+            self._commit(lvl, held[1])
+            held, sweeps = None, sweeps - 1
+        for _ in range(sweeps):
             self._fc_sweep(lvl)
-        self._restrict_sweep(lvl, self.levels[l + 1])
+        self._restrict_sweep(lvl, self.levels[l + 1], held)
 
-    def _vcycle(self, l):
+    def _vcycle(self, l, held=None):
         if l == self.n_levels - 1:
             self._coarsest_solve(self.levels[l])
             return
-        self._descend(l)
+        self._descend(l, held)
         self._vcycle(l + 1)
         self._ascend(self.levels[l + 1], self.levels[l],
                      solved=(l + 1 == self.n_levels - 1))
 
-    def _fcycle(self, l):
+    def _fcycle(self, l, held=None):
         if l == self.n_levels - 1:
             self._coarsest_solve(self.levels[l])
             return
-        self._descend(l)
+        self._descend(l, held)
         self._fcycle(l + 1)
         self._ascend(self.levels[l + 1], self.levels[l],
                      solved=(l + 1 == self.n_levels - 1))
         if l > 0:
             self._vcycle(l)
 
-    def _iterate_once(self):
+    def _iterate_once(self, held):
         if self.n_levels == 1:
-            self._coarsest_solve_single()
-            return
-        if self.cycle.kind == "F":
-            self._fcycle(0)
+            self._coarsest_solve_single(self.levels[0])
+        elif self.cycle.kind == "F":
+            self._fcycle(0, held)
         else:
-            self._vcycle(0)
+            self._vcycle(0, held)
 
-    def _coarsest_solve_single(self):
+    @_charged
+    def _coarsest_solve_single(self, lvl):
         """Degenerate 1-level hierarchy: plain sequential walk depositing
         the C-point values (everything else stays transient)."""
-        lvl = self.levels[0]
-        t0 = time.perf_counter()
-        rank, d = self._rankwise(lvl)
+        rank, d = self.transport.rank, lvl.decomp
         if not d.is_empty(rank):
             # sequential dependence: wait for the finished left value
             left = d.left_neighbor(rank)
             start = lvl.anchor if left is None else self.transport.recv(left)
-            prev_c = lvl.left_index
-            for k, c in enumerate(lvl.c_idx):
-                last_f = self._walk_frun(lvl, start, prev_c, c)
-                lvl.c_store[k].copy_from(self._step(lvl, last_f, c))
-                start, prev_c = lvl.c_store[k], c
+            for k, _, _, upd in self._walk(lvl, start):
+                lvl.c_store[k].copy_from(upd)  # the next unit starts here
             right = d.right_neighbor(rank)
             if right is not None and lvl.c_store:
                 self.transport.send(right, lvl.c_store[-1])
-        lvl.seconds += time.perf_counter() - t0
 
     # --- nested iterations ---
 
@@ -660,9 +688,6 @@ class MgritSolver:
         self._smooth = True
         try:
             bottom = self.levels[-1]
-            if self.n_levels == 1:
-                self._coarsest_solve_single()
-                return
             bottom.use_rhs = False
             self._coarsest_solve(bottom, nested=True)
             for l in range(self.n_levels - 2, -1, -1):
@@ -712,9 +737,10 @@ class MgritSolver:
         run.setup_seconds = self.setup_seconds + (time.perf_counter() - t_setup)
 
         t_solve = time.perf_counter()
+        fine = self.levels[0]
         if run.failure is None:
             try:
-                run.initial_residual, prev_losses = self._measure()
+                run.initial_residual, _, losses, held = self._measure(fine)
             except NewtonConvergenceError as e:
                 if self.transport.size > 1:
                     raise
@@ -722,15 +748,13 @@ class MgritSolver:
         if run.failure is None:
             for it in range(1, self.cycle.max_iters + 1):
                 try:
-                    self._iterate_once()
-                    norm, losses = self._measure()
+                    self._iterate_once(held)
+                    norm, change, losses, held = self._measure(fine, losses)
                 except NewtonConvergenceError as e:
                     if self.transport.size > 1:
                         raise
                     run.failure = str(e)
                     break
-                change = self._loss_change(losses, prev_losses)
-                prev_losses = losses
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
@@ -741,9 +765,10 @@ class MgritSolver:
                 value = norm if self.stopping.kind == "residual-norm" else change
                 if value < self.stopping.tolerance:
                     run.converged = True
-                    break
+                    break  # the held C-updates are dropped, never committed
         run.solve_seconds = time.perf_counter() - t_solve
         run.level_seconds = [lvl.seconds for lvl in self.levels]
+        run.wait_seconds = [lvl.wait for lvl in self.levels]
         run.storage = self.storage_report()
 
         solution = None
@@ -751,41 +776,12 @@ class MgritSolver:
             solution = self._materialize()
         return run, solution
 
-    def _measure(self):
-        sum_sq, losses = self._probe(self.levels[0])
-        norm = reduce_norm(self.transport, sum_sq)
-        return norm, losses
-
-    def _loss_change(self, losses, prev):
-        local = qoi_change(losses, prev) if losses.size else 0.0
-        return reduce_max(self.transport, local)
-
     def _materialize(self):
         """Walk out the full fine trajectory and gather it on rank 0."""
         lvl = self.levels[0]
-        rank, d = self._rankwise(lvl)
-        chunk = []
-        if not d.is_empty(rank):
-            boundary = self._exchange_left(lvl)
-            start = boundary
-            prev_c = lvl.left_index
-            closes = list(lvl.c_idx)
-            spans = list(zip([lvl.left_index] + closes[:-1], closes))
-            if closes and lvl.own_hi - 1 > closes[-1]:
-                spans.append((closes[-1], lvl.own_hi - 1))
-            elif not closes:
-                spans = [(lvl.left_index, lvl.own_hi - 1)]
-            for si, (lo_c, hi_c) in enumerate(spans):
-                cur = start
-                for i in range(lo_c + 1, hi_c + 1):
-                    if si < len(closes) and i == hi_c:
-                        cur = lvl.c_store[si]
-                    else:
-                        cur = self._step(lvl, cur, i)
-                    chunk.append(cur.clone())
-                start = cur
+        chunk = [u.clone() for _, u in self._points(lvl)]
         gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
-        if rank != 0:
+        if self.transport.rank != 0:
             return None
         states = [lvl.anchor.clone()]
         parts = sorted(gathered, key=lambda t: t[0])

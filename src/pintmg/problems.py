@@ -56,6 +56,9 @@ def joule_loss(u_prev, u_next, dt, weights):
     return float(weights @ (du * du))
 
 
+SOURCES = ("sine", "bump", "random")
+
+
 def _source_profile(kind, x, seed):
     if kind == "sine":
         return np.sin(math.pi * x)

@@ -100,6 +100,14 @@ def test_invalid_values_rejected(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_source_is_checked_at_parse_time():
+    for source in ("sine", "bump", "random"):
+        assert parse_config(f"problem.source = {source}\n").problem_source \
+            == source
+    with pytest.raises(ValueError, match=r"problem\.source.*'sin'"):
+        parse_config("problem.source = sin\n")
+
+
 def test_with_overrides():
     c = ExperimentConfig()
     c2 = with_overrides(c, hierarchy_workers=4, run_seed=17)
