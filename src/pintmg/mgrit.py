@@ -22,6 +22,16 @@ states; running states inside a sweep, Newton temporaries, the C-updates
 a sweep holds back until its walk is done, and the transient buffers of
 the coarsest-level gather are not persistent and are not charged,
 mirroring how the serial baseline is charged a single running state.
+The coarsest level's own C-store is allocated, because the model counts
+every level's C-points, but on two or more levels nothing reads it.
+
+On the coarsest level MGRIT is sequential time stepping, so the
+coarsest solve gathers the right-hand side, runs sequential_solve on
+rank 0 and scatters the owned ranges back; a 1-level hierarchy takes the
+same path with the fine level as its coarsest.  Restriction and ascent
+move values between levels through one protocol (_route): every point's
+payload goes to the rank owning it on the other level, and receivers
+take what others computed in point order.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -34,14 +44,13 @@ that stops returns exactly the iterate it measured.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NewtonConvergenceError
-from .problems import joule_loss
+from .problems import joule_loss, sequential_solve
 from .runtime import (
     Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
     scatter_from_root,
@@ -98,38 +107,37 @@ def qoi_change(p_new, p_old, floor=QOI_FLOOR):
                         / np.maximum(np.abs(p_old), floor)))
 
 
-def storage_estimate(n_levels, n_fine_steps, factors, n_workers, sizes=None,
+def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
                      coarsest_factor=None):
     """Peak per-worker stored states of the lean layout.
 
-    Level l keeps its iterate at owned C-points (about
-    N_t / (M_{l+1} p) of them, where M_l is the product of the first l
-    splitting factors), and every coarse level keeps two full vectors of
-    its owned points.  ``factors`` are the n_levels - 1 inter-level
-    factors; the coarsest level's own splitting reuses the last one
-    unless ``coarsest_factor`` says otherwise.  ``sizes`` weights each
-    level's states (defaults to 1 each: a state count).
+    Level l keeps its iterate at the closing C-points of the units a
+    worker owns, and every coarse level keeps two states (the kept
+    iterate and the right-hand side) per owned point.  Units are dealt as
+    runtime.Decomposition deals them: whole C-intervals, the remainder to
+    the lowest ranks, the trailing F-points to the last active rank.
+    ``factors`` are the n_levels - 1 inter-level factors; the coarsest
+    level's own splitting reuses the last one unless ``coarsest_factor``
+    says otherwise.
     """
     factors = list(factors)
     if len(factors) != n_levels - 1:
         raise ValueError(f"{n_levels} levels need {n_levels - 1} factors, "
                          f"got {len(factors)}")
-    if sizes is None:
-        sizes = [1] * n_levels
-    if len(sizes) != n_levels:
-        raise ValueError(f"need one size per level, got {len(sizes)}")
     if coarsest_factor is None:
         coarsest_factor = factors[-1] if factors else 2
-    prods = [1]
-    for m in factors:
-        prods.append(prods[-1] * m)
-    prods.append(prods[-1] * coarsest_factor)
-    total = 0
-    for l in range(n_levels):
-        total += math.ceil(n_fine_steps / (prods[l + 1] * n_workers)) * sizes[l]
-        if l >= 1:
-            total += 2 * math.ceil(n_fine_steps / (prods[l] * n_workers)) * sizes[l]
-    return total
+    per_rank, steps = [0] * n_workers, n_fine_steps
+    for l, m in enumerate(factors + [coarsest_factor]):
+        units, tail = divmod(steps, m)
+        base, rem = divmod(units, n_workers)
+        last = max(min(units, n_workers), 1) - 1  # owns the F-tail
+        for w in range(n_workers):
+            n = base + (w < rem)
+            per_rank[w] += n
+            if l:
+                per_rank[w] += 2 * (n * m + (tail if w == last else 0))
+        steps //= m
+    return max(per_rank)
 
 
 @dataclass
@@ -158,102 +166,6 @@ class SolverRun:
     @property
     def total_seconds(self):
         return self.setup_seconds + self.solve_seconds
-
-
-# --- reference operations on materialized vectors --------------------------------
-#
-# These state the relaxation and cycle contracts in the plainest possible
-# form; the distributed engine below is cross-checked against them.
-
-@dataclass(frozen=True)
-class LevelContext:
-    """One level's grid, splitting, and bound propagator."""
-
-    grid: object
-    splitting: object
-    step: object  # step(u_prev, t_prev, t_next) -> BlockState
-
-    def times(self):
-        return self.grid.points
-
-
-def level_context(problem, grid, splitting, spatial_level=0, smooth=False):
-    def step(u_prev, t_prev, t_next):
-        out, _ = problem.step(u_prev, t_prev, t_next, spatial_level,
-                              guess=u_prev, smooth=smooth)
-        return out
-    return LevelContext(grid=grid, splitting=splitting, step=step)
-
-
-def _relax(ctx, u, g, indices):
-    t = ctx.times()
-    out = u.clone()
-    targets = set(int(i) for i in indices)
-    for i in range(1, len(t)):
-        if i in targets:
-            upd = ctx.step(out[i - 1], float(t[i - 1]), float(t[i]))
-            if g is not None:
-                upd.add_scaled(g[i], 1.0)
-            out[i] = upd
-    return out
-
-
-def f_relaxation(ctx, u, g=None):
-    """Solve all F-point blocks given current C-values."""
-    return _relax(ctx, u, g, ctx.splitting.f_indices)
-
-
-def c_relaxation(ctx, u, g=None):
-    """Solve all C-point blocks (index 0 stays: it is the initial value)."""
-    c = [i for i in ctx.splitting.c_indices if i > 0]
-    return _relax(ctx, u, g, c)
-
-
-def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
-    """One full-approximation two-grid pass over a materialized iterate.
-
-    ``spatial`` is None or (hierarchy, fine_grid_index): when given, the
-    restricted iterate and residual move one spatial grid down and the
-    correction is interpolated back up.
-    """
-    u = f_relaxation(fine, u, g)
-    for _ in range(gamma):
-        u = c_relaxation(fine, u, g)
-        u = f_relaxation(fine, u, g)
-
-    t = fine.times()
-    c_idx = [int(i) for i in fine.splitting.c_indices]
-    u2, res = [], []
-    for j, c in enumerate(c_idx):
-        u2.append(u[c].clone())
-        if c == 0:
-            res.append(g[0] - u[0])
-        else:
-            prop = fine.step(u[c - 1], float(t[c - 1]), float(t[c]))
-            res.append(g[c] - (u[c] - prop))
-    if spatial is not None:
-        hier, _ = spatial
-        u2 = [hier.restrict_state(s) for s in u2]
-        res = [hier.restrict_state(s) for s in res]
-
-    tc = coarse.times()
-    rhs = [u2[0] + res[0]]
-    for j in range(1, len(c_idx)):
-        prop = coarse.step(u2[j - 1], float(tc[j - 1]), float(tc[j]))
-        rhs.append(u2[j] - prop + res[j])
-    v = [rhs[0]]
-    for j in range(1, len(c_idx)):
-        v.append(coarse.step(v[j - 1], float(tc[j - 1]), float(tc[j])) + rhs[j])
-
-    out = u.clone()
-    for j, c in enumerate(c_idx):
-        if c == 0:
-            continue
-        e = v[j] - u2[j]
-        if spatial is not None:
-            e = spatial[0].prolong_error(e)
-        out[c] = out[c] + e
-    return f_relaxation(fine, out, g)
 
 
 # --- the distributed engine --------------------------------------------------------
@@ -311,7 +223,7 @@ class _Level:
         self.u_keep = None
         self.rhs = None
         if index > 0:
-            n_owned = max(self.own_hi - self.own_lo, 0)
+            n_owned = self.own_hi - self.own_lo
             self.u_keep = [alloc(index, nf, ns, spatial_level)
                            for _ in range(n_owned)]
             self.rhs = [alloc(index, nf, ns, spatial_level)
@@ -386,12 +298,29 @@ class MgritSolver:
             return lvl.anchor
         return self.transport.recv(left)
 
-    def _coarse_owner(self, nxt, j):
-        for w in nxt.decomp.active_ranks():
-            lo, hi = nxt.decomp.owned_range(w)
-            if lo <= j < hi:
-                return w
-        raise RuntimeError(f"coarse point {j} has no owner")
+    def _route(self, items, dest_of, expected, apply):
+        """Redistribute (j, payload) items between levels.
+
+        Each item goes to rank dest_of(j): local ones are applied at once,
+        the rest are sent once the items are exhausted.  Then the expected
+        (j, source) pairs arrive, in order, from their sources.
+        """
+        rank, outgoing = self.transport.rank, []
+        for j, payload in items:
+            dest = dest_of(j)
+            if dest == rank:
+                apply(j, payload)
+            else:
+                outgoing.append((dest, j, payload))
+        for dest, j, payload in outgoing:
+            self.transport.send(dest, (j, payload))
+        for j, src in expected:
+            if src == rank:
+                continue
+            jj, payload = self.transport.recv(src)
+            if jj != j:
+                raise RuntimeError(f"redistribution order broke: {jj} != {j}")
+            apply(j, payload)
 
     # --- sweeps ---
 
@@ -467,9 +396,11 @@ class MgritSolver:
         seeds the coarse iterate with the kept values.  ``held`` is a
         measuring sweep's (boundary, C-updates), which replace the walk.
         """
-        coarsen = nxt.spatial_level != lvl.spatial_level
-        hier = self.problem.spatial
-        rank, d = self.transport.rank, lvl.decomp
+        restrict = (self.problem.spatial.restrict_state
+                    if nxt.spatial_level != lvl.spatial_level
+                    else lambda s: s)  # nothing writes the C-store here
+        d = lvl.decomp
+        first = d.first_unit(self.transport.rank)
         if held is None:
             boundary = self._exchange_left(lvl)
             walk = self._walk(lvl, boundary)
@@ -477,39 +408,26 @@ class MgritSolver:
             boundary, updates = held
             walk = ((k, c, None, updates[k]) for k, c in enumerate(lvl.c_idx))
 
-        outgoing = []  # (dest, j, kept, rhs)
-        if not d.is_empty(rank):
-            left_kept = hier.restrict_state(boundary) if coarsen else boundary
+        def items(left_kept):
             for k, c, _, prop in walk:
                 res = prop - lvl.c_store[k]
                 r = lvl.rhs_at(c)
                 if r is not None:
                     res.add_scaled(r, 1.0)
-                kept = (hier.restrict_state(lvl.c_store[k]) if coarsen
-                        else lvl.c_store[k].clone())
-                j = d.first_unit(rank) + k + 1
-                rhs = kept - self._step(nxt, left_kept, j)
-                rhs.add_scaled(hier.restrict_state(res) if coarsen else res,
-                               1.0)
-                dest = self._coarse_owner(nxt, j)
-                if dest == rank:
-                    nxt.kept(j).copy_from(kept)
-                    nxt.rhs[j - nxt.own_lo].copy_from(rhs)
-                else:
-                    outgoing.append((dest, j, kept, rhs))
+                kept = restrict(lvl.c_store[k])
+                rhs = kept - self._step(nxt, left_kept, first + k + 1)
+                rhs.add_scaled(restrict(res), 1.0)
+                yield first + k + 1, (kept, rhs)
                 left_kept = kept
-        for dest, j, kept, rhs in outgoing:
-            self.transport.send(dest, (j, kept, rhs))
-        # collect what other ranks computed for my coarse points
-        for j in range(max(nxt.own_lo, 1), nxt.own_hi):
-            src = d.unit_owner(j - 1)
-            if src == rank:
-                continue
-            jj, kept, rhs = self.transport.recv(src)
-            if jj != j:
-                raise RuntimeError(f"restriction order broke: {jj} != {j}")
-            nxt.kept(j).copy_from(kept)
-            nxt.rhs[j - nxt.own_lo].copy_from(rhs)
+
+        def fill(j, payload):
+            nxt.kept(j).copy_from(payload[0])
+            nxt.rhs[j - nxt.own_lo].copy_from(payload[1])
+
+        self._route(items(None if boundary is None else restrict(boundary)),
+                    nxt.decomp.point_owner,
+                    ((j, d.unit_owner(j - 1))
+                     for j in range(nxt.own_lo, nxt.own_hi)), fill)
         nxt.use_rhs = True
         # seed the coarse iterate at its own C-points
         for k, c in enumerate(nxt.c_idx):
@@ -517,46 +435,33 @@ class MgritSolver:
 
     @_charged
     def _coarsest_solve(self, lvl, nested=False):
-        """Gather, sequential forward solve on rank 0, scatter.  In the
-        main phase the kept slots then hold v - kept (the error); during
-        nested iterations they hold v itself."""
-        rank = self.transport.rank
-        chunk = ([s.clone() for s in lvl.rhs] if lvl.use_rhs
-                 else [None] * max(lvl.own_hi - lvl.own_lo, 0))
+        """Gather the right-hand side, step the level sequentially on
+        rank 0, scatter the owned ranges.  On a coarse level the kept
+        slots then hold v - kept (the error), or v itself during nested
+        iterations; on the fine level of a 1-level hierarchy the C-store
+        takes the C-values."""
+        chunk = (list(lvl.rhs) if lvl.use_rhs
+                 else [None] * (lvl.own_hi - lvl.own_lo))
         gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
-        if rank == 0:
-            n = lvl.grid.n_points
-            full = [None] * n
-            for lo, part in gathered:
-                for off, s in enumerate(part):
-                    full[lo + off] = s
-            v = lvl.anchor
-            for i in range(1, n):
-                nv = self._step(lvl, v, i)
-                if full[i] is not None:
-                    nv.add_scaled(full[i], 1.0)
-                full[i] = nv
-                v = nv
-            chunks = []
-            for w in range(self.transport.size):
-                lo, hi = lvl.decomp.owned_range(w)
-                chunks.append(full[lo:hi])
-        else:
-            chunks = None
+        chunks = None
+        if self.transport.rank == 0:
+            g = None
+            if lvl.use_rhs:
+                g = [None] * lvl.grid.n_points
+                for lo, part in gathered:
+                    g[lo:lo + len(part)] = part
+            v = sequential_solve(self.problem, lvl.grid.points,
+                                 lvl.spatial_level, self._smooth, g,
+                                 initial=lvl.anchor).states
+            chunks = [v[slice(*lvl.decomp.owned_range(w))]
+                      for w in range(self.transport.size)]
         mine = scatter_from_root(self.transport, chunks)
-        for off, vi in enumerate(mine):
-            slot = lvl.u_keep[off]
-            if nested:
-                slot.copy_from(vi)
-            else:
-                slot.field[:] = vi.field - slot.field
-                slot.scalars[:] = vi.scalars - slot.scalars
-        # deposit the solution at the coarsest level's own C-points
-        for k, c in enumerate(lvl.c_idx):
-            if nested:
-                lvl.c_store[k].copy_from(lvl.kept(c))
-            else:
-                lvl.c_store[k].add_scaled(lvl.kept(c), 1.0)
+        if lvl.index == 0:
+            for k, c in enumerate(lvl.c_idx):
+                lvl.c_store[k].copy_from(mine[c - lvl.own_lo])
+            return
+        for slot, vi in zip(lvl.u_keep, mine):
+            slot.copy_from(vi if nested else vi - slot)
 
     def _points(self, lvl):
         """Yield (i, u_i) over the owned range: C-values from the store,
@@ -573,114 +478,58 @@ class MgritSolver:
             yield i, cur
 
     @_charged
-    def _ascend(self, coarse, fine, inject=False, solved=False):
+    def _ascend(self, coarse, fine, inject=False):
         """Carry corrections (or, for nested iterations, values) from a
         coarse level into the fine C-store.
 
-        ``solved`` marks the coarsest level, whose kept slots already
-        hold the payload for every owned point; otherwise an F-walk
-        reconstructs the coarse iterate and emits v - kept on the fly.
+        The coarsest level's kept slots already hold the payload for every
+        owned point; on any other level an F-walk reconstructs the coarse
+        iterate and emits v - kept on the fly.
         """
-        coarsen = coarse.spatial_level != fine.spatial_level
-        hier = self.problem.spatial
-        rank = self.transport.rank
-        d = coarse.decomp
-
-        def emit(j, payload, outgoing):
-            dest = fine.decomp.unit_owner(j - 1)
-            if dest == rank:
-                self._apply_payload(fine, j, payload, inject, coarsen, hier)
-            else:
-                outgoing.append((dest, j, payload))
-
-        outgoing = []
-        if not d.is_empty(rank):
-            if solved:
-                for i in range(max(coarse.own_lo, 1), coarse.own_hi):
-                    emit(i, coarse.kept(i).clone(), outgoing)
-            else:
-                for i, cur in self._points(coarse):
-                    emit(i, cur.clone() if inject else cur - coarse.kept(i),
-                         outgoing)
-        for dest, j, payload in outgoing:
-            self.transport.send(dest, (j, payload))
-        for k in range(len(fine.c_idx)):
-            j = fine.decomp.first_unit(rank) + k + 1
-            src = self._coarse_owner(coarse, j)
-            if src == rank:
-                continue
-            jj, payload = self.transport.recv(src)
-            if jj != j:
-                raise RuntimeError(f"ascent order broke: {jj} != {j}")
-            self._apply_payload(fine, j, payload, inject, coarsen, hier)
-
-    def _apply_payload(self, fine, j, payload, inject, coarsen, hier):
-        k = j - fine.decomp.first_unit(self.transport.rank) - 1
-        if not 0 <= k < len(fine.c_idx):
-            return
-        if coarsen:
-            payload = hier.prolong_error(payload)
-        if inject:
-            fine.c_store[k].copy_from(payload)
+        prolong = (self.problem.spatial.prolong_error
+                   if coarse.spatial_level != fine.spatial_level
+                   else lambda s: s)
+        if coarse.index == self.n_levels - 1:
+            items = ((i, coarse.kept(i))
+                     for i in range(coarse.own_lo, coarse.own_hi))
         else:
-            fine.c_store[k].add_scaled(payload, 1.0)
+            items = ((i, cur if inject else cur - coarse.kept(i))
+                     for i, cur in self._points(coarse))
+        first = fine.decomp.first_unit(self.transport.rank) + 1
+
+        def apply(j, payload):
+            slot = fine.c_store[j - first]
+            if inject:
+                slot.copy_from(prolong(payload))
+            else:
+                slot.add_scaled(prolong(payload), 1.0)
+
+        self._route(items, lambda j: fine.decomp.unit_owner(j - 1),
+                    ((j, coarse.decomp.point_owner(j))
+                     for j in range(first, first + len(fine.c_idx))), apply)
 
     # --- cycles ---
 
-    def _descend(self, l, held=None):
-        """Relax level l and restrict to l + 1.  ``held`` is what the
+    def _cycle(self, l, held=None, f_cycle=False):
+        """One V- or F-cycle from level l down.  ``held`` is what the
         driver's measuring sweep of level 0 held back: it stands in for
-        the first FC-sweep, or for the restriction's walk when gamma = 0."""
+        the first FC-sweep, or for the restriction's walk when gamma = 0.
+        The coarsest level, level 0 of a 1-level hierarchy included, is
+        solved sequentially."""
         lvl, sweeps = self.levels[l], self.cycle.gamma
+        if l == self.n_levels - 1:
+            self._coarsest_solve(lvl)
+            return
         if held is not None and sweeps:
             self._commit(lvl, held[1])
             held, sweeps = None, sweeps - 1
         for _ in range(sweeps):
             self._fc_sweep(lvl)
         self._restrict_sweep(lvl, self.levels[l + 1], held)
-
-    def _vcycle(self, l, held=None):
-        if l == self.n_levels - 1:
-            self._coarsest_solve(self.levels[l])
-            return
-        self._descend(l, held)
-        self._vcycle(l + 1)
-        self._ascend(self.levels[l + 1], self.levels[l],
-                     solved=(l + 1 == self.n_levels - 1))
-
-    def _fcycle(self, l, held=None):
-        if l == self.n_levels - 1:
-            self._coarsest_solve(self.levels[l])
-            return
-        self._descend(l, held)
-        self._fcycle(l + 1)
-        self._ascend(self.levels[l + 1], self.levels[l],
-                     solved=(l + 1 == self.n_levels - 1))
-        if l > 0:
-            self._vcycle(l)
-
-    def _iterate_once(self, held):
-        if self.n_levels == 1:
-            self._coarsest_solve_single(self.levels[0])
-        elif self.cycle.kind == "F":
-            self._fcycle(0, held)
-        else:
-            self._vcycle(0, held)
-
-    @_charged
-    def _coarsest_solve_single(self, lvl):
-        """Degenerate 1-level hierarchy: plain sequential walk depositing
-        the C-point values (everything else stays transient)."""
-        rank, d = self.transport.rank, lvl.decomp
-        if not d.is_empty(rank):
-            # sequential dependence: wait for the finished left value
-            left = d.left_neighbor(rank)
-            start = lvl.anchor if left is None else self.transport.recv(left)
-            for k, _, _, upd in self._walk(lvl, start):
-                lvl.c_store[k].copy_from(upd)  # the next unit starts here
-            right = d.right_neighbor(rank)
-            if right is not None and lvl.c_store:
-                self.transport.send(right, lvl.c_store[-1])
+        self._cycle(l + 1, f_cycle=f_cycle)
+        self._ascend(self.levels[l + 1], lvl)
+        if f_cycle and l > 0:
+            self._cycle(l)
 
     # --- nested iterations ---
 
@@ -691,11 +540,10 @@ class MgritSolver:
             bottom.use_rhs = False
             self._coarsest_solve(bottom, nested=True)
             for l in range(self.n_levels - 2, -1, -1):
-                self._ascend(self.levels[l + 1], self.levels[l], inject=True,
-                             solved=(l + 1 == self.n_levels - 1))
+                self._ascend(self.levels[l + 1], self.levels[l], inject=True)
                 if l > 0:
                     self.levels[l].use_rhs = False
-                    self._vcycle(l)
+                    self._cycle(l)
         finally:
             self._smooth = False
 
@@ -748,7 +596,7 @@ class MgritSolver:
         if run.failure is None:
             for it in range(1, self.cycle.max_iters + 1):
                 try:
-                    self._iterate_once(held)
+                    self._cycle(0, held, self.cycle.kind == "F")
                     norm, change, losses, held = self._measure(fine, losses)
                 except NewtonConvergenceError as e:
                     if self.transport.size > 1:

@@ -17,6 +17,7 @@ transport deep-copies payloads so both have message-passing semantics.
 from __future__ import annotations
 
 import copy
+import operator
 import pickle
 import queue
 import threading
@@ -43,6 +44,7 @@ class Decomposition:
         self._first_unit = [0] * n_workers
         for w in range(1, n_workers):
             self._first_unit[w] = self._first_unit[w - 1] + self._n_units[w - 1]
+        self._ends = [f + n for f, n in zip(self._first_unit, self._n_units)]
         self._last_rank = max(
             (w for w in range(n_workers) if self._n_units[w] > 0), default=0)
 
@@ -56,9 +58,15 @@ class Decomposition:
         """Rank whose unit range contains the given global unit index."""
         if not 0 <= unit < self.splitting.n_intervals:
             raise ValueError(f"unit {unit} out of range")
-        ends = [self._first_unit[w] + self._n_units[w]
-                for w in range(self.n_workers)]
-        return bisect_right(ends, unit)
+        return bisect_right(self._ends, unit)
+
+    def point_owner(self, i):
+        """Rank owning point i >= 1: the owner of the unit it closes or
+        lies inside, the F-tail going with the last unit."""
+        k = self.splitting.n_intervals
+        if k == 0:
+            return 0
+        return self.unit_owner(min((i - 1) // self.splitting.factor, k - 1))
 
     def is_empty(self, rank):
         return self._n_units[rank] == 0 and not (
@@ -87,9 +95,6 @@ class Decomposition:
         if rank == self._last_rank:
             hi = self.splitting.n_points
         return (lo, hi)
-
-    def active_ranks(self):
-        return [w for w in range(self.n_workers) if not self.is_empty(w)]
 
     def left_neighbor(self, rank):
         """Closest lower active rank, or None for the first active one."""
@@ -121,8 +126,9 @@ class NullTransport:
 
 
 class _InboxTransport:
-    """Shared recv logic: one inbox per rank, (src, payload) messages,
-    out-of-order arrivals stashed per source."""
+    """Both transports: one inbox per rank (thread or multiprocessing
+    queues), (src, payload) messages, out-of-order arrivals stashed per
+    source."""
 
     def __init__(self, rank, size, inboxes, failure, timeout):
         self.rank = rank
@@ -169,52 +175,38 @@ class _InboxTransport:
         return copy.deepcopy(payload)
 
 
-class ThreadTransport(_InboxTransport):
-    """In-process channels for same-process workers."""
-
-
-class ProcessTransport(_InboxTransport):
-    """Multiprocessing queues for separate worker processes."""
-
-
 def thread_channels(n_workers, timeout=DEFAULT_TIMEOUT):
     failure = threading.Event()
     inboxes = [queue.Queue() for _ in range(n_workers)]
-    return [ThreadTransport(w, n_workers, inboxes, failure, timeout)
+    return [_InboxTransport(w, n_workers, inboxes, failure, timeout)
             for w in range(n_workers)], failure
 
 
 # --- collectives ----------------------------------------------------------------
 
-def reduce_norm(transport, local_sum_sq):
-    """Square root of the rank-ascending sum of per-worker partial sums
-    of squares; every rank returns the same value."""
+def allreduce(transport, value, op):
+    """Fold the per-worker values with op in ascending rank order on rank
+    0 and share the result; every rank returns the same value."""
+    value = float(value)
     if transport.size == 1:
-        return float(local_sum_sq) ** 0.5
+        return value
     if transport.rank == 0:
-        total = float(local_sum_sq)
         for src in range(1, transport.size):
-            total += float(transport.recv(src))
-        norm = total ** 0.5
+            value = op(value, float(transport.recv(src)))
         for dst in range(1, transport.size):
-            transport.send(dst, norm)
-        return norm
-    transport.send(0, float(local_sum_sq))
+            transport.send(dst, value)
+        return value
+    transport.send(0, value)
     return float(transport.recv(0))
+
+
+def reduce_norm(transport, local_sum_sq):
+    """Square root of the rank-ascending sum of partial sums of squares."""
+    return allreduce(transport, local_sum_sq, operator.add) ** 0.5
 
 
 def reduce_max(transport, local_value):
-    if transport.size == 1:
-        return float(local_value)
-    if transport.rank == 0:
-        total = float(local_value)
-        for src in range(1, transport.size):
-            total = max(total, float(transport.recv(src)))
-        for dst in range(1, transport.size):
-            transport.send(dst, total)
-        return total
-    transport.send(0, float(local_value))
-    return float(transport.recv(0))
+    return allreduce(transport, local_value, max)
 
 
 def gather_to_root(transport, payload):
@@ -241,16 +233,6 @@ def scatter_from_root(transport, items):
         for dst in range(1, transport.size):
             transport.send(dst, items[dst])
         return items[0]
-    return transport.recv(0)
-
-
-def broadcast_from_root(transport, payload=None):
-    if transport.size == 1:
-        return payload
-    if transport.rank == 0:
-        for dst in range(1, transport.size):
-            transport.send(dst, payload)
-        return payload
     return transport.recv(0)
 
 
@@ -287,7 +269,7 @@ def run_spmd_threads(n_workers, fn, payload, timeout=DEFAULT_TIMEOUT):
 
 
 def _process_entry(rank, size, fn, payload, inboxes, result_queue, timeout):
-    transport = ProcessTransport(rank, size, inboxes, None, timeout)
+    transport = _InboxTransport(rank, size, inboxes, None, timeout)
     try:
         result_queue.put((rank, True, fn(transport, payload)))
     except BaseException as e:

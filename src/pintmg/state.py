@@ -1,4 +1,4 @@
-"""Space-time state containers and the block residual.
+"""Space-time state containers.
 
 A BlockState is one time point's unknowns: a field vector on some spatial
 grid plus a (possibly empty) vector of lumped scalars such as rotor angle
@@ -8,8 +8,6 @@ slice of the time line.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -118,47 +116,3 @@ class SpaceTimeVector:
 
     def clone(self):
         return SpaceTimeVector([s.clone() for s in self.states], self.start)
-
-    def _check_aligned(self, other):
-        if self.start != other.start or len(self) != len(other):
-            raise ValueError(
-                f"owned ranges differ: [{self.start}, {self.stop}) vs "
-                f"[{other.start}, {other.stop})")
-
-
-def axpy(alpha, x, y):
-    """Componentwise y + alpha * x as a new vector."""
-    y._check_aligned(x)
-    out = y.clone()
-    for s, xs in zip(out.states, x.states):
-        s.add_scaled(xs, alpha)
-    return out
-
-
-def discrete_l2_norm(u):
-    """Root of the plain sum of squares over all points and entries."""
-    return math.sqrt(sum(s.norm_sq() for s in u.states))
-
-
-def max_abs_diff(u, v):
-    u._check_aligned(v)
-    return max((a - b).max_abs() for a, b in zip(u.states, v.states))
-
-
-def space_time_residual(step, times, u, g):
-    """Residual of the all-at-once system defined by one-step propagation.
-
-    The block at index 0 is the initial-value identity, so r_0 = g_0 - u_0;
-    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)).  ``u`` must
-    own a full prefix [0, n) of the grid, matching ``g``.
-    """
-    u._check_aligned(g)
-    if u.start != 0:
-        raise ValueError("residual evaluation needs the full time prefix")
-    if len(u) > len(times):
-        raise ValueError(f"{len(u)} states on a {len(times)}-point grid")
-    res = [g[0] - u[0]]
-    for i in range(1, u.stop):
-        prop = step(u[i - 1], float(times[i - 1]), float(times[i]))
-        res.append(g[i] - (u[i] - prop))
-    return SpaceTimeVector(res, 0)

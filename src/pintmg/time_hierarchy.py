@@ -163,13 +163,3 @@ class TimeHierarchy:
 
     def __len__(self):
         return len(self.grids)
-
-    def step_products(self):
-        """M_l = fine steps per level-l step, for l = 0..n_levels; the
-        entry beyond the coarsest uses the coarsest level's own splitting
-        factor so storage accounting can count its C-intervals too."""
-        prods = [1]
-        for m in self.factors:
-            prods.append(prods[-1] * m)
-        prods.append(prods[-1] * self.splittings[-1].factor)
-        return prods

@@ -3,7 +3,8 @@
 The convergence test is taken inside the next cycle's first fine sweep,
 so a solve walks the fine level (gamma + 1) times per iteration plus once
 for the initial residual, and a run that stops must return exactly the
-iterate whose residual it reported.
+iterate whose residual it reported.  A 1-level hierarchy is solved by
+the coarsest-level path: sequential stepping on rank 0.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
-from pintmg.problems import LinearDiffusionProblem
+from pintmg.problems import LinearDiffusionProblem, sequential_solve
 from pintmg.runtime import run_spmd
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
@@ -168,3 +169,24 @@ def test_recv_waits_are_charged_apart_from_level_work(p):
         else:
             assert all(w >= 0.0 for w in run.wait_seconds)
             assert run.wait_seconds[0] > 0.0
+
+
+def _one_level_worker(transport, _):
+    grid = build_uniform_grid(0.0, 0.02, N_STEPS)
+    hier = TimeHierarchy.build(grid, [])
+    problem = CountingProblem(_problem(), [hier[0].dt])
+    run, solution = MgritSolver(problem, hier, transport=transport).solve()
+    return run, solution, problem.calls
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_one_level_hierarchy_is_the_sequential_solve(p):
+    results = run_spmd(p, _one_level_worker, None, backend="thread")
+    run, traj, _ = results[0]
+    seq = sequential_solve(_problem(), _hierarchy()[0].points)
+    assert run.converged and run.iterations == 1
+    assert np.array_equal(_fields(traj), _fields(seq))
+    # the initial measure, the solve on rank 0, the closing measure, and
+    # materializing the F-points of the factor-2 splitting
+    n = N_STEPS
+    assert sum(c[0] for _, _, c in results) == 3 * n + (n - n // 2)

@@ -6,15 +6,16 @@ import pytest
 from pintmg.errors import NewtonConvergenceError
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import (CycleSpec, MgritSolver, StoppingCriterion,
-                          c_relaxation, f_relaxation, level_context,
-                          mgrit_solve, qoi_change, storage_estimate,
-                          two_level_cycle)
+                          mgrit_solve, qoi_change, storage_estimate)
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
-from pintmg.state import BlockState, SpaceTimeVector, max_abs_diff
+from pintmg.state import BlockState, SpaceTimeVector
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid, cf_split
+
+from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
+                     two_level_cycle)
 
 
 def _flat_vector(problem, n_points, level=0):
@@ -235,8 +236,6 @@ def test_storage_estimate_closed_form_values():
     assert storage_estimate(3, 128, [4, 4], 1) == 122
     with pytest.raises(ValueError):
         storage_estimate(3, 128, [4], 1)
-    with pytest.raises(ValueError):
-        storage_estimate(2, 32, [4], 1, sizes=[1])
 
 
 def test_engine_storage_matches_estimate_serial():
@@ -265,6 +264,26 @@ def test_engine_storage_matches_estimate_two_workers():
         assert report.total == expected == report.estimate
 
 
+def _peak_worker(transport, shape):
+    n_steps, factors = shape
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               list(factors))
+    return MgritSolver(_linear_problem(), hier, CycleSpec(kind="V"),
+                       transport=transport).storage_report()
+
+
+@pytest.mark.parametrize("shape,p,totals", [
+    ((512, (8, 4, 4)), 2, [131, 122]),  # one coarsest C-interval
+    ((66, (4, 4)), 3, [33, 14, 14]),    # F-tails on every level
+    ((128, (4, 4, 2)), 3, [53, 48, 33]),
+])
+def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
+    reports = run_spmd(p, _peak_worker, shape, backend="thread")
+    assert [r.total for r in reports] == totals
+    assert max(totals) == reports[0].estimate
+    assert all(r.total <= r.estimate for r in reports)
+
+
 # --- worker-count invariance --------------------------------------------------------
 
 def _invariance_worker(transport, _):
@@ -290,6 +309,41 @@ def test_solution_independent_of_worker_count():
         for r in runs:
             np.testing.assert_allclose(r.residual_norms, run_1.residual_norms,
                                        rtol=1e-9)
+
+
+BITWISE_CASES = [  # kind, gamma, nested, spatial strategy, steps, factors
+    ("V", 0, False, "none", 64, (4, 4)),
+    ("F", 1, False, "none", 64, (4, 4)),
+    ("V", 1, True, "delayed", 64, (4, 4)),
+    ("F", 0, True, "none", 66, (4, 4)),       # F-tails
+    ("V", 1, False, "direct", 66, (8, 4)),    # idle ranks at p = 3
+]
+
+
+def _bitwise_worker(transport, case):
+    kind, gamma, nested, strategy, n_steps, factors = case
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               list(factors))
+    run, sol = mgrit_solve(_linear_problem(grids=2), hier,
+                           CycleSpec(kind=kind, gamma=gamma, max_iters=30,
+                                     spatial_strategy=strategy,
+                                     nested_iterations=nested),
+                           StoppingCriterion(tolerance=1e-10),
+                           transport=transport)
+    fields = None if sol is None else np.array([s.field for s in sol.states])
+    return run.iterations, run.converged, fields
+
+
+@pytest.mark.parametrize("case", BITWISE_CASES)
+def test_trajectory_bitwise_independent_of_worker_count(case):
+    # only the residual norms may differ, in their last bits, because
+    # their partial sums are added in rank order
+    [(iters_1, converged, fields_1)] = run_spmd(1, _bitwise_worker, case)
+    assert converged
+    for p in (2, 3):
+        results = run_spmd(p, _bitwise_worker, case, backend="thread")
+        assert all(it == iters_1 for it, _, _ in results)
+        assert np.array_equal(results[0][2], fields_1)
 
 
 # --- run bookkeeping ----------------------------------------------------------------

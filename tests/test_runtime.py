@@ -3,11 +3,13 @@ import pytest
 
 from pintmg.errors import TransportError
 from pintmg.runtime import (
-    Decomposition, NullTransport, broadcast_from_root, gather_to_root,
-    reduce_max, reduce_norm, run_spmd, scatter_from_root,
+    Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
+    run_spmd, scatter_from_root,
 )
 from pintmg.state import BlockState
 from pintmg.time_hierarchy import cf_split
+
+from oracles import broadcast_from_root
 
 
 # --- decomposition -------------------------------------------------------------
@@ -44,7 +46,7 @@ def test_unit_balance_and_idle_workers():
     assert [d2.n_units(w) for w in range(4)] == [1, 1, 0, 0]
     assert d2.is_empty(3) and d2.is_empty(2)
     assert d2.owned_range(2) == (0, 0)
-    assert d2.active_ranks() == [0, 1]
+    assert not d2.is_empty(0) and not d2.is_empty(1)
     assert d2.left_neighbor(1) == 0 and d2.left_neighbor(0) is None
     assert d2.right_neighbor(1) is None
 
@@ -61,6 +63,20 @@ def test_degenerate_level_all_points_to_rank_zero():
     assert not d.is_empty(0)
     assert d.owned_range(0) == (1, 2)
     assert d.is_empty(1) and d.owned_range(1) == (0, 0)
+
+
+@pytest.mark.parametrize("n,m,p", [
+    (11, 4, 2),   # an F-tail after the last C-point
+    (9, 4, 4),    # two idle ranks
+    (35, 4, 3),   # F-tail and an uneven deal
+    (2, 2, 3),    # no C-interval at all
+    (3, 4, 2),    # fewer points than the factor
+])
+def test_point_owner_agrees_with_owned_ranges(n, m, p):
+    d = Decomposition(cf_split(n, m), p)
+    owners = {i: w for w in range(p) for i in range(*d.owned_range(w))}
+    assert sorted(owners) == list(range(1, n))
+    assert all(d.point_owner(i) == w for i, w in owners.items())
 
 
 # --- transports ------------------------------------------------------------------

@@ -96,7 +96,6 @@ def test_hierarchy_levels_indexing_and_factors():
     assert h.factors == (4, 4)
     # every level carries a splitting, the coarsest reusing the last factor
     assert [s.factor for s in h.splittings] == [4, 4, 4]
-    assert h.step_products() == [1, 4, 16, 64]
 
 
 def test_trailing_partial_interval_stays_fine():
