@@ -14,10 +14,10 @@ from dataclasses import dataclass, fields, replace
 
 from .mgrit import CYCLE_KINDS, STOPPING_KINDS
 from .problems import SOURCES
+from .runtime import TRANSPORTS
 from .spatial import STRATEGIES
 
 PROBLEM_KINDS = ("linear", "nonlinear", "machine", "dahlquist")
-TRANSPORTS = ("thread", "process")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .mgrit import CycleSpec, MgritSolver, SolverRun, StoppingCriterion
 from .problems import (BrauerCurve, DahlquistProblem, LinearDiffusionProblem,
                        NonlinearSaturationProblem, SurrogateMachineProblem,
                        sequential_solve)
-from .runtime import NullTransport, run_spmd
+from .runtime import run_spmd
 from .spatial import STRATEGIES
 from .time_hierarchy import TimeHierarchy, build_uniform_grid
 
@@ -104,11 +104,8 @@ def execute(config):
     """
     p = config.hierarchy_workers
     try:
-        if p == 1:
-            return _solver_worker(NullTransport(), config)
-        results = run_spmd(p, _solver_worker, config,
-                           backend=config.run_transport)
-        return results[0]
+        return run_spmd(p, _solver_worker, config,
+                        backend=config.run_transport)[0]
     except (NewtonConvergenceError, TransportError) as e:
         return SolverRun(converged=False, n_workers=p, failure=str(e))
 

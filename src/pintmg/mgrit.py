@@ -44,6 +44,7 @@ that stops returns exactly the iterate it measured.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +58,7 @@ from .runtime import (
 )
 from .spatial import assign_spatial_levels
 from .state import BlockState, SpaceTimeVector
+from .time_hierarchy import level_factor
 
 CYCLE_KINDS = ("two-level", "V", "F")
 STOPPING_KINDS = ("residual-norm", "qoi-change")
@@ -117,7 +119,8 @@ def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
     runtime.Decomposition deals them: whole C-intervals, the remainder to
     the lowest ranks, the trailing F-points to the last active rank.
     ``factors`` are the n_levels - 1 inter-level factors; the coarsest
-    level's own splitting reuses the last one unless ``coarsest_factor``
+    level's own splitting reuses the last one, clamped to the coarsest
+    grid as TimeHierarchy.build clamps it, unless ``coarsest_factor``
     says otherwise.
     """
     factors = list(factors)
@@ -125,7 +128,9 @@ def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
         raise ValueError(f"{n_levels} levels need {n_levels - 1} factors, "
                          f"got {len(factors)}")
     if coarsest_factor is None:
-        coarsest_factor = factors[-1] if factors else 2
+        coarsest_factor = level_factor(
+            n_fine_steps // math.prod(factors) + 1,
+            factors[-1] if factors else 2)
     per_rank, steps = [0] * n_workers, n_fine_steps
     for l, m in enumerate(factors + [coarsest_factor]):
         units, tail = divmod(steps, m)
@@ -571,38 +576,19 @@ class MgritSolver:
         the nested-iteration setup phase.
         """
         run = SolverRun(n_workers=self.transport.size)
-        t_setup = time.perf_counter()
-        self._initialize_guess()
-        if initial_guess is not None:
-            self.seed(initial_guess)
-        elif self.cycle.nested_iterations and self.n_levels > 1:
-            try:
-                self._nested_iterations()
-            except NewtonConvergenceError as e:
-                if self.transport.size > 1:
-                    raise
-                run.failure = str(e)
-        run.setup_seconds = self.setup_seconds + (time.perf_counter() - t_setup)
-
-        t_solve = time.perf_counter()
+        t_setup, t_solve = time.perf_counter(), None
         fine = self.levels[0]
-        if run.failure is None:
-            try:
-                run.initial_residual, _, losses, held = self._measure(fine)
-            except NewtonConvergenceError as e:
-                if self.transport.size > 1:
-                    raise
-                run.failure = str(e)
-        if run.failure is None:
+        self._initialize_guess()
+        try:
+            if initial_guess is not None:
+                self.seed(initial_guess)
+            elif self.cycle.nested_iterations and self.n_levels > 1:
+                self._nested_iterations()
+            t_solve = time.perf_counter()
+            run.initial_residual, _, losses, held = self._measure(fine)
             for it in range(1, self.cycle.max_iters + 1):
-                try:
-                    self._cycle(0, held, self.cycle.kind == "F")
-                    norm, change, losses, held = self._measure(fine, losses)
-                except NewtonConvergenceError as e:
-                    if self.transport.size > 1:
-                        raise
-                    run.failure = str(e)
-                    break
+                self._cycle(0, held, self.cycle.kind == "F")
+                norm, change, losses, held = self._measure(fine, losses)
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
@@ -614,6 +600,13 @@ class MgritSolver:
                 if value < self.stopping.tolerance:
                     run.converged = True
                     break  # the held C-updates are dropped, never committed
+        except NewtonConvergenceError as e:
+            if self.transport.size > 1:
+                raise
+            run.failure = str(e)
+        if t_solve is None:  # failed before the first cycle
+            t_solve = time.perf_counter()
+        run.setup_seconds = self.setup_seconds + (t_solve - t_setup)
         run.solve_seconds = time.perf_counter() - t_solve
         run.level_seconds = [lvl.seconds for lvl in self.levels]
         run.wait_seconds = [lvl.wait for lvl in self.levels]

@@ -1,4 +1,4 @@
-"""Worker decomposition and message transports.
+"""Worker decomposition, message transport and the SPMD driver.
 
 Time points are dealt out as whole C-intervals: unit k of a level is the
 half-open point run (c_k, c_{k+1}] ending at its closing C-point, so a
@@ -8,25 +8,34 @@ counts are balanced with the remainder going to the lowest ranks, which
 keeps worker 0 owner of index 0 (the anchor) on every level; ranks beyond
 the unit count idle on that level.
 
-Two transports share one protocol (send/recv between ranks with per-pair
-FIFO order): an in-process one running workers as threads, used by the
-test suite, and a multiprocessing one for scaling runs.  The thread
-transport deep-copies payloads so both have message-passing semantics.
+One driver, run_spmd, runs fn(transport, payload) on every rank, as
+threads (backend "thread", used by the test suite) or as forked processes
+("process", for scaling runs).  Both backends take their queues, event
+and worker class from one context and share everything else: one inbox
+per rank (send/recv with per-pair FIFO order and value semantics), one
+failure event, and one report queue on which each worker puts exactly one
+(rank, error_text, result).  The driver raises the first failure report
+as TransportError("worker <rank> failed: <Type>: <message>").  Only the
+driver sets the failure event, after it holds that report, so peers
+blocked in recv stop within one poll and their "a peer failed" is never
+reported ahead of the cause.  A single worker runs in-process on a
+NullTransport.
 """
 
 from __future__ import annotations
 
 import copy
+import multiprocessing
 import operator
 import pickle
 import queue
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import TransportError
 
 DEFAULT_TIMEOUT = 120.0
+TRANSPORTS = ("thread", "process")
 
 
 class Decomposition:
@@ -126,9 +135,8 @@ class NullTransport:
 
 
 class _InboxTransport:
-    """Both transports: one inbox per rank (thread or multiprocessing
-    queues), (src, payload) messages, out-of-order arrivals stashed per
-    source."""
+    """One inbox per rank (thread or multiprocessing queues), (src,
+    payload) messages, out-of-order arrivals stashed per source."""
 
     def __init__(self, rank, size, inboxes, failure, timeout):
         self.rank = rank
@@ -138,13 +146,13 @@ class _InboxTransport:
         self._failure = failure
         self._timeout = timeout
 
-    def _put(self, dst, item):
-        self._inboxes[dst].put(item)
-
     def send(self, dst, payload):
         if not 0 <= dst < self.size or dst == self.rank:
             raise TransportError(f"rank {self.rank} cannot send to {dst}")
-        self._put(dst, (self.rank, self._encode(payload)))
+        # snapshot at send time: thread queues pass references and
+        # multiprocessing queues pickle lazily in a feeder thread, so
+        # without this the sender could mutate a message in flight
+        self._inboxes[dst].put((self.rank, copy.deepcopy(payload)))
 
     def recv(self, src):
         if not 0 <= src < self.size or src == self.rank:
@@ -153,9 +161,7 @@ class _InboxTransport:
         if stash:
             return stash.pop(0)
         waited = 0.0
-        while True:
-            if self._failure is not None and self._failure.is_set():
-                raise TransportError(f"rank {self.rank}: a peer failed")
+        while not self._failure.is_set():
             try:
                 sender, payload = self._inboxes[self.rank].get(timeout=0.2)
             except queue.Empty:
@@ -167,19 +173,7 @@ class _InboxTransport:
             if sender == src:
                 return payload
             self._stash.setdefault(sender, []).append(payload)
-
-    def _encode(self, payload):
-        # snapshot at send time: thread queues pass references and
-        # multiprocessing queues pickle lazily in a feeder thread, so
-        # without this the sender could mutate a message in flight
-        return copy.deepcopy(payload)
-
-
-def thread_channels(n_workers, timeout=DEFAULT_TIMEOUT):
-    failure = threading.Event()
-    inboxes = [queue.Queue() for _ in range(n_workers)]
-    return [_InboxTransport(w, n_workers, inboxes, failure, timeout)
-            for w in range(n_workers)], failure
+        raise TransportError(f"rank {self.rank}: a peer failed")
 
 
 # --- collectives ----------------------------------------------------------------
@@ -236,84 +230,53 @@ def scatter_from_root(transport, items):
     return transport.recv(0)
 
 
-# --- SPMD drivers ----------------------------------------------------------------
+# --- SPMD driver ------------------------------------------------------------------
 
-def run_spmd_threads(n_workers, fn, payload, timeout=DEFAULT_TIMEOUT):
-    """Run fn(transport, payload) on n_workers threads; returns the
-    per-rank results, re-raising the first worker failure."""
-    if n_workers == 1:
-        return [fn(NullTransport(), payload)]
-    transports, failure = thread_channels(n_workers, timeout)
-    results = [None] * n_workers
-    errors = [None] * n_workers
-
-    def entry(rank):
-        try:
-            results[rank] = fn(transports[rank], payload)
-        except BaseException as e:  # propagate to the driver
-            errors[rank] = e
-            failure.set()
-
-    threads = [threading.Thread(target=entry, args=(w,), daemon=True)
-               for w in range(n_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=timeout + 10.0)
-    for e in errors:
-        if e is not None:
-            raise e
-    if any(t.is_alive() for t in threads):
-        raise TransportError("worker threads did not finish")
-    return results
-
-
-def _process_entry(rank, size, fn, payload, inboxes, result_queue, timeout):
-    transport = _InboxTransport(rank, size, inboxes, None, timeout)
+def _worker(rank, size, fn, payload, inboxes, failure, reports, timeout):
+    transport = _InboxTransport(rank, size, inboxes, failure, timeout)
     try:
-        result_queue.put((rank, True, fn(transport, payload)))
-    except BaseException as e:
-        result_queue.put((rank, False, f"{type(e).__name__}: {e}"))
-
-
-def run_spmd_processes(n_workers, fn, payload, timeout=DEFAULT_TIMEOUT):
-    """Run fn(transport, payload) on n_workers OS processes.  fn and its
-    result must be picklable."""
-    import multiprocessing as mp
-
-    if n_workers == 1:
-        return [fn(NullTransport(), payload)]
-    pickle.dumps(payload)  # fail fast with a clear origin
-    ctx = mp.get_context("fork")
-    inboxes = [ctx.Queue() for _ in range(n_workers)]
-    result_queue = ctx.Queue()
-    procs = [ctx.Process(target=_process_entry,
-                         args=(w, n_workers, fn, payload, inboxes,
-                               result_queue, timeout), daemon=True)
-             for w in range(n_workers)]
-    for p in procs:
-        p.start()
-    results = [None] * n_workers
-    try:
-        for _ in range(n_workers):
-            rank, ok, value = result_queue.get(timeout=timeout)
-            if not ok:
-                raise TransportError(f"worker {rank} failed: {value}")
-            results[rank] = value
-    except queue.Empty:
-        raise TransportError("worker processes did not report back")
-    finally:
-        for p in procs:
-            p.join(timeout=5.0)
-            if p.is_alive():
-                p.terminate()
-    return results
+        reports.put((rank, None, fn(transport, payload)))
+    except BaseException as e:  # whatever ends fn, one report goes out
+        reports.put((rank, f"{type(e).__name__}: {e}", None))
 
 
 def run_spmd(n_workers, fn, payload, backend="thread",
              timeout=DEFAULT_TIMEOUT):
+    """Run fn(transport, payload) on n_workers ranks; returns the per-rank
+    results, raising the first worker failure as a TransportError.  On
+    the process backend fn, payload and results must be picklable."""
+    if backend not in TRANSPORTS:
+        raise ValueError(f"unknown backend {backend!r}; use one of {TRANSPORTS}")
+    if n_workers == 1:
+        return [fn(NullTransport(), payload)]
     if backend == "thread":
-        return run_spmd_threads(n_workers, fn, payload, timeout)
-    if backend == "process":
-        return run_spmd_processes(n_workers, fn, payload, timeout)
-    raise ValueError(f"unknown backend {backend!r}; use thread or process")
+        Queue, Event, Worker = queue.Queue, threading.Event, threading.Thread
+    else:
+        pickle.dumps(payload)  # fail fast with a clear origin
+        ctx = multiprocessing.get_context("fork")
+        Queue, Event, Worker = ctx.Queue, ctx.Event, ctx.Process
+    inboxes = [Queue() for _ in range(n_workers)]
+    failure, reports = Event(), Queue()
+    workers = [Worker(target=_worker, daemon=True,
+                      args=(w, n_workers, fn, payload, inboxes, failure,
+                            reports, timeout))
+               for w in range(n_workers)]
+    for w in workers:
+        w.start()
+    results = [None] * n_workers
+    try:
+        for _ in range(n_workers):
+            try:
+                rank, error, result = reports.get(timeout=timeout + 10.0)
+            except queue.Empty:
+                raise TransportError("workers did not report back") from None
+            if error is not None:
+                raise TransportError(f"worker {rank} failed: {error}")
+            results[rank] = result
+    finally:
+        failure.set()
+        for w in workers:
+            w.join(timeout=5.0)
+            if w.is_alive() and backend == "process":
+                w.terminate()
+    return results

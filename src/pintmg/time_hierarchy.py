@@ -86,6 +86,12 @@ def cf_split(n_points, factor):
     return CFSplitting(n_points=n_points, factor=factor)
 
 
+def level_factor(n_points, factor):
+    """The splitting factor a level of n_points points actually uses: a
+    grid with no more points than factor takes max(2, n_points - 1)."""
+    return factor if n_points > factor else max(2, n_points - 1)
+
+
 def plan_coarsening(n_steps, n_workers, max_levels, coarse_factor):
     """Choose inter-level factors: first one sized so the second level has
     about one point per worker, then coarse_factor repeatedly.
@@ -142,10 +148,8 @@ class TimeHierarchy:
         if coarsest_factor is None:
             coarsest_factor = factors[-1] if factors else 2
         level_factors = factors + (int(coarsest_factor),)
-        splittings = tuple(
-            cf_split(g.n_points, level_factors[i]) if g.n_points > level_factors[i]
-            else cf_split(g.n_points, max(2, g.n_points - 1))
-            for i, g in enumerate(grids))
+        splittings = tuple(cf_split(g.n_points, level_factor(g.n_points, m))
+                           for g, m in zip(grids, level_factors))
         return cls(grids=tuple(grids), factors=factors, splittings=splittings)
 
     @classmethod

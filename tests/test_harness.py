@@ -5,13 +5,14 @@ import pytest
 from pintmg.cli import main
 from pintmg.config import ExperimentConfig, save_config, with_overrides
 from pintmg.errors import NewtonConvergenceError
+from pintmg.excitation import PwmSource
 from pintmg.harness import (build_hierarchy, build_problem, compare_variants,
                             execute, run_experiment, scale_experiment,
                             worker_ladder, write_iterations_csv,
                             write_summary_csv)
 from pintmg.mgrit import SolverRun
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
-                             NonlinearSaturationProblem,
+                             NewtonOptions, NonlinearSaturationProblem,
                              SurrogateMachineProblem)
 
 
@@ -155,6 +156,24 @@ def test_execute_records_worker_failure(monkeypatch, tmp_path):
     write_summary_csv(tmp_path / "summary.csv", run)
     assert read_rows(tmp_path / "summary.csv")[1][4] == "false"
     assert len(read_rows(tmp_path / "iterations.csv")) == 1
+
+
+def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
+    def stalling_problem(config):
+        return NonlinearSaturationProblem(
+            15, excitation=PwmSource(), mass_coeff=1.0,
+            newton=NewtonOptions(max_iters=1, tol=1e-16))
+
+    # nested iterations start with the coarsest solve, which only rank 0
+    # steps, so rank 0 is the one that breaks down
+    monkeypatch.setattr("pintmg.harness.build_problem", stalling_problem)
+    failures = {transport: execute(small_config(
+        problem_kind="nonlinear", hierarchy_workers=2,
+        cycle_nested_iterations=True, run_transport=transport)).failure
+        for transport in ("thread", "process")}
+    assert failures["thread"] == failures["process"]
+    assert failures["thread"].startswith(
+        "worker 0 failed: NewtonConvergenceError: Newton stalled at t=")
 
 
 def test_failed_run_keeps_partial_history(tmp_path):

@@ -234,6 +234,8 @@ def test_storage_estimate_closed_form_values():
     assert storage_estimate(2, 32, [4], 1) == 26
     assert storage_estimate(1, 32, [], 1, coarsest_factor=4) == 8
     assert storage_estimate(3, 128, [4, 4], 1) == 122
+    # the coarsest grid has 3 points, so its factor 4 is clamped to 2
+    assert storage_estimate(3, 66, [8, 4], 1) == 31
     with pytest.raises(ValueError):
         storage_estimate(3, 128, [4], 1)
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -181,10 +183,15 @@ def _crash_probe(transport, payload):
     return transport.recv(0)
 
 
-def test_worker_exception_propagates():
-    with pytest.raises((RuntimeError, TransportError)) as err:
-        run_spmd(2, _crash_probe, None, backend="thread", timeout=30.0)
-    assert "boom" in str(err.value) or "peer failed" in str(err.value)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_worker_exception_propagates(backend):
+    # the cause is reported, not the peer's "a peer failed", and the peer
+    # blocked in recv stops within a poll instead of waiting to be killed
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError) as err:
+        run_spmd(2, _crash_probe, None, backend=backend, timeout=30.0)
+    assert str(err.value) == "worker 0 failed: RuntimeError: boom"
+    assert time.perf_counter() - t0 < 2.5
 
 
 def test_null_transport_refuses_traffic():
