@@ -21,7 +21,7 @@ files; see ``pintmg --help``.
 
 from .config import (ExperimentConfig, load_config, parse_config,
                      save_config, serialize_config, with_overrides)
-from .errors import NewtonConvergenceError, TransportError
+from .errors import NewtonConvergenceError, NonFiniteError, TransportError
 from .excitation import PwmSource
 from .harness import (build_hierarchy, build_problem, compare_variants,
                       run_experiment, scale_experiment)
@@ -48,6 +48,7 @@ __all__ = [
     "MgritSolver",
     "NewtonConvergenceError",
     "NewtonOptions",
+    "NonFiniteError",
     "NonlinearSaturationProblem",
     "NullTransport",
     "PwmSource",

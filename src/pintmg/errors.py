@@ -10,5 +10,9 @@ class NewtonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class NonFiniteError(RuntimeError):
+    """A reduced residual norm or loss change came out NaN or infinite."""
+
+
 class TransportError(RuntimeError):
     """A worker message could not be delivered or decoded."""

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NewtonConvergenceError
+from .errors import NewtonConvergenceError, NonFiniteError
 from .problems import joule_loss, sequential_solve
 from .runtime import (
     Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
@@ -374,6 +374,8 @@ class MgritSolver:
         ``prev_losses`` (None without them), the per-C-point losses and
         the held-back (left boundary, C-updates).  The fine level has no
         FAS right-hand side: the residual at c is step(last_f) - u_c.
+        A non-finite norm or change raises NonFiniteError; both are
+        reduced over all ranks, so every rank raises at the same sweep.
         """
         t = lvl.grid.points
         sum_sq, updates = 0.0, []
@@ -389,6 +391,9 @@ class MgritSolver:
         if prev_losses is not None:
             change = reduce_max(self.transport, qoi_change(losses, prev_losses)
                                 if losses.size else 0.0)
+        for name, value in (("residual norm", norm), ("loss change", change)):
+            if value is not None and not math.isfinite(value):
+                raise NonFiniteError(f"fine {name} is not finite: {value}")
         return norm, change, losses, (boundary, updates)
 
     @_charged
@@ -600,7 +605,7 @@ class MgritSolver:
                 if value < self.stopping.tolerance:
                     run.converged = True
                     break  # the held C-updates are dropped, never committed
-        except NewtonConvergenceError as e:
+        except (NewtonConvergenceError, NonFiniteError) as e:
             if self.transport.size > 1:
                 raise
             run.failure = str(e)

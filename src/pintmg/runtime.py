@@ -14,8 +14,10 @@ threads (backend "thread", used by the test suite) or as forked processes
 and worker class from one context and share everything else: one inbox
 per rank (send/recv with per-pair FIFO order and value semantics), one
 failure event, and one report queue on which each worker puts exactly one
-(rank, error_text, result).  The driver raises the first failure report
-as TransportError("worker <rank> failed: <Type>: <message>").  Only the
+(rank, error_text, result).  On the process backend a worker pickles
+its result itself, so a result that cannot be pickled is reported as
+that worker's failure.  The driver raises the first failure report as
+TransportError("worker <rank> failed: <Type>: <message>").  Only the
 driver sets the failure event, after it holds that report, so peers
 blocked in recv stop within one poll and their "a peer failed" is never
 reported ahead of the cause.  A single worker runs in-process on a
@@ -199,8 +201,13 @@ def reduce_norm(transport, local_sum_sq):
     return allreduce(transport, local_sum_sq, operator.add) ** 0.5
 
 
+def _max_keeping_nan(a, b):
+    """max(a, b), except that a NaN on either side wins."""
+    return b if b > a or b != b else a
+
+
 def reduce_max(transport, local_value):
-    return allreduce(transport, local_value, max)
+    return allreduce(transport, local_value, _max_keeping_nan)
 
 
 def gather_to_root(transport, payload):
@@ -232,12 +239,17 @@ def scatter_from_root(transport, items):
 
 # --- SPMD driver ------------------------------------------------------------------
 
-def _worker(rank, size, fn, payload, inboxes, failure, reports, timeout):
+def _worker(rank, size, fn, payload, inboxes, failure, reports, timeout,
+            encode):
     transport = _InboxTransport(rank, size, inboxes, failure, timeout)
     try:
-        reports.put((rank, None, fn(transport, payload)))
+        reports.put((rank, None, encode(fn(transport, payload))))
     except BaseException as e:  # whatever ends fn, one report goes out
         reports.put((rank, f"{type(e).__name__}: {e}", None))
+
+
+def _as_is(result):
+    return result
 
 
 def run_spmd(n_workers, fn, payload, backend="thread",
@@ -251,15 +263,19 @@ def run_spmd(n_workers, fn, payload, backend="thread",
         return [fn(NullTransport(), payload)]
     if backend == "thread":
         Queue, Event, Worker = queue.Queue, threading.Event, threading.Thread
+        encode = decode = _as_is
     else:
         pickle.dumps(payload)  # fail fast with a clear origin
         ctx = multiprocessing.get_context("fork")
         Queue, Event, Worker = ctx.Queue, ctx.Event, ctx.Process
+        # pickled in the worker: the queue's feeder thread would drop an
+        # unpicklable result and leave the driver waiting for it
+        encode, decode = pickle.dumps, pickle.loads
     inboxes = [Queue() for _ in range(n_workers)]
     failure, reports = Event(), Queue()
     workers = [Worker(target=_worker, daemon=True,
                       args=(w, n_workers, fn, payload, inboxes, failure,
-                            reports, timeout))
+                            reports, timeout, encode))
                for w in range(n_workers)]
     for w in workers:
         w.start()
@@ -272,7 +288,7 @@ def run_spmd(n_workers, fn, payload, backend="thread",
                 raise TransportError("workers did not report back") from None
             if error is not None:
                 raise TransportError(f"worker {rank} failed: {error}")
-            results[rank] = result
+            results[rank] = decode(result)
     finally:
         failure.set()
         for w in workers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pintmg.errors import NewtonConvergenceError
+from pintmg.errors import NewtonConvergenceError, NonFiniteError, TransportError
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import (CycleSpec, MgritSolver, StoppingCriterion,
                           mgrit_solve, qoi_change, storage_estimate)
@@ -381,6 +381,58 @@ def test_newton_failure_is_recorded_not_raised():
     assert not run.converged
     assert run.failure is not None and "Newton" in run.failure
     assert sol is None
+
+
+class _NanAtMidpoint:
+    """A problem whose step writes NaN into the state it returns at
+    t = 0.01, on every time level."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def step(self, u_prev, t_prev, t_next, *args, **kwargs):
+        out, diag = self.inner.step(u_prev, t_prev, t_next, *args, **kwargs)
+        if abs(t_next - 0.01) < 1e-12:
+            out.field[0] = np.nan
+        return out, diag
+
+
+def _nan_worker(transport, job):
+    kind, catch = job
+    inner = (_linear_problem() if kind == "linear"
+             else DahlquistProblem(rate=-50.0, excitation=PwmSource()))
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 64), [4, 4])
+    try:
+        return mgrit_solve(_NanAtMidpoint(inner), hier,
+                           CycleSpec(max_iters=8), transport=transport)[0]
+    except NonFiniteError as e:
+        if not catch:
+            raise
+        return str(e)
+
+
+NAN_TEXT = "fine residual norm is not finite: nan"
+
+
+@pytest.mark.parametrize("kind", ["linear", "dahlquist"])
+def test_nan_step_stops_a_single_worker_run(kind):
+    run = _nan_worker(None, (kind, False))
+    assert not run.converged and run.iterations < 8
+    assert run.failure == NAN_TEXT
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("kind", ["linear", "dahlquist"])
+def test_nan_step_stops_every_worker(kind, backend):
+    with pytest.raises(TransportError,
+                       match=rf"^worker [01] failed: NonFiniteError: {NAN_TEXT}$"):
+        run_spmd(2, _nan_worker, (kind, False), backend=backend, timeout=30.0)
+    # the norm is reduced over all ranks, so every rank stops on it
+    assert run_spmd(2, _nan_worker, (kind, True), backend=backend,
+                    timeout=30.0) == [NAN_TEXT, NAN_TEXT]
 
 
 def test_spec_validation():

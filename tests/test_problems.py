@@ -1,16 +1,21 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from pintmg.errors import NewtonConvergenceError
 from pintmg.excitation import PwmSource
+from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (
     BrauerCurve, DahlquistProblem, LinearDiffusionProblem, NewtonOptions,
-    NonlinearSaturationProblem, SurrogateMachineProblem, joule_loss,
-    sequential_solve,
+    NonlinearSaturationProblem, SurrogateMachineProblem, _band_factor,
+    _band_solve, joule_loss, sequential_solve,
 )
+from pintmg.runtime import run_spmd
 from pintmg.state import BlockState, SpaceTimeVector
+from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 
 # --- independent oracles ------------------------------------------------------
@@ -149,6 +154,7 @@ def test_newton_zero_data_converges_immediately():
     assert diag.iterations <= 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_newton_failure_surfaces_as_error():
     prob = NonlinearSaturationProblem(
         9, curve=BrauerCurve(k1=1.0, k2=8.0, k3=1.0),
@@ -158,6 +164,17 @@ def test_newton_failure_surfaces_as_error():
     prob.forcing = lambda t, s=0, smooth=False: 50.0 * np.sin(2 * math.pi * x)
     with pytest.raises(NewtonConvergenceError):
         prob.step(u_prev, 0.0, 0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_rejects_a_non_finite_residual():
+    prob = NonlinearSaturationProblem(9, excitation=PwmSource())
+    u_prev = BlockState(np.full(9, 0.1))
+    u_prev.field[4] = np.nan
+    with pytest.raises(NewtonConvergenceError,
+                       match=r"not finite at t=0\.001 on grid 0") as err:
+        prob.step(u_prev, 0.0, 1e-3)
+    assert err.value.time == 1e-3 and err.value.iterations == 0
 
 
 def test_newton_options_validation():
@@ -302,3 +319,152 @@ def test_newton_jacobian_matches_finite_differences():
         e[j] = eps
         fd[:, j] = (residual(u + e) - residual(u - e)) / (2.0 * eps)
     assert np.max(np.abs(dense - fd)) / np.max(np.abs(fd)) < 1e-5
+
+
+# --- the one-step kernels at their floor ------------------------------------------
+
+PWM = dict(period=0.02, pulses=400, modulation=0.8, ramp_enabled=True)
+KINDS = {"linear": LinearDiffusionProblem,
+         "nonlinear": NonlinearSaturationProblem,
+         "machine": SurrogateMachineProblem}
+
+
+def _problem(kind, excitation=None):
+    return KINDS[kind](15, n_spatial_grids=3, source="random", seed=5,
+                       excitation=(PwmSource(**PWM) if excitation is None
+                                   else excitation))
+
+
+def _uncached_forcing(problem):
+    """The forcing formula evaluated afresh on every call."""
+    def forcing(t, spatial_level=0, smooth=False):
+        src = problem.excitation
+        v = src.smooth_value(t) if smooth else src.value(t)
+        return v * problem._shapes[spatial_level]
+    return forcing
+
+
+def _three_level_solve(problem, transport=None):
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 64), [4, 4])
+    solver = MgritSolver(
+        problem, hier,
+        CycleSpec(kind="V", max_iters=20, spatial_strategy="direct",
+                  nested_iterations=True),
+        StoppingCriterion(tolerance=1e-6), transport)
+    return solver.solve()
+
+
+def _arrays(trajectory):
+    return (np.array([s.field for s in trajectory.states]),
+            np.array([s.scalars for s in trajectory.states]))
+
+
+def test_forcing_is_memoized_read_only():
+    prob = _problem("linear")
+    for level, smooth in ((0, False), (2, True)):
+        f = prob.forcing(0.0137, level, smooth)
+        assert not f.flags.writeable
+        assert prob.forcing(0.0137, level, smooth) is f
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+    assert not LinearDiffusionProblem(7).forcing(0.5).flags.writeable
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_forcing_memo_changes_no_bit(kind):
+    memo, fresh = _problem(kind), _problem(kind)
+    fresh.forcing = _uncached_forcing(fresh)
+    times = build_uniform_grid(0.0, 0.02, 64).points
+    for smooth in (False, True):
+        a = _arrays(sequential_solve(memo, times, 1, smooth))
+        b = _arrays(sequential_solve(fresh, times, 1, smooth))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    run_a, sol_a = _three_level_solve(memo)
+    run_b, sol_b = _three_level_solve(fresh)
+    assert run_a.converged and run_a.iterations == run_b.iterations
+    assert run_a.residual_norms == run_b.residual_norms
+    assert run_a.qoi_changes == run_b.qoi_changes
+    assert all(np.array_equal(x, y)
+               for x, y in zip(_arrays(sol_a), _arrays(sol_b)))
+
+
+@pytest.mark.parametrize("n", [31, 127])
+def test_lapack_band_helpers_match_scipy_bitwise(n):
+    rng = np.random.default_rng(n)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = -rng.uniform(0.5, 2.0, n - 1) * n * n
+    ab[1] = 4.0 * n * n + rng.uniform(10.0, 1e4, n)
+    b = rng.normal(size=n)
+    ref = cholesky_banded(ab)
+    factor = _band_factor(ab.copy())
+    assert np.array_equal(factor, ref)
+    assert np.array_equal(_band_solve(factor, b.copy()),
+                          cho_solve_banded((ref, False), b))
+    ab[1, n // 2] = -1.0
+    with pytest.raises(LinAlgError):
+        _band_factor(ab)
+
+
+def test_newton_helpers_match_padded_differences_bitwise():
+    prob = NonlinearSaturationProblem(9)
+    dx = prob.spatial.spacing(0)
+    rng = np.random.default_rng(4)
+    for u in (0.3 * rng.normal(size=9), np.zeros(9), -np.zeros(9),
+              np.array([0.0, 0.2, 0.2, -0.0, 0.1, 0.1, 0.3, 0.1, 0.0])):
+        g = np.diff(np.concatenate(([0.0], u, [0.0]))) / dx
+        flux = prob.curve.nu(g * g) * g
+        for got, want in ((prob._gradients(u, dx), g),
+                          (prob._operator(u, 0), -np.diff(flux) / dx)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _shared_or_own_worker(transport, shared):
+    problem = _problem("machine") if shared is None else shared
+    run, sol = _three_level_solve(problem, transport)
+    return run.residual_norms, None if sol is None else _arrays(sol)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_instance_shared_by_thread_ranks_changes_no_bit(p):
+    # threads switch often, so ranks race on the shared memos
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        shared = run_spmd(p, _shared_or_own_worker, _problem("machine"),
+                          timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    own = run_spmd(p, _shared_or_own_worker, None)
+    for a, b in zip(shared, own):
+        assert a[0] == b[0]
+    assert all(np.array_equal(x, y) for x, y in zip(shared[0][1], own[0][1]))
+
+
+class _CountingSource:
+    def __init__(self):
+        self.inner, self.calls = PwmSource(**PWM), 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.inner.value(t)
+
+    def smooth_value(self, t):
+        self.calls += 1
+        return self.inner.smooth_value(t)
+
+
+def test_source_is_evaluated_once_per_distinct_forcing_key():
+    source = _CountingSource()
+    prob = _problem("machine", source)
+    keys, memoized = set(), prob.forcing
+
+    def recording(t, spatial_level=0, smooth=False):
+        keys.add((t, spatial_level, smooth))
+        return memoized(t, spatial_level, smooth)
+
+    prob.forcing = recording
+    run, _ = _three_level_solve(prob)
+    assert run.converged
+    assert {(l, s) for _, l, s in keys} >= {(0, False), (2, True)}
+    assert source.calls == len(keys)

@@ -147,6 +147,16 @@ def test_reduce_norm_rank_ordered():
     assert single[0][0] == 7.0
 
 
+def _max_probe(transport, payload):
+    return reduce_max(transport, payload[transport.rank])
+
+
+def test_reduce_max_keeps_a_nan_from_any_rank():
+    for parts in ([0.5, float("nan")], [float("nan"), 0.5]):
+        results = run_spmd(2, _max_probe, parts, backend="thread")
+        assert all(r != r for r in results)
+
+
 def _gather_scatter_probe(transport, payload):
     gathered = gather_to_root(transport, transport.rank + 0.5)
     if transport.rank == 0:
@@ -200,3 +210,18 @@ def test_null_transport_refuses_traffic():
         t.send(0, 1)
     with pytest.raises(ValueError):
         run_spmd(2, _echo_pattern, None, backend="carrier-pigeon")
+
+
+def _unpicklable_probe(transport, payload):
+    return UNPICKLABLE
+
+
+UNPICKLABLE = lambda: None  # noqa: E731  (pickles by name, which fails)
+
+
+def test_unpicklable_process_result_is_reported_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError,
+                       match=r"^worker [01] failed: PicklingError: "):
+        run_spmd(2, _unpicklable_probe, None, backend="process", timeout=1.0)
+    assert time.perf_counter() - t0 < 2.5
