@@ -19,9 +19,17 @@ or build their own from the same config.
 
 Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
 directly: the same routines scipy's cholesky_banded/cho_solve_banded
-call, without their finiteness checks and copies.  A non-finite value
+call, without their finiteness checks and copies.  Newton factors a
+fresh Jacobian and solves once per iteration, so it makes one pbsv call
+instead, which is bitwise pbtrf followed by pbtrs.  A non-finite value
 therefore passes through a step; Newton rejects a non-finite residual
 itself, and the MGRIT driver stops on a non-finite residual norm.
+
+Newton evaluates the flux once per iterate: the residual at an iterate
+keeps the squared gradients, exp(k2 s^2) and nu that the Jacobian at the
+same iterate is then assembled from, and an accepted trial (damped or
+not) hands its arrays on to the next iteration.  The results are bitwise
+those of evaluating residual and Jacobian separately.
 
 Chaining steps over a whole time grid (sequential_solve) is the oracle
 every parallel-in-time result is measured against.
@@ -29,6 +37,7 @@ every parallel-in-time result is measured against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +55,13 @@ from .state import BlockState, SpaceTimeVector
 class StepDiagnostics:
     iterations: int
     converged: bool = True
+
+
+@functools.lru_cache(maxsize=None)
+def _diagnostics(iterations):
+    """A converged step's diagnostics: frozen, so one instance per
+    iteration count is shared by every step."""
+    return StepDiagnostics(iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,10 @@ def joule_loss(u_prev, u_next, dt, weights):
 
 SOURCES = ("sine", "bump", "random")
 
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
+# The hot calls pass (lower, ldab, overwrite_*) positionally, which the
+# f2py wrappers parse faster than keywords.
+_pbtrf, _pbtrs, _pbsv = get_lapack_funcs(("pbtrf", "pbtrs", "pbsv"),
+                                         (np.empty((2, 1)),))
 
 
 def _norm(v):
@@ -78,25 +97,39 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
+def _check_factor_info(info, routine):
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of "
+                         f"internal {routine}")
+
+
 def _band_factor(ab):
     """Upper Cholesky factor of a symmetric positive-definite band in
     scipy's upper form (ab[0, 1:] the superdiagonal, ab[1] the diagonal),
     overwriting ab where LAPACK can."""
     c, info = _pbtrf(ab, lower=0, overwrite_ab=1)
-    if info > 0:
-        raise LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of "
-                         "internal pbtrf")
+    _check_factor_info(info, "pbtrf")
     return c
 
 
 def _band_solve(factor, b):
     """Solve A x = b from _band_factor's factor, overwriting b."""
-    x, info = _pbtrs(factor, b, lower=0, overwrite_b=1)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of "
-                         "internal pbtrs")
+    x, info = _pbtrs(factor, b, 0, factor.shape[0], 1)  # overwrite_b=1
+    if info:
+        _check_factor_info(info, "pbtrs")
+    return x
+
+
+def _band_factor_solve(ab, b):
+    """Solve A x = b for a band in _band_factor's form with one LAPACK
+    pbsv call, bitwise _band_solve(_band_factor(ab), b); overwrites ab (if
+    Fortran-ordered) and b."""
+    # lower=0, overwrite_ab=1, overwrite_b=1
+    _, x, info = _pbsv(ab, b, 0, ab.shape[0], 1, 1)
+    if info:
+        _check_factor_info(info, "pbsv")
     return x
 
 
@@ -197,7 +230,7 @@ class LinearDiffusionProblem(_FieldProblem):
                + (self.mass_coeff / dt) * u_prev.field)
         return (BlockState(_band_solve(factor, rhs),
                            spatial_level=spatial_level),
-                StepDiagnostics(iterations=1))
+                _diagnostics(1))
 
 
 @dataclass(frozen=True)
@@ -212,14 +245,27 @@ class BrauerCurve:
         if self.k1 < 0.0 or self.k2 < 0.0 or self.k3 <= 0.0:
             raise ValueError("Brauer curve needs k1, k2 >= 0 and k3 > 0")
 
+    def exp_and_nu(self, s2):
+        """(exp(k2 s^2), nu) of the squared gradient: the one exp that the
+        flux and its derivative at the same gradients both need."""
+        e = np.exp(self.k2 * s2)
+        return e, self.k1 * e + self.k3
+
     def nu(self, s2):
         """nu as a function of the squared gradient."""
-        return self.k1 * np.exp(self.k2 * s2) + self.k3
+        return self.exp_and_nu(s2)[1]
+
+    def flux_derivative_from(self, s2, e, nu):
+        """d(nu(|g|) g)/dg from exp_and_nu's (e, nu) at s2 = g^2, as a new
+        array: nu + 2 k1 k2 s2 e."""
+        d = 2.0 * self.k1 * self.k2 * s2
+        d *= e
+        d += nu  # IEEE addition commutes: bitwise nu + d
+        return d
 
     def flux_derivative(self, s2):
         """d(nu(|g|) g)/dg, an even function of g expressed via g^2."""
-        e = np.exp(self.k2 * s2)
-        return self.k1 * e + self.k3 + 2.0 * self.k1 * self.k2 * s2 * e
+        return self.flux_derivative_from(s2, *self.exp_and_nu(s2))
 
 
 class NonlinearSaturationProblem(_FieldProblem):
@@ -240,42 +286,62 @@ class NonlinearSaturationProblem(_FieldProblem):
         g /= dx
         return g
 
-    def _operator(self, u, spatial_level):
-        """N(u): negative divergence of the saturating flux."""
-        dx = self.spatial.spacing(spatial_level)
+    def _divergence(self, u, dx):
+        """N(u), the negative divergence of the saturating flux, with the
+        (s2, e, nu) it was computed from, which the Jacobian at u reuses."""
         g = self._gradients(u, dx)
-        flux = self.curve.nu(g * g) * g
+        s2 = g * g
+        e, nu = self.curve.exp_and_nu(s2)
+        flux = nu * g
         div = flux[1:] - flux[:-1]
         div /= -dx  # bitwise -(div / dx), signed zeros included
-        return div
+        return div, s2, e, nu
 
-    def _jacobian_banded(self, u, dt, spatial_level):
-        dx = self.spatial.spacing(spatial_level)
-        g = self._gradients(u, dx)
-        dphi = self.curve.flux_derivative(g * g) / dx ** 2
-        n = u.size
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -dphi[1:-1]
-        ab[1, :] = self.mass_coeff / dt + dphi[:-1] + dphi[1:]
+    def _operator(self, u, spatial_level):
+        """N(u): negative divergence of the saturating flux."""
+        return self._divergence(u, self.spatial.spacing(spatial_level))[0]
+
+    def _jacobian_band(self, s2, e, nu, sig_dt, dx):
+        """sig_dt I + N'(u) in _band_factor's form from _divergence's
+        arrays at u."""
+        dphi = self.curve.flux_derivative_from(s2, e, nu)
+        dphi /= dx ** 2
+        ab = np.empty((2, dphi.size - 1), order="F")  # LAPACK's layout
+        ab[0, 0] = 0.0
+        np.negative(dphi[1:-1], out=ab[0, 1:])
+        np.add(sig_dt, dphi[:-1], out=ab[1])
+        ab[1] += dphi[1:]
         return ab
 
-    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
-             smooth=False):
+    def _jacobian_banded(self, u, dt, spatial_level):
+        """The band Newton factors at u for a step of size dt."""
+        dx = self.spatial.spacing(spatial_level)
+        _, s2, e, nu = self._divergence(u, dx)
+        return self._jacobian_band(s2, e, nu, self.mass_coeff / dt, dx)
+
+    def _newton(self, u_prev, t_prev, t_next, spatial_level, guess, smooth):
+        """Damped Newton for the step's field from the field arrays u_prev
+        and guess (None: start from u_prev).  Returns a new array and the
+        iteration count."""
         dt = t_next - t_prev
         sig_dt = self.mass_coeff / dt
+        dx = self.spatial.spacing(spatial_level)
         rhs = (self.forcing(t_next, spatial_level, smooth)
-               + sig_dt * u_prev.field)
+               + sig_dt * u_prev)
         scale = max(_norm(rhs), 1e-300)
         opt = self.newton
 
-        u = (guess.field if guess is not None else u_prev.field).copy()
-
         def res(v):
-            return sig_dt * v + self._operator(v, spatial_level) - rhs
+            """F(v) = sig_dt v + N(v) - rhs and the arrays behind N(v)."""
+            r, s2, e, nu = self._divergence(v, dx)
+            r += sig_dt * v  # IEEE addition commutes: bitwise sig_dt v + N(v)
+            r -= rhs
+            return r, s2, e, nu
 
+        u = guess if guess is not None else u_prev
         # an overflow or NaN shows up as a non-finite norm, reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            r = res(u)
+            r, s2, e, nu = res(u)
             rnorm = _norm(r)
             for it in range(opt.max_iters + 1):
                 if not (math.isfinite(rnorm) and math.isfinite(scale)):
@@ -285,31 +351,39 @@ class NonlinearSaturationProblem(_FieldProblem):
                         f"|rhs|={scale:.3e} after {it} iterations",
                         time=t_next, iterations=it)
                 if rnorm <= opt.tol * scale:
-                    return (BlockState(u, spatial_level=spatial_level),
-                            StepDiagnostics(iterations=it))
+                    # the start is the caller's array: never hand it back
+                    return (u if it else u.copy()), it
                 if it == opt.max_iters:
                     break
-                factor = _band_factor(
-                    self._jacobian_banded(u, dt, spatial_level))
-                delta = _band_solve(factor, -r)
+                delta = _band_factor_solve(
+                    self._jacobian_band(s2, e, nu, sig_dt, dx), -r)
                 trial = u + delta
-                r_trial = res(trial)
-                t_norm = _norm(r_trial)
-                if t_norm >= rnorm:
+                trial_res = res(trial)
+                t_norm = _norm(trial_res[0])
+                if not t_norm < rnorm:  # a NaN norm is damped as well
                     alpha = opt.damping
                     for _ in range(opt.max_halvings):
                         trial = u + alpha * delta
-                        r_trial = res(trial)
-                        t_norm = _norm(r_trial)
+                        trial_res = res(trial)
+                        t_norm = _norm(trial_res[0])
                         if t_norm < rnorm:
                             break
                         alpha *= 0.5
-                u, r, rnorm = trial, r_trial, t_norm
+                u, rnorm = trial, t_norm
+                r, s2, e, nu = trial_res
         raise NewtonConvergenceError(
             f"Newton stalled at t={t_next:.6g} on grid {spatial_level}: "
             f"|F|={rnorm:.3e} > {opt.tol:.1e} * {scale:.3e} "
             f"after {opt.max_iters} iterations",
             time=t_next, iterations=opt.max_iters)
+
+    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
+             smooth=False):
+        field, it = self._newton(u_prev.field, t_prev, t_next, spatial_level,
+                                 None if guess is None else guess.field,
+                                 smooth)
+        return (BlockState(field, spatial_level=spatial_level),
+                _diagnostics(it))
 
 
 class SurrogateMachineProblem(NonlinearSaturationProblem):
@@ -340,19 +414,18 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
 
     def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
              smooth=False):
-        field_prev = BlockState(u_prev.field, spatial_level=spatial_level)
-        field_guess = (BlockState(guess.field, spatial_level=spatial_level)
-                       if guess is not None else None)
-        new_field, diag = super().step(field_prev, t_prev, t_next,
-                                       spatial_level, field_guess, smooth)
+        field, it = self._newton(u_prev.field, t_prev, t_next, spatial_level,
+                                 None if guess is None else guess.field,
+                                 smooth)
         dt = t_next - t_prev
         theta, omega = u_prev.scalars
-        torque = self.torque(new_field.field, spatial_level)
+        torque = self.torque(field, spatial_level)
         omega_new = ((omega + dt * torque / self.inertia)
                      / (1.0 + dt * self.friction / self.inertia))
         theta_new = theta + dt * omega_new
-        return (BlockState(new_field.field, [theta_new, omega_new],
-                           spatial_level), diag)
+        return (BlockState(field, np.array([theta_new, omega_new]),
+                           spatial_level),
+                _diagnostics(it))
 
 
 class DahlquistProblem:
@@ -380,8 +453,7 @@ class DahlquistProblem:
             f = (self.excitation.smooth_value(t_next) if smooth
                  else self.excitation.value(t_next))
         val = (u_prev.field[0] + dt * f) / (1.0 - dt * self.rate)
-        return (BlockState([val], spatial_level=0),
-                StepDiagnostics(iterations=1))
+        return BlockState([val], spatial_level=0), _diagnostics(1)
 
 
 def sequential_solve(problem, times, spatial_level=0, smooth=False, g=None,

@@ -11,6 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _vector(values):
+    """values as a 1-d float array; a 1-d float64 ndarray is taken as it is,
+    which is what asarray and atleast_1d would return for it."""
+    if (type(values) is np.ndarray and values.ndim == 1
+            and values.dtype is _FLOAT64):
+        return values
+    return np.atleast_1d(np.asarray(values, dtype=float))
+
 
 class BlockState:
     """Field values plus lumped scalars at a single time point."""
@@ -18,9 +29,8 @@ class BlockState:
     __slots__ = ("field", "scalars", "spatial_level")
 
     def __init__(self, field, scalars=None, spatial_level=0):
-        self.field = np.atleast_1d(np.asarray(field, dtype=float))
-        self.scalars = (np.zeros(0) if scalars is None
-                        else np.atleast_1d(np.asarray(scalars, dtype=float)))
+        self.field = _vector(field)
+        self.scalars = np.zeros(0) if scalars is None else _vector(scalars)
         self.spatial_level = int(spatial_level)
 
     @classmethod

@@ -3,13 +3,19 @@
 Relaxation and the two-grid cycle are stated here on materialized
 space-time vectors in the plainest possible form; the distributed engine
 in ``pintmg.mgrit`` is cross-checked against them.  The vector helpers
-and the broadcast collective are only ever needed by tests as well.
+and the broadcast collective are only ever needed by tests as well.  The
+unfused damped-Newton step is the reference the package's nonlinear and
+machine steps must equal bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
-from pintmg.state import SpaceTimeVector
+import numpy as np
+
+from pintmg.errors import NewtonConvergenceError
+from pintmg.problems import StepDiagnostics, _band_factor, _band_solve
+from pintmg.state import BlockState, SpaceTimeVector
 
 
 # --- vector helpers -----------------------------------------------------------------
@@ -160,3 +166,105 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
             e = spatial[0].prolong_error(e)
         out[c] = out[c] + e
     return f_relaxation(fine, out, g)
+
+
+# --- the unfused damped-Newton step -------------------------------------------------
+
+class UnfusedNewton:
+    """A NonlinearSaturationProblem or SurrogateMachineProblem whose step
+    is damped Newton written out plainly: the residual and the Jacobian
+    each compute the gradients and exp(k2 s^2) afresh from the Brauer
+    formulas, and each Jacobian is factored (pbtrf) and then solved
+    (pbtrs).  A trial whose residual norm is not below the current one,
+    NaN included, is damped.  Everything but ``step`` is the wrapped
+    problem's.  ``halvings`` counts the damped trials evaluated and
+    ``non_finite_trials`` the full Newton trials with a non-finite norm.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.halvings = 0
+        self.non_finite_trials = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def _gradients(self, u, dx):
+        return np.diff(np.concatenate(([0.0], u, [0.0]))) / dx
+
+    def _residual(self, v, sig_dt, rhs, dx):
+        c = self.problem.curve
+        g = self._gradients(v, dx)
+        flux = (c.k1 * np.exp(c.k2 * (g * g)) + c.k3) * g
+        div = flux[1:] - flux[:-1]
+        div /= -dx
+        return sig_dt * v + div - rhs
+
+    def _jacobian(self, u, sig_dt, dx):
+        c = self.problem.curve
+        g = self._gradients(u, dx)
+        s2 = g * g
+        e = np.exp(c.k2 * s2)
+        dphi = (c.k1 * e + c.k3 + 2.0 * c.k1 * c.k2 * s2 * e) / dx ** 2
+        ab = np.zeros((2, u.size))
+        ab[0, 1:] = -dphi[1:-1]
+        ab[1, :] = sig_dt + dphi[:-1] + dphi[1:]
+        return ab
+
+    def _newton(self, u_prev, t_prev, t_next, level, guess, smooth):
+        p, opt = self.problem, self.problem.newton
+        dt = t_next - t_prev
+        sig_dt = p.mass_coeff / dt
+        dx = p.spatial.spacing(level)
+        rhs = p.forcing(t_next, level, smooth) + sig_dt * u_prev
+        scale = max(math.sqrt(rhs @ rhs), 1e-300)
+        u = (guess if guess is not None else u_prev).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self._residual(u, sig_dt, rhs, dx)
+            rnorm = math.sqrt(r @ r)
+            for it in range(opt.max_iters + 1):
+                if not (math.isfinite(rnorm) and math.isfinite(scale)):
+                    raise NewtonConvergenceError(
+                        "Newton residual not finite", time=t_next,
+                        iterations=it)
+                if rnorm <= opt.tol * scale:
+                    return u, it
+                if it == opt.max_iters:
+                    break
+                factor = _band_factor(self._jacobian(u, sig_dt, dx))
+                delta = _band_solve(factor, -r)
+                trial = u + delta
+                r_trial = self._residual(trial, sig_dt, rhs, dx)
+                t_norm = math.sqrt(r_trial @ r_trial)
+                self.non_finite_trials += not math.isfinite(t_norm)
+                if not t_norm < rnorm:
+                    alpha = opt.damping
+                    for _ in range(opt.max_halvings):
+                        self.halvings += 1
+                        trial = u + alpha * delta
+                        r_trial = self._residual(trial, sig_dt, rhs, dx)
+                        t_norm = math.sqrt(r_trial @ r_trial)
+                        if t_norm < rnorm:
+                            break
+                        alpha *= 0.5
+                u, r, rnorm = trial, r_trial, t_norm
+        raise NewtonConvergenceError("Newton stalled", time=t_next,
+                                     iterations=opt.max_iters)
+
+    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
+             smooth=False):
+        p = self.problem
+        field, it = self._newton(u_prev.field, t_prev, t_next, spatial_level,
+                                 None if guess is None else guess.field,
+                                 smooth)
+        if not p.n_scalars:
+            return (BlockState(field, spatial_level=spatial_level),
+                    StepDiagnostics(iterations=it))
+        dt = t_next - t_prev
+        theta, omega = u_prev.scalars
+        torque = float(p._couplings[spatial_level] @ field)
+        omega_new = ((omega + dt * torque / p.inertia)
+                     / (1.0 + dt * p.friction / p.inertia))
+        theta_new = theta + dt * omega_new
+        return (BlockState(field, [theta_new, omega_new], spatial_level),
+                StepDiagnostics(iterations=it))

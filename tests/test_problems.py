@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (
     BrauerCurve, DahlquistProblem, LinearDiffusionProblem, NewtonOptions,
     NonlinearSaturationProblem, SurrogateMachineProblem, _band_factor,
-    _band_solve, joule_loss, sequential_solve,
+    _band_factor_solve, _band_solve, joule_loss, sequential_solve,
 )
 from pintmg.runtime import run_spmd
 from pintmg.state import BlockState, SpaceTimeVector
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
+
+from oracles import UnfusedNewton
 
 
 # --- independent oracles ------------------------------------------------------
@@ -149,9 +152,13 @@ def test_constant_reluctivity_reduces_to_linear_problem():
 
 def test_newton_zero_data_converges_immediately():
     prob = NonlinearSaturationProblem(7)
-    out, diag = prob.step(BlockState.zeros(7), 0.0, 1e-3)
-    assert np.all(out.field == 0.0)
-    assert diag.iterations <= 1
+    u = BlockState.zeros(7)
+    for guess in (None, u):
+        out, diag = prob.step(u, 0.0, 1e-3, guess=guess)
+        assert np.all(out.field == 0.0)
+        assert diag.iterations == 0
+        # callers add into a step's result: it must not alias the input
+        assert not np.shares_memory(out.field, u.field)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -400,9 +407,14 @@ def test_lapack_band_helpers_match_scipy_bitwise(n):
     assert np.array_equal(factor, ref)
     assert np.array_equal(_band_solve(factor, b.copy()),
                           cho_solve_banded((ref, False), b))
+    # Newton's one-call pbsv: bitwise pbtrf then pbtrs
+    assert np.array_equal(_band_factor_solve(ab.copy(), b.copy()),
+                          _band_solve(factor, b.copy()))
     ab[1, n // 2] = -1.0
     with pytest.raises(LinAlgError):
-        _band_factor(ab)
+        _band_factor(ab.copy())
+    with pytest.raises(LinAlgError):
+        _band_factor_solve(ab, b)
 
 
 def test_newton_helpers_match_padded_differences_bitwise():
@@ -468,3 +480,135 @@ def test_source_is_evaluated_once_per_distinct_forcing_key():
     assert run.converged
     assert {(l, s) for _, l, s in keys} >= {(0, False), (2, True)}
     assert source.calls == len(keys)
+
+
+# --- Newton at its floor: one flux evaluation per iterate ----------------------------
+
+NEWTON_KINDS = ("nonlinear", "machine")
+# k2 = 2 makes 2 k1 k2 s2 exact in any grouping; 1.3 does not
+CURVES = (BrauerCurve(), BrauerCurve(k1=0.07, k2=1.3, k3=0.9))
+
+
+def _damped_case(kind, amplitude):
+    """A step from a large field to a zero guess: the full Newton step
+    overshoots, so the line search has to damp it."""
+    prob = KINDS[kind](15, source="sine")
+    scalars = [0.3, -0.2] if kind == "machine" else None
+    u_prev = BlockState(amplitude * np.sin(np.linspace(0.1, 3.0, 15)),
+                        scalars)
+    return prob, u_prev, BlockState(np.zeros(15), scalars)
+
+
+def _assert_same_step(a, b):
+    (sa, da), (sb, db) = a, b
+    assert np.array_equal(sa.field, sb.field)
+    assert np.array_equal(np.signbit(sa.field), np.signbit(sb.field))
+    assert np.array_equal(sa.scalars, sb.scalars)
+    assert da.iterations == db.iterations
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_fused_newton_steps_match_the_unfused_oracle_bitwise(kind, curve):
+    prob = _problem(kind)
+    oracle = UnfusedNewton(_problem(kind))
+    prob.curve = oracle.problem.curve = curve
+    times = build_uniform_grid(0.0, 0.02, 64).points
+    for level, smooth in ((0, False), (2, True)):
+        u = prob.initial_state(level)
+        for i in range(1, len(times)):
+            args = (u, float(times[i - 1]), float(times[i]), level, u, smooth)
+            got = prob.step(*args)
+            _assert_same_step(got, oracle.step(*args))
+            u = got[0]
+        a = _arrays(sequential_solve(prob, times, level, smooth))
+        b = _arrays(sequential_solve(oracle, times, level, smooth))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_fused_newton_mgrit_solve_matches_the_unfused_oracle_bitwise(kind):
+    run_a, sol_a = _three_level_solve(_problem(kind))
+    run_b, sol_b = _three_level_solve(UnfusedNewton(_problem(kind)))
+    assert run_a.converged and run_a.iterations == run_b.iterations
+    assert run_a.initial_residual == run_b.initial_residual
+    assert run_a.residual_norms == run_b.residual_norms
+    assert run_a.qoi_changes == run_b.qoi_changes
+    assert all(np.array_equal(x, y)
+               for x, y in zip(_arrays(sol_a), _arrays(sol_b)))
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_damped_newton_step_matches_the_unfused_oracle_bitwise(kind):
+    prob, u_prev, guess = _damped_case(kind, 1.0)
+    oracle = UnfusedNewton(prob)
+    want = oracle.step(u_prev, 0.0, 1e-2, guess=guess)
+    assert want[1].iterations == 7 and oracle.halvings >= 1
+    _assert_same_step(prob.step(u_prev, 0.0, 1e-2, guess=guess), want)
+    # gradients this steep make every term of the Jacobian count
+    dx = prob.spatial.spacing(0)
+    for curve in CURVES:
+        prob.curve = curve
+        for u in (u_prev.field, want[0].field):
+            assert np.array_equal(prob._jacobian_banded(u, 1e-2, 0),
+                                  oracle._jacobian(u, prob.mass_coeff / 1e-2,
+                                                   dx))
+
+
+@pytest.mark.parametrize("amplitude", [10.0, 100.0])
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_a_non_finite_newton_trial_is_damped(kind, amplitude):
+    # the full step overflows exp: its residual norm is NaN, which the
+    # line search must reject like any norm that is not smaller
+    prob, u_prev, guess = _damped_case(kind, amplitude)
+    oracle = UnfusedNewton(prob)
+    want = oracle.step(u_prev, 0.0, 1e-2, guess=guess)
+    assert oracle.non_finite_trials >= 1
+    got = prob.step(u_prev, 0.0, 1e-2, guess=guess)
+    _assert_same_step(got, want)
+    rhs = prob.forcing(1e-2) + (prob.mass_coeff / 1e-2) * u_prev.field
+    res = (prob.mass_coeff / 1e-2) * got[0].field + prob._operator(
+        got[0].field, 0) - rhs
+    assert np.linalg.norm(res) <= prob.newton.tol * np.linalg.norm(rhs)
+    if amplitude == 10.0:
+        assert got[1].iterations == 10
+
+
+@dataclass(frozen=True)
+class _CountingCurve(BrauerCurve):
+    calls: list = field(default_factory=list, compare=False)
+
+    def exp_and_nu(self, s2):
+        self.calls.append("exp_and_nu")
+        return super().exp_and_nu(s2)
+
+    def nu(self, s2):
+        self.calls.append("nu")
+        return super().nu(s2)
+
+    def flux_derivative(self, s2):
+        self.calls.append("flux_derivative")
+        return super().flux_derivative(s2)
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_a_newton_step_evaluates_exp_once_per_residual(kind):
+    cases = [_damped_case(kind, a) for a in (1.0, 10.0)]
+    pwm = _problem(kind)
+    times = build_uniform_grid(0.0, 0.02, 16).points
+    cases += [(pwm, pwm.initial_state(), None)]
+    for prob, u_prev, guess in cases:
+        oracle = UnfusedNewton(prob)
+        prob.curve = _CountingCurve()
+        t_prev = 0.0
+        for t_next in (1e-2,) if guess is not None else times[1:]:
+            before = oracle.halvings
+            oracle.step(u_prev, t_prev, float(t_next), guess=guess)
+            del prob.curve.calls[:]
+            u_prev, diag = prob.step(u_prev, t_prev, float(t_next),
+                                     guess=guess)
+            halvings = oracle.halvings - before
+            assert prob.curve.calls == (
+                ["exp_and_nu"] * (1 + diag.iterations + halvings))
+            t_prev = float(t_next)
+    assert oracle.halvings == 0  # the PWM steps take full Newton steps
