@@ -12,26 +12,30 @@ Corrections come back through ideal interpolation: C-points are corrected
 and F-points follow by propagation.
 
 Storage is the part worth explaining.  Workers persist a level's iterate
-only at the closing C-points of their intervals; every F-value is
-recomputed on the fly by the sweep that needs it, and each coarse level
-adds two full vectors (the kept restricted iterate and the right-hand
-side).  Index 0 never needs a slot: on every level the iterate there
-equals the restricted initial value, which the problem hands out per
-grid.  The measured peak in StorageReport counts exactly these workspace
-states; running states inside a sweep, Newton temporaries, the C-updates
-a sweep holds back until its walk is done, and the transient buffers of
-the coarsest-level gather are not persistent and are not charged,
+only at the closing C-points of their intervals.  Every pass over a
+level is one walk of the owned range (_walk): take the left boundary,
+recompute each F-value with the problem's step plus the FAS right-hand
+side, read each stored C-value.  Sweeps stop at the last owned C-point
+and hold their steps into the C-points back until the walk, which still
+reads the old C-values, is done; the ascent and materialization walk on
+through the F-tail.  Each coarse level adds two full vectors (the kept
+restricted iterate and the right-hand side).  Index 0 never needs a
+slot: on every level the iterate there equals the restricted initial
+value, which the problem hands out per grid.  The measured peak in
+StorageReport counts exactly these workspace states; running states
+inside a walk, Newton temporaries, held-back C-updates and the transient
+buffers of a rank-0 gather are not persistent and are not charged,
 mirroring how the serial baseline is charged a single running state.
 The coarsest level's own C-store is allocated, because the model counts
 every level's C-points, but on two or more levels nothing reads it.
 
-On the coarsest level MGRIT is sequential time stepping, so the
-coarsest solve gathers the right-hand side, runs sequential_solve on
-rank 0 and scatters the owned ranges back; a 1-level hierarchy takes the
-same path with the fine level as its coarsest.  Restriction and ascent
-move values between levels through one protocol (_route): every point's
-payload goes to the rank owning it on the other level, and receivers
-take what others computed in point order.
+One helper (_gather) assembles a level on rank 0 by point index, for
+the coarsest solve (sequential_solve on the gathered right-hand side,
+owned ranges scattered back; on a 1-level hierarchy it is the answer)
+and for materializing the fine trajectory.  Restriction and ascent move
+values between levels through _route: every point's payload goes to the
+rank owning it on the other level, receivers take what others computed
+in point order.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -217,8 +221,7 @@ class _Level:
         rank = solver.transport.rank
         self.c_idx = [int(c) for c in self.decomp.c_points(rank)]
         self.own_lo, self.own_hi = self.decomp.owned_range(rank)
-        self.left_index = (self.decomp.left_boundary_index(rank)
-                           if not self.decomp.is_empty(rank) else 0)
+        self.left_index = self.decomp.left_boundary_index(rank)
         self.anchor = solver.problem.initial_state(spatial_level)
         nf = solver.problem.spatial.size(spatial_level)
         ns = solver.problem.n_scalars
@@ -239,9 +242,6 @@ class _Level:
 
     def kept(self, i):
         return self.u_keep[i - self.own_lo]
-
-    def rhs_at(self, i):
-        return self.rhs[i - self.own_lo] if self.use_rhs else None
 
 
 class MgritSolver:
@@ -290,18 +290,16 @@ class MgritSolver:
 
     # --- communication helpers ---
 
-    def _exchange_left(self, lvl):
-        """Send the last owned C-value right, fetch the left boundary."""
-        rank, d = self.transport.rank, lvl.decomp
-        if d.is_empty(rank):
+    def _gather(self, lvl, chunk, first=None):
+        """Gather every rank's owned chunk onto rank 0 and assemble the
+        level's points by index, ``first`` at index 0; None elsewhere."""
+        gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
+        if gathered is None:
             return None
-        right = d.right_neighbor(rank)
-        if right is not None and lvl.c_store:
-            self.transport.send(right, lvl.c_store[-1])
-        left = d.left_neighbor(rank)
-        if left is None:
-            return lvl.anchor
-        return self.transport.recv(left)
+        points = [first] + [None] * (lvl.grid.n_points - 1)
+        for lo, part in gathered:
+            points[lo:lo + len(part)] = part
+        return points
 
     def _route(self, items, dest_of, expected, apply):
         """Redistribute (j, payload) items between levels.
@@ -336,19 +334,42 @@ class MgritSolver:
                                    smooth=self._smooth)
         return out
 
-    def _walk(self, lvl, start):
-        """F-relax the owned units from the current C-values; yields
-        (k, c, last_f, step(last_f)) per closing C-point c."""
-        prev_c = lvl.left_index
-        for k, c in enumerate(lvl.c_idx):
-            cur = start
-            for i in range(prev_c + 1, c):  # the F-run interior
+    def _walk(self, lvl, sweep=False):
+        """Walk the owned range; idle ranks yield nothing.  Active ranks
+        send their last C-value right, take the left boundary (the anchor
+        on the first) and yield it as (left_index, boundary, None), then
+        (i, u_i, prop) per owned point: F-values propagated with the FAS
+        right-hand side added, C-values as stored.  A sweep stops at the
+        last owned C-point and gives as prop the step into each C-point,
+        before any right-hand side; otherwise prop is None and the walk
+        goes on through the F-tail."""
+        rank, d = self.transport.rank, lvl.decomp
+        if d.is_empty(rank):
+            return
+        right, left = d.right_neighbor(rank), d.left_neighbor(rank)
+        if right is not None and lvl.c_store:
+            self.transport.send(right, lvl.c_store[-1])
+        cur = lvl.anchor if left is None else self.transport.recv(left)
+        yield lvl.left_index, cur, None
+        stop = (lvl.c_idx or [lvl.left_index])[-1] + 1 if sweep else lvl.own_hi
+        k = 0
+        for i in range(lvl.left_index + 1, stop):
+            prop = None
+            if k < len(lvl.c_idx) and i == lvl.c_idx[k]:
+                if sweep:
+                    prop = self._step(lvl, cur, i)
+                cur, k = lvl.c_store[k], k + 1
+            else:
                 cur = self._step(lvl, cur, i)
-                r = lvl.rhs_at(i)
-                if r is not None:
-                    cur.add_scaled(r, 1.0)
-            yield k, c, cur, self._step(lvl, cur, c)
-            start, prev_c = lvl.c_store[k], c
+                if lvl.use_rhs:
+                    cur.add_scaled(lvl.rhs[i - lvl.own_lo], 1.0)
+            yield i, cur, prop
+
+    def _sweep(self, lvl):
+        """(left boundary, steps into the owned C-points) of one sweep."""
+        walk = self._walk(lvl, sweep=True)
+        _, boundary, _ = next(walk, (None, None, None))
+        return boundary, [prop for _, _, prop in walk if prop is not None]
 
     @staticmethod
     def _commit(lvl, updates):
@@ -358,34 +379,21 @@ class MgritSolver:
     @_charged
     def _fc_sweep(self, lvl):
         """F-relaxation, then C-relaxation from the F-relaxed values."""
-        updates = []
-        for _, c, _, upd in self._walk(lvl, self._exchange_left(lvl)):
-            r = lvl.rhs_at(c)
-            if r is not None:
-                upd.add_scaled(r, 1.0)
-            updates.append(upd)
+        _, updates = self._sweep(lvl)
+        if lvl.use_rhs:
+            for c, upd in zip(lvl.c_idx, updates):
+                upd.add_scaled(lvl.rhs[c - lvl.own_lo], 1.0)
         self._commit(lvl, updates)
 
-    @_charged
-    def _measure(self, lvl, prev_losses=None):
-        """The next cycle's first fine sweep, run without committing.
+    def _loss(self, c, before, at):
+        """Joule loss of the fine step into point c."""
+        t = self.levels[0].grid.points
+        return joule_loss(before, at, float(t[c] - t[c - 1]),
+                          self._loss_weights)
 
-        Returns the fine residual norm, the loss change against
-        ``prev_losses`` (None without them), the per-C-point losses and
-        the held-back (left boundary, C-updates).  The fine level has no
-        FAS right-hand side: the residual at c is step(last_f) - u_c.
-        A non-finite norm or change raises NonFiniteError; both are
-        reduced over all ranks, so every rank raises at the same sweep.
-        """
-        t = lvl.grid.points
-        sum_sq, updates = 0.0, []
-        losses = np.zeros(len(lvl.c_idx))
-        boundary = self._exchange_left(lvl)
-        for k, c, last_f, upd in self._walk(lvl, boundary):
-            sum_sq += (upd - lvl.c_store[k]).norm_sq()
-            losses[k] = joule_loss(last_f, lvl.c_store[k],
-                                   float(t[c] - t[c - 1]), self._loss_weights)
-            updates.append(upd)
+    def _reduce(self, sum_sq, losses, prev_losses):
+        """Fine residual norm and loss change (None without prev_losses),
+        reduced over all ranks; a non-finite one raises NonFiniteError."""
         norm = reduce_norm(self.transport, sum_sq)
         change = None
         if prev_losses is not None:
@@ -394,7 +402,30 @@ class MgritSolver:
         for name, value in (("residual norm", norm), ("loss change", change)):
             if value is not None and not math.isfinite(value):
                 raise NonFiniteError(f"fine {name} is not finite: {value}")
-        return norm, change, losses, (boundary, updates)
+        return norm, change
+
+    @_charged
+    def _measure(self, lvl, prev_losses=None):
+        """The next cycle's first fine sweep, run without committing.
+
+        Returns the fine residual norm, the loss change against
+        ``prev_losses`` (None without them), the per-C-point losses and
+        the held-back (left boundary, C-updates).  The fine level has no
+        FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
+        """
+        sum_sq, updates = 0.0, []
+        losses = np.zeros(len(lvl.c_idx))
+        walk = self._walk(lvl, sweep=True)
+        _, boundary, _ = next(walk, (None, None, None))
+        before = boundary
+        for i, u, prop in walk:
+            if prop is not None:
+                sum_sq += (prop - u).norm_sq()
+                losses[len(updates)] = self._loss(i, before, u)
+                updates.append(prop)
+            before = u
+        return (*self._reduce(sum_sq, losses, prev_losses), losses,
+                (boundary, updates))
 
     @_charged
     def _restrict_sweep(self, lvl, nxt, held=None):
@@ -404,26 +435,20 @@ class MgritSolver:
         index j = c / m: the kept restricted iterate and the coarse FAS
         right-hand side, then redistributes both to the coarse owner and
         seeds the coarse iterate with the kept values.  ``held`` is a
-        measuring sweep's (boundary, C-updates), which replace the walk.
+        measuring sweep's (boundary, C-updates), which replace the sweep.
         """
         restrict = (self.problem.spatial.restrict_state
                     if nxt.spatial_level != lvl.spatial_level
                     else lambda s: s)  # nothing writes the C-store here
         d = lvl.decomp
         first = d.first_unit(self.transport.rank)
-        if held is None:
-            boundary = self._exchange_left(lvl)
-            walk = self._walk(lvl, boundary)
-        else:
-            boundary, updates = held
-            walk = ((k, c, None, updates[k]) for k, c in enumerate(lvl.c_idx))
+        boundary, updates = held if held is not None else self._sweep(lvl)
 
         def items(left_kept):
-            for k, c, _, prop in walk:
+            for k, (c, prop) in enumerate(zip(lvl.c_idx, updates)):
                 res = prop - lvl.c_store[k]
-                r = lvl.rhs_at(c)
-                if r is not None:
-                    res.add_scaled(r, 1.0)
+                if lvl.use_rhs:
+                    res.add_scaled(lvl.rhs[c - lvl.own_lo], 1.0)
                 kept = restrict(lvl.c_store[k])
                 rhs = kept - self._step(nxt, left_kept, first + k + 1)
                 rhs.add_scaled(restrict(res), 1.0)
@@ -439,53 +464,34 @@ class MgritSolver:
                     ((j, d.unit_owner(j - 1))
                      for j in range(nxt.own_lo, nxt.own_hi)), fill)
         nxt.use_rhs = True
-        # seed the coarse iterate at its own C-points
-        for k, c in enumerate(nxt.c_idx):
-            nxt.c_store[k].copy_from(nxt.kept(c))
+        self._commit(nxt, [nxt.kept(c) for c in nxt.c_idx])  # coarse seed
 
     @_charged
-    def _coarsest_solve(self, lvl, nested=False):
+    def _coarsest_solve(self, lvl, nested=False, prev_losses=None):
         """Gather the right-hand side, step the level sequentially on
         rank 0, scatter the owned ranges.  On a coarse level the kept
         slots then hold v - kept (the error), or v itself during nested
-        iterations; on the fine level of a 1-level hierarchy the C-store
-        takes the C-values."""
-        chunk = (list(lvl.rhs) if lvl.use_rhs
-                 else [None] * (lvl.own_hi - lvl.own_lo))
-        gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
-        chunks = None
-        if self.transport.rank == 0:
-            g = None
-            if lvl.use_rhs:
-                g = [None] * lvl.grid.n_points
-                for lo, part in gathered:
-                    g[lo:lo + len(part)] = part
+        iterations.  On the fine level (a 1-level hierarchy) v is the
+        answer: this returns _measure's tuple with v (rank 0) for the held
+        updates, residual 0 by construction, losses from the scattered v."""
+        g = self._gather(lvl, lvl.rhs if lvl.use_rhs
+                         else [None] * (lvl.own_hi - lvl.own_lo))
+        v = chunks = None
+        if g is not None:
             v = sequential_solve(self.problem, lvl.grid.points,
-                                 lvl.spatial_level, self._smooth, g,
-                                 initial=lvl.anchor).states
-            chunks = [v[slice(*lvl.decomp.owned_range(w))]
+                                 lvl.spatial_level, self._smooth,
+                                 g if lvl.use_rhs else None,
+                                 initial=lvl.anchor.clone())
+            chunks = [v.states[slice(*lvl.decomp.owned_range(w))]
                       for w in range(self.transport.size)]
         mine = scatter_from_root(self.transport, chunks)
         if lvl.index == 0:
-            for k, c in enumerate(lvl.c_idx):
-                lvl.c_store[k].copy_from(mine[c - lvl.own_lo])
-            return
+            lo = lvl.own_lo
+            losses = np.array([self._loss(c, mine[c - 1 - lo], mine[c - lo])
+                               for c in lvl.c_idx])
+            return (*self._reduce(0.0, losses, prev_losses), losses, v)
         for slot, vi in zip(lvl.u_keep, mine):
             slot.copy_from(vi if nested else vi - slot)
-
-    def _points(self, lvl):
-        """Yield (i, u_i) over the owned range: C-values from the store,
-        F-values propagated from the left boundary."""
-        cur, k = self._exchange_left(lvl), 0
-        for i in range(lvl.left_index + 1, lvl.own_hi):
-            if k < len(lvl.c_idx) and i == lvl.c_idx[k]:
-                cur, k = lvl.c_store[k], k + 1
-            else:
-                cur = self._step(lvl, cur, i)
-                r = lvl.rhs_at(i)
-                if r is not None:
-                    cur.add_scaled(r, 1.0)
-            yield i, cur
 
     @_charged
     def _ascend(self, coarse, fine, inject=False):
@@ -493,8 +499,8 @@ class MgritSolver:
         coarse level into the fine C-store.
 
         The coarsest level's kept slots already hold the payload for every
-        owned point; on any other level an F-walk reconstructs the coarse
-        iterate and emits v - kept on the fly.
+        owned point; on any other level a full walk reconstructs the
+        coarse iterate and emits v - kept on the fly.
         """
         prolong = (self.problem.spatial.prolong_error
                    if coarse.spatial_level != fine.spatial_level
@@ -503,8 +509,8 @@ class MgritSolver:
             items = ((i, coarse.kept(i))
                      for i in range(coarse.own_lo, coarse.own_hi))
         else:
-            items = ((i, cur if inject else cur - coarse.kept(i))
-                     for i, cur in self._points(coarse))
+            items = ((i, u if inject else u - coarse.kept(i))
+                     for i, u, _ in self._walk(coarse) if i >= coarse.own_lo)
         first = fine.decomp.first_unit(self.transport.rank) + 1
 
         def apply(j, payload):
@@ -523,9 +529,8 @@ class MgritSolver:
     def _cycle(self, l, held=None, f_cycle=False):
         """One V- or F-cycle from level l down.  ``held`` is what the
         driver's measuring sweep of level 0 held back: it stands in for
-        the first FC-sweep, or for the restriction's walk when gamma = 0.
-        The coarsest level, level 0 of a 1-level hierarchy included, is
-        solved sequentially."""
+        the first FC-sweep, or for the restriction's sweep when gamma = 0.
+        The coarsest level is solved sequentially."""
         lvl, sweeps = self.levels[l], self.cycle.gamma
         if l == self.n_levels - 1:
             self._coarsest_solve(lvl)
@@ -546,13 +551,11 @@ class MgritSolver:
     def _nested_iterations(self):
         self._smooth = True
         try:
-            bottom = self.levels[-1]
-            bottom.use_rhs = False
-            self._coarsest_solve(bottom, nested=True)
+            # use_rhs is False everywhere: _initialize_guess just ran
+            self._coarsest_solve(self.levels[-1], nested=True)
             for l in range(self.n_levels - 2, -1, -1):
                 self._ascend(self.levels[l + 1], self.levels[l], inject=True)
                 if l > 0:
-                    self.levels[l].use_rhs = False
                     self._cycle(l)
         finally:
             self._smooth = False
@@ -569,8 +572,7 @@ class MgritSolver:
         """Load the fine-level C-store from a full trajectory (every rank
         passes the same global SpaceTimeVector)."""
         lvl = self.levels[0]
-        for k, c in enumerate(lvl.c_idx):
-            lvl.c_store[k].copy_from(trajectory[c])
+        self._commit(lvl, [trajectory[c] for c in lvl.c_idx])
 
     def solve(self, gather_solution=True, initial_guess=None):
         """Run cycles until the stopping test passes or max_iters is hit.
@@ -581,7 +583,7 @@ class MgritSolver:
         the nested-iteration setup phase.
         """
         run = SolverRun(n_workers=self.transport.size)
-        t_setup, t_solve = time.perf_counter(), None
+        t_setup, t_solve, answer = time.perf_counter(), None, None
         fine = self.levels[0]
         self._initialize_guess()
         try:
@@ -592,17 +594,18 @@ class MgritSolver:
             t_solve = time.perf_counter()
             run.initial_residual, _, losses, held = self._measure(fine)
             for it in range(1, self.cycle.max_iters + 1):
-                self._cycle(0, held, self.cycle.kind == "F")
-                norm, change, losses, held = self._measure(fine, losses)
+                if self.n_levels == 1:
+                    norm, change, losses, answer = self._coarsest_solve(
+                        fine, prev_losses=losses)
+                else:
+                    self._cycle(0, held, self.cycle.kind == "F")
+                    norm, change, losses, held = self._measure(fine, losses)
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
                 run.iteration_seconds.append(time.perf_counter() - t_solve)
-                if self.n_levels == 1:
-                    run.converged = True
-                    break
                 value = norm if self.stopping.kind == "residual-norm" else change
-                if value < self.stopping.tolerance:
+                if self.n_levels == 1 or value < self.stopping.tolerance:
                     run.converged = True
                     break  # the held C-updates are dropped, never committed
         except (NewtonConvergenceError, NonFiniteError) as e:
@@ -619,21 +622,16 @@ class MgritSolver:
 
         solution = None
         if gather_solution and run.failure is None:
-            solution = self._materialize()
+            solution = answer if self.n_levels == 1 else self._materialize()
         return run, solution
 
     def _materialize(self):
         """Walk out the full fine trajectory and gather it on rank 0."""
         lvl = self.levels[0]
-        chunk = [u.clone() for _, u in self._points(lvl)]
-        gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
-        if self.transport.rank != 0:
-            return None
-        states = [lvl.anchor.clone()]
-        parts = sorted(gathered, key=lambda t: t[0])
-        for lo, part in parts:
-            states.extend(part)
-        return SpaceTimeVector(states, 0)
+        states = self._gather(
+            lvl, [u.clone() for i, u, _ in self._walk(lvl) if i >= lvl.own_lo],
+            lvl.anchor.clone())
+        return None if states is None else SpaceTimeVector(states, 0)
 
 
 def mgrit_solve(problem, hierarchy, cycle=None, stopping=None, transport=None,

@@ -251,10 +251,6 @@ class BrauerCurve:
         e = np.exp(self.k2 * s2)
         return e, self.k1 * e + self.k3
 
-    def nu(self, s2):
-        """nu as a function of the squared gradient."""
-        return self.exp_and_nu(s2)[1]
-
     def flux_derivative_from(self, s2, e, nu):
         """d(nu(|g|) g)/dg from exp_and_nu's (e, nu) at s2 = g^2, as a new
         array: nu + 2 k1 k2 s2 e."""
@@ -262,10 +258,6 @@ class BrauerCurve:
         d *= e
         d += nu  # IEEE addition commutes: bitwise nu + d
         return d
-
-    def flux_derivative(self, s2):
-        """d(nu(|g|) g)/dg, an even function of g expressed via g^2."""
-        return self.flux_derivative_from(s2, *self.exp_and_nu(s2))
 
 
 class NonlinearSaturationProblem(_FieldProblem):
@@ -297,10 +289,6 @@ class NonlinearSaturationProblem(_FieldProblem):
         div /= -dx  # bitwise -(div / dx), signed zeros included
         return div, s2, e, nu
 
-    def _operator(self, u, spatial_level):
-        """N(u): negative divergence of the saturating flux."""
-        return self._divergence(u, self.spatial.spacing(spatial_level))[0]
-
     def _jacobian_band(self, s2, e, nu, sig_dt, dx):
         """sig_dt I + N'(u) in _band_factor's form from _divergence's
         arrays at u."""
@@ -312,12 +300,6 @@ class NonlinearSaturationProblem(_FieldProblem):
         np.add(sig_dt, dphi[:-1], out=ab[1])
         ab[1] += dphi[1:]
         return ab
-
-    def _jacobian_banded(self, u, dt, spatial_level):
-        """The band Newton factors at u for a step of size dt."""
-        dx = self.spatial.spacing(spatial_level)
-        _, s2, e, nu = self._divergence(u, dx)
-        return self._jacobian_band(s2, e, nu, self.mass_coeff / dt, dx)
 
     def _newton(self, u_prev, t_prev, t_next, spatial_level, guess, smooth):
         """Damped Newton for the step's field from the field arrays u_prev
@@ -355,8 +337,15 @@ class NonlinearSaturationProblem(_FieldProblem):
                     return (u if it else u.copy()), it
                 if it == opt.max_iters:
                     break
-                delta = _band_factor_solve(
-                    self._jacobian_band(s2, e, nu, sig_dt, dx), -r)
+                try:
+                    delta = _band_factor_solve(
+                        self._jacobian_band(s2, e, nu, sig_dt, dx), -r)
+                except LinAlgError as err:
+                    raise NewtonConvergenceError(
+                        f"Newton Jacobian at t={t_next:.6g} on grid "
+                        f"{spatial_level} is not positive definite after "
+                        f"{it} iterations: {err}",
+                        time=t_next, iterations=it) from err
                 trial = u + delta
                 trial_res = res(trial)
                 t_norm = _norm(trial_res[0])

@@ -3,8 +3,10 @@
 The convergence test is taken inside the next cycle's first fine sweep,
 so a solve walks the fine level (gamma + 1) times per iteration plus once
 for the initial residual, and a run that stops must return exactly the
-iterate whose residual it reported.  A 1-level hierarchy is solved by
-the coarsest-level path: sequential stepping on rank 0.
+iterate whose residual it reported.  A sweep stops at its level's last
+C-point; only the walks that ascend or materialize step the F-tail.  A
+1-level hierarchy is solved by the coarsest-level path: sequential
+stepping on rank 0, whose trajectory is the answer.
 """
 
 import numpy as np
@@ -19,6 +21,11 @@ from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 N_STEPS, FACTORS = 64, [4, 4]
 CASES = [(kind, gamma, p) for kind in ("V", "F") for gamma in (0, 1, 2)
          for p in (1, 2)]
+# 66 steps leave level 0 a 2-point F-tail, and the coarsest level one
+# C-interval, which rank 0 owns alone
+TAIL_STEPS = 66
+TAIL_CASES = [(kind, gamma, p) for kind in ("V", "F") for gamma in (0, 1)
+              for p in (1, 2, 3)]
 STOPPING = {"residual-norm": 1e-10, "qoi-change": 1e-6}
 
 
@@ -40,8 +47,8 @@ class CountingProblem:
         return self._problem.step(u_prev, t_prev, t_next, *args, **kwargs)
 
 
-def _hierarchy():
-    return TimeHierarchy.build(build_uniform_grid(0.0, 0.02, N_STEPS), FACTORS)
+def _hierarchy(n_steps=N_STEPS):
+    return TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps), FACTORS)
 
 
 def _problem():
@@ -50,8 +57,8 @@ def _problem():
 
 
 def _solve_worker(transport, job):
-    kind, gamma, stopping, max_iters, guess = job
-    hier = _hierarchy()
+    kind, gamma, stopping, max_iters, guess, n_steps = job
+    hier = _hierarchy(n_steps)
     problem = CountingProblem(_problem(),
                               [hier[l].dt for l in range(hier.n_levels)])
     solver = MgritSolver(problem, hier,
@@ -64,24 +71,27 @@ def _solve_worker(transport, job):
 
 
 def _solve(p, kind, gamma, stopping="residual-norm", max_iters=50,
-           guess=None):
+           guess=None, n_steps=N_STEPS):
     """(rank 0's run, gathered trajectory, step calls summed over ranks)."""
     results = run_spmd(p, _solve_worker,
-                       (kind, gamma, stopping, max_iters, guess),
+                       (kind, gamma, stopping, max_iters, guess, n_steps),
                        backend="thread")
     calls = np.sum([c for _, _, c in results], axis=0).tolist()
     return results[0][0], results[0][1], calls
 
 
 def _expected_steps(hier, kind, gamma, iters):
-    """Step calls per level, from the cycle's structure alone."""
+    """Step calls per level, from the cycle's structure alone.  A sweep
+    steps up to the level's last C-point, swept[l] points; the F-tail
+    beyond it is stepped only by the walks that ascend or materialize."""
     coarsest = hier.n_levels - 1
     n = [hier[l].n_steps for l in range(hier.n_levels)]
+    swept = [s.n_intervals * s.factor for s in hier.splittings]
     calls = [0] * hier.n_levels
 
     def descend(l):
         # level 0's first sweep is the driver's measuring sweep
-        calls[l] += (gamma if l == 0 else gamma + 1) * n[l]
+        calls[l] += (gamma if l == 0 else gamma + 1) * swept[l]
         calls[l + 1] += n[l + 1]  # one coarse step per coarse FAS rhs
 
     def ascend(l):  # from l + 1: the coarse walk steps at its F-points
@@ -100,14 +110,15 @@ def _expected_steps(hier, kind, gamma, iters):
 
     for _ in range(iters):
         cycle(0, kind == "F")
-    calls[0] += n[0] * (iters + 1)  # the measuring sweeps
-    calls[0] += n[0] - n[1]         # materializing the F-points
+    calls[0] += swept[0] * (iters + 1)  # the measuring sweeps
+    calls[0] += n[0] - n[1]             # materializing the F-points
     return calls
 
 
 def _residual_norm(trajectory):
     """sqrt(sum_n |u_n - step(u_{n-1})|^2) of a fine trajectory."""
-    problem, times = _problem(), _hierarchy()[0].points
+    problem = _problem()
+    times = build_uniform_grid(0.0, 0.02, len(trajectory) - 1).points
     total = 0.0
     for i in range(1, len(trajectory)):
         prop, _ = problem.step(trajectory[i - 1], float(times[i - 1]),
@@ -127,6 +138,19 @@ def test_step_counts_per_level_are_exact(kind, gamma, p):
     n, m = N_STEPS, FACTORS[0]
     assert calls[0] == n * ((gamma + 1) * run.iterations + 1) + (n - n // m)
     assert calls == _expected_steps(_hierarchy(), kind, gamma, run.iterations)
+
+
+@pytest.mark.parametrize("kind,gamma,p", TAIL_CASES)
+def test_step_counts_with_an_f_tail_and_idle_ranks(kind, gamma, p):
+    hier = _hierarchy(TAIL_STEPS)
+    assert TAIL_STEPS % FACTORS[0] == 2
+    assert hier.splittings[-1].n_intervals == 1
+    run, traj, calls = _solve(p, kind, gamma, n_steps=TAIL_STEPS)
+    assert run.converged and run.iterations >= 2
+    assert calls == _expected_steps(hier, kind, gamma, run.iterations)
+    assert len(traj) == TAIL_STEPS + 1
+    assert _residual_norm(traj) == pytest.approx(run.residual_norms[-1],
+                                                 rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("stopping", sorted(STOPPING))
@@ -159,7 +183,8 @@ def test_a_stopped_run_returns_the_iterate_it_measured(kind, gamma, p,
 @pytest.mark.parametrize("p", [1, 2])
 def test_recv_waits_are_charged_apart_from_level_work(p):
     results = run_spmd(p, _solve_worker,
-                       ("V", 1, "residual-norm", 50, None), backend="thread")
+                       ("V", 1, "residual-norm", 50, None, N_STEPS),
+                       backend="thread")
     n_levels = _hierarchy().n_levels
     for run, _, _ in results:
         assert len(run.wait_seconds) == len(run.level_seconds) == n_levels
@@ -185,8 +210,8 @@ def test_one_level_hierarchy_is_the_sequential_solve(p):
     run, traj, _ = results[0]
     seq = sequential_solve(_problem(), _hierarchy()[0].points)
     assert run.converged and run.iterations == 1
+    assert run.residual_norms == [0.0]
     assert np.array_equal(_fields(traj), _fields(seq))
-    # the initial measure, the solve on rank 0, the closing measure, and
-    # materializing the F-points of the factor-2 splitting
-    n = N_STEPS
-    assert sum(c[0] for _, _, c in results) == 3 * n + (n - n // 2)
+    # the initial measure and the solve on rank 0, whose trajectory is the
+    # answer: no closing sweep and no materializing walk
+    assert sum(c[0] for _, _, c in results) == 2 * N_STEPS

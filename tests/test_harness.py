@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from pintmg.cli import main
@@ -14,6 +15,7 @@ from pintmg.mgrit import SolverRun
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
                              SurrogateMachineProblem)
+from pintmg.state import BlockState
 
 
 def small_config(**overrides):
@@ -174,6 +176,27 @@ def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
     assert failures["thread"] == failures["process"]
     assert failures["thread"].startswith(
         "worker 0 failed: NewtonConvergenceError: Newton stalled at t=")
+
+
+class _KickedProblem(NonlinearSaturationProblem):
+    """Starts from a rough random field, whose first Jacobian breaks
+    the Cholesky factorization."""
+
+    def initial_state(self, spatial_level=0):
+        n = self.spatial.size(spatial_level)
+        return BlockState(0.1 * np.random.default_rng(0).normal(size=n),
+                          spatial_level=spatial_level)
+
+
+def test_execute_reports_a_cholesky_breakdown_as_a_failed_run(monkeypatch):
+    monkeypatch.setattr(
+        "pintmg.harness.build_problem",
+        lambda config: _KickedProblem(31, excitation=PwmSource(),
+                                      source="random", seed=7))
+    run = execute(small_config(problem_kind="nonlinear", problem_nx=31))
+    assert not run.converged and run.iterations == 0
+    assert run.failure.startswith("Newton Jacobian at t=0.0003125 on grid 0 "
+                                  "is not positive definite")
 
 
 def test_failed_run_keeps_partial_history(tmp_path):

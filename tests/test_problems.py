@@ -184,6 +184,21 @@ def test_newton_rejects_a_non_finite_residual():
     assert err.value.time == 1e-3 and err.value.iterations == 0
 
 
+def test_a_cholesky_breakdown_is_a_newton_failure():
+    # gradients this steep make the band dwarf sig_dt = 1e4, and rounding
+    # leaves the Jacobian numerically indefinite on the first iterate
+    prob = NonlinearSaturationProblem(31, excitation=PwmSource(),
+                                      source="random", seed=7)
+    u_prev = BlockState(0.1 * np.random.default_rng(0).normal(size=31))
+    with pytest.raises(NewtonConvergenceError,
+                       match=r"at t=0\.0001 on grid 0 is not positive "
+                             r"definite after 0 iterations: 9-th leading "
+                             r"minor") as err:
+        prob.step(u_prev, 0.0, 1e-4)
+    assert err.value.time == 1e-4 and err.value.iterations == 0
+    assert isinstance(err.value.__cause__, LinAlgError)
+
+
 def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(damping=0.0)
@@ -309,14 +324,15 @@ def test_linear_step_is_affine_in_previous_state():
 
 def test_newton_jacobian_matches_finite_differences():
     prob = NonlinearSaturationProblem(9, mass_coeff=1.0)
-    dt = 0.01
+    dt, dx = 0.01, prob.spatial.spacing(0)
     rng = np.random.default_rng(3)
     u = 0.3 * rng.normal(size=9)
 
     def residual(v):
-        return prob.mass_coeff / dt * v + prob._operator(v, 0)
+        return prob.mass_coeff / dt * v + prob._divergence(v, dx)[0]
 
-    banded = prob._jacobian_banded(u, dt, 0)
+    banded = prob._jacobian_band(*prob._divergence(u, dx)[1:],
+                                 prob.mass_coeff / dt, dx)
     dense = np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(
         banded[0, 1:], -1)
     eps = 1e-7
@@ -424,9 +440,10 @@ def test_newton_helpers_match_padded_differences_bitwise():
     for u in (0.3 * rng.normal(size=9), np.zeros(9), -np.zeros(9),
               np.array([0.0, 0.2, 0.2, -0.0, 0.1, 0.1, 0.3, 0.1, 0.0])):
         g = np.diff(np.concatenate(([0.0], u, [0.0]))) / dx
-        flux = prob.curve.nu(g * g) * g
+        c = prob.curve  # the Brauer flux, written out
+        flux = (c.k1 * np.exp(c.k2 * (g * g)) + c.k3) * g
         for got, want in ((prob._gradients(u, dx), g),
-                          (prob._operator(u, 0), -np.diff(flux) / dx)):
+                          (prob._divergence(u, dx)[0], -np.diff(flux) / dx)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -546,13 +563,12 @@ def test_damped_newton_step_matches_the_unfused_oracle_bitwise(kind):
     assert want[1].iterations == 7 and oracle.halvings >= 1
     _assert_same_step(prob.step(u_prev, 0.0, 1e-2, guess=guess), want)
     # gradients this steep make every term of the Jacobian count
-    dx = prob.spatial.spacing(0)
+    dx, sig_dt = prob.spatial.spacing(0), prob.mass_coeff / 1e-2
     for curve in CURVES:
         prob.curve = curve
         for u in (u_prev.field, want[0].field):
-            assert np.array_equal(prob._jacobian_banded(u, 1e-2, 0),
-                                  oracle._jacobian(u, prob.mass_coeff / 1e-2,
-                                                   dx))
+            got = prob._jacobian_band(*prob._divergence(u, dx)[1:], sig_dt, dx)
+            assert np.array_equal(got, oracle._jacobian(u, sig_dt, dx))
 
 
 @pytest.mark.parametrize("amplitude", [10.0, 100.0])
@@ -567,8 +583,8 @@ def test_a_non_finite_newton_trial_is_damped(kind, amplitude):
     got = prob.step(u_prev, 0.0, 1e-2, guess=guess)
     _assert_same_step(got, want)
     rhs = prob.forcing(1e-2) + (prob.mass_coeff / 1e-2) * u_prev.field
-    res = (prob.mass_coeff / 1e-2) * got[0].field + prob._operator(
-        got[0].field, 0) - rhs
+    res = (prob.mass_coeff / 1e-2) * got[0].field + prob._divergence(
+        got[0].field, prob.spatial.spacing(0))[0] - rhs
     assert np.linalg.norm(res) <= prob.newton.tol * np.linalg.norm(rhs)
     if amplitude == 10.0:
         assert got[1].iterations == 10
@@ -581,14 +597,6 @@ class _CountingCurve(BrauerCurve):
     def exp_and_nu(self, s2):
         self.calls.append("exp_and_nu")
         return super().exp_and_nu(s2)
-
-    def nu(self, s2):
-        self.calls.append("nu")
-        return super().nu(s2)
-
-    def flux_derivative(self, s2):
-        self.calls.append("flux_derivative")
-        return super().flux_derivative(s2)
 
 
 @pytest.mark.parametrize("kind", NEWTON_KINDS)
