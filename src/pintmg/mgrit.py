@@ -48,7 +48,9 @@ that stops returns exactly the iterate it measured.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -305,8 +307,10 @@ class MgritSolver:
         """Redistribute (j, payload) items between levels.
 
         Each item goes to rank dest_of(j): local ones are applied at once,
-        the rest are sent once the items are exhausted.  Then the expected
-        (j, source) pairs arrive, in order, from their sources.
+        the rest are sent once the items are exhausted, merged in
+        ascending j with the expected (j, source) arrivals.  Both ends of
+        every message meet it in that one order, so no two ranks can
+        block writing to each other (see the runtime module).
         """
         rank, outgoing = self.transport.rank, []
         for j, payload in items:
@@ -314,13 +318,14 @@ class MgritSolver:
             if dest == rank:
                 apply(j, payload)
             else:
-                outgoing.append((dest, j, payload))
-        for dest, j, payload in outgoing:
-            self.transport.send(dest, (j, payload))
-        for j, src in expected:
-            if src == rank:
+                outgoing.append((j, True, dest, payload))
+        incoming = ((j, False, src, None) for j, src in expected if src != rank)
+        for j, sending, peer, payload in heapq.merge(
+                outgoing, incoming, key=operator.itemgetter(0)):
+            if sending:
+                self.transport.send(peer, (j, payload))
                 continue
-            jj, payload = self.transport.recv(src)
+            jj, payload = self.transport.recv(peer)
             if jj != j:
                 raise RuntimeError(f"redistribution order broke: {jj} != {j}")
             apply(j, payload)
@@ -391,10 +396,11 @@ class MgritSolver:
         return joule_loss(before, at, float(t[c] - t[c - 1]),
                           self._loss_weights)
 
-    def _reduce(self, sum_sq, losses, prev_losses):
-        """Fine residual norm and loss change (None without prev_losses),
-        reduced over all ranks; a non-finite one raises NonFiniteError."""
-        norm = reduce_norm(self.transport, sum_sq)
+    def _reduce(self, squares, losses, prev_losses):
+        """Fine residual norm from the per-C-point squares and loss change
+        (None without prev_losses), reduced over all ranks; a non-finite
+        one raises NonFiniteError."""
+        norm = reduce_norm(self.transport, squares)
         change = None
         if prev_losses is not None:
             change = reduce_max(self.transport, qoi_change(losses, prev_losses)
@@ -413,18 +419,18 @@ class MgritSolver:
         the held-back (left boundary, C-updates).  The fine level has no
         FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
         """
-        sum_sq, updates = 0.0, []
+        squares, updates = [], []
         losses = np.zeros(len(lvl.c_idx))
         walk = self._walk(lvl, sweep=True)
         _, boundary, _ = next(walk, (None, None, None))
         before = boundary
         for i, u, prop in walk:
             if prop is not None:
-                sum_sq += (prop - u).norm_sq()
+                squares.append((prop - u).norm_sq())
                 losses[len(updates)] = self._loss(i, before, u)
                 updates.append(prop)
             before = u
-        return (*self._reduce(sum_sq, losses, prev_losses), losses,
+        return (*self._reduce(squares, losses, prev_losses), losses,
                 (boundary, updates))
 
     @_charged
@@ -489,7 +495,7 @@ class MgritSolver:
             lo = lvl.own_lo
             losses = np.array([self._loss(c, mine[c - 1 - lo], mine[c - lo])
                                for c in lvl.c_idx])
-            return (*self._reduce(0.0, losses, prev_losses), losses, v)
+            return (*self._reduce([], losses, prev_losses), losses, v)
         for slot, vi in zip(lvl.u_keep, mine):
             slot.copy_from(vi if nested else vi - slot)
 

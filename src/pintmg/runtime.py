@@ -10,29 +10,42 @@ the unit count idle on that level.
 
 One driver, run_spmd, runs fn(transport, payload) on every rank, as
 threads (backend "thread", used by the test suite) or as forked processes
-("process", for scaling runs).  Both backends take their queues, event
-and worker class from one context and share everything else: one inbox
-per rank (send/recv with per-pair FIFO order and value semantics), one
-failure event, and one report queue on which each worker puts exactly one
-(rank, error_text, result).  On the process backend a worker pickles
-its result itself, so a result that cannot be pickled is reported as
-that worker's failure.  The driver raises the first failure report as
-TransportError("worker <rank> failed: <Type>: <message>").  Only the
-driver sets the failure event, after it holds that report, so peers
-blocked in recv stop within one poll and their "a peer failed" is never
-reported ahead of the cause.  A single worker runs in-process on a
-NullTransport.
+("process", for scaling runs); only the worker class, the failure event
+and the report queue differ by backend.  Each ordered rank pair has a
+one-way pipe: the sender pickles and writes a payload itself (value
+semantics, no helper thread in the way), the receiver reads only its
+source's pipe (FIFO per pair).  Each worker puts one (rank, error_text,
+result) report, a process worker pickling its result itself so that an
+unpicklable one is its failure.  The driver raises the first failure
+report as TransportError("worker <rank> failed: <Type>: <message>"),
+only then sets the failure event (peers blocked in recv stop within one
+poll, never reporting ahead of the cause) and closes its pipe ends (a
+writer blocked on a failed reader gets BrokenPipeError).  A forked
+worker closes the ends that are not its own.  A single worker runs
+in-process on a NullTransport.
+
+A pipe write blocks once 64 KiB wait unread, so every message pattern
+reads within itself all it writes and finishes even if each write waits
+for its reader.  A walk's boundary exchange writes only rightward, so
+the writers unwind from the last active rank.  A route between levels
+(MgritSolver._route) merges each rank's writes and reads in ascending
+point index, one order both ends of every message follow; writing all
+before reading could deadlock from p = 5 (a writes to b, b to c, c waits
+for a), although no pair sends both ways.  Gather and scatter only write
+to or only read from rank 0, which takes the ranks in order.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
+import math
 import multiprocessing
 import operator
 import pickle
 import queue
 import threading
 from bisect import bisect_right
+from itertools import chain
 
 from .errors import TransportError
 
@@ -136,79 +149,35 @@ class NullTransport:
         raise TransportError("no peers in a single-worker run")
 
 
-class _InboxTransport:
-    """One inbox per rank (thread or multiprocessing queues), (src,
-    payload) messages, out-of-order arrivals stashed per source."""
+class _PipeTransport:
+    """Writes to each peer on this rank's own pipe to it and reads from
+    each peer only on that peer's pipe to this rank."""
 
-    def __init__(self, rank, size, inboxes, failure, timeout):
-        self.rank = rank
-        self.size = size
-        self._inboxes = inboxes
-        self._stash = {}
-        self._failure = failure
-        self._timeout = timeout
+    def __init__(self, rank, size, pipes, failure, timeout):
+        self.rank, self.size = rank, size
+        self._out = {d: pipes[rank, d][1] for d in range(size) if d != rank}
+        self._in = {s: pipes[s, rank][0] for s in range(size) if s != rank}
+        self._failure, self._timeout = failure, timeout
 
     def send(self, dst, payload):
-        if not 0 <= dst < self.size or dst == self.rank:
+        if dst not in self._out:
             raise TransportError(f"rank {self.rank} cannot send to {dst}")
-        # snapshot at send time: thread queues pass references and
-        # multiprocessing queues pickle lazily in a feeder thread, so
-        # without this the sender could mutate a message in flight
-        self._inboxes[dst].put((self.rank, copy.deepcopy(payload)))
+        self._out[dst].send_bytes(
+            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
     def recv(self, src):
-        if not 0 <= src < self.size or src == self.rank:
+        pipe = self._in.get(src)
+        if pipe is None:
             raise TransportError(f"rank {self.rank} cannot recv from {src}")
-        stash = self._stash.get(src)
-        if stash:
-            return stash.pop(0)
-        waited = 0.0
-        while not self._failure.is_set():
-            try:
-                sender, payload = self._inboxes[self.rank].get(timeout=0.2)
-            except queue.Empty:
-                waited += 0.2
-                if waited >= self._timeout:
-                    raise TransportError(
-                        f"rank {self.rank} timed out waiting for {src}")
-                continue
-            if sender == src:
-                return payload
-            self._stash.setdefault(sender, []).append(payload)
-        raise TransportError(f"rank {self.rank}: a peer failed")
+        for _ in range(max(1, math.ceil(self._timeout / 0.2))):
+            if self._failure.is_set():
+                raise TransportError(f"rank {self.rank}: a peer failed")
+            if pipe.poll(0.2):
+                return pickle.loads(pipe.recv_bytes())
+        raise TransportError(f"rank {self.rank} timed out waiting for {src}")
 
 
 # --- collectives ----------------------------------------------------------------
-
-def allreduce(transport, value, op):
-    """Fold the per-worker values with op in ascending rank order on rank
-    0 and share the result; every rank returns the same value."""
-    value = float(value)
-    if transport.size == 1:
-        return value
-    if transport.rank == 0:
-        for src in range(1, transport.size):
-            value = op(value, float(transport.recv(src)))
-        for dst in range(1, transport.size):
-            transport.send(dst, value)
-        return value
-    transport.send(0, value)
-    return float(transport.recv(0))
-
-
-def reduce_norm(transport, local_sum_sq):
-    """Square root of the rank-ascending sum of partial sums of squares."""
-    return allreduce(transport, local_sum_sq, operator.add) ** 0.5
-
-
-def _max_keeping_nan(a, b):
-    """max(a, b), except that a NaN on either side wins."""
-    return b if b > a or b != b else a
-
-
-def reduce_max(transport, local_value):
-    return allreduce(transport, local_value, _max_keeping_nan)
-
 
 def gather_to_root(transport, payload):
     """Rank-ordered gather; returns the list on rank 0, None elsewhere."""
@@ -237,19 +206,46 @@ def scatter_from_root(transport, items):
     return transport.recv(0)
 
 
+def allreduce(transport, value, fold):
+    """fold(the values in rank order) on rank 0, shared with every rank."""
+    parts = gather_to_root(transport, value)
+    return scatter_from_root(
+        transport, None if parts is None else [fold(parts)] * transport.size)
+
+
+def reduce_norm(transport, squares):
+    """Root of every rank's squares added one by one from 0.0 in rank
+    order, as one worker adds them (sum() would compensate on 3.12+)."""
+    return allreduce(transport, [float(s) for s in squares], lambda parts:
+                     functools.reduce(operator.add, chain(*parts), 0.0)) ** 0.5
+
+
+def _max_keeping_nan(a, b):
+    """max(a, b), except that a NaN on either side wins."""
+    return b if b > a or b != b else a
+
+
+def reduce_max(transport, local_value):
+    return allreduce(transport, float(local_value),
+                     lambda parts: functools.reduce(_max_keeping_nan, parts))
+
+
 # --- SPMD driver ------------------------------------------------------------------
 
-def _worker(rank, size, fn, payload, inboxes, failure, reports, timeout,
-            encode):
-    transport = _InboxTransport(rank, size, inboxes, failure, timeout)
+def _worker(rank, size, fn, payload, pipes, failure, reports, timeout,
+            forked):
+    if forked:  # the fork copied every pipe end: keep only this rank's
+        for (src, dst), (reader, writer) in pipes.items():
+            if dst != rank:
+                reader.close()
+            if src != rank:
+                writer.close()
+    transport = _PipeTransport(rank, size, pipes, failure, timeout)
     try:
-        reports.put((rank, None, encode(fn(transport, payload))))
+        result = fn(transport, payload)
+        reports.put((rank, None, pickle.dumps(result) if forked else result))
     except BaseException as e:  # whatever ends fn, one report goes out
         reports.put((rank, f"{type(e).__name__}: {e}", None))
-
-
-def _as_is(result):
-    return result
 
 
 def run_spmd(n_workers, fn, payload, backend="thread",
@@ -261,21 +257,20 @@ def run_spmd(n_workers, fn, payload, backend="thread",
         raise ValueError(f"unknown backend {backend!r}; use one of {TRANSPORTS}")
     if n_workers == 1:
         return [fn(NullTransport(), payload)]
-    if backend == "thread":
-        Queue, Event, Worker = queue.Queue, threading.Event, threading.Thread
-        encode = decode = _as_is
-    else:
+    forked = backend == "process"
+    if forked:
         pickle.dumps(payload)  # fail fast with a clear origin
         ctx = multiprocessing.get_context("fork")
         Queue, Event, Worker = ctx.Queue, ctx.Event, ctx.Process
-        # pickled in the worker: the queue's feeder thread would drop an
-        # unpicklable result and leave the driver waiting for it
-        encode, decode = pickle.dumps, pickle.loads
-    inboxes = [Queue() for _ in range(n_workers)]
+    else:
+        Queue, Event, Worker = queue.Queue, threading.Event, threading.Thread
+    pipes = {(src, dst): multiprocessing.Pipe(duplex=False)
+             for src in range(n_workers) for dst in range(n_workers)
+             if src != dst}
     failure, reports = Event(), Queue()
     workers = [Worker(target=_worker, daemon=True,
-                      args=(w, n_workers, fn, payload, inboxes, failure,
-                            reports, timeout, encode))
+                      args=(w, n_workers, fn, payload, pipes, failure,
+                            reports, timeout, forked))
                for w in range(n_workers)]
     for w in workers:
         w.start()
@@ -288,11 +283,15 @@ def run_spmd(n_workers, fn, payload, backend="thread",
                 raise TransportError("workers did not report back") from None
             if error is not None:
                 raise TransportError(f"worker {rank} failed: {error}")
-            results[rank] = decode(result)
+            results[rank] = pickle.loads(result) if forked else result
     finally:
         failure.set()
+        # read ends first: blocked writers fail while their end is open
+        for ends in zip(*pipes.values()):
+            for end in ends:
+                end.close()
         for w in workers:
             w.join(timeout=5.0)
-            if w.is_alive() and backend == "process":
+            if w.is_alive() and forked:
                 w.terminate()
     return results

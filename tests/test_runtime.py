@@ -1,9 +1,12 @@
+import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pintmg.errors import TransportError
+from pintmg.mgrit import MgritSolver
 from pintmg.runtime import (
     Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
     run_spmd, scatter_from_root,
@@ -140,11 +143,23 @@ def _reduce_probe(transport, payload):
 
 
 def test_reduce_norm_rank_ordered():
-    results = run_spmd(2, _reduce_probe, [9.0, 16.0], backend="thread")
+    results = run_spmd(2, _reduce_probe, [[9.0], [16.0]], backend="thread")
     assert all(r[0] == 5.0 for r in results)
     assert all(r[1] == 1.0 for r in results)
-    single = run_spmd(1, _reduce_probe, [49.0], backend="thread")
+    single = run_spmd(1, _reduce_probe, [[49.0]], backend="thread")
     assert single[0][0] == 7.0
+
+
+def test_reduce_norm_is_the_one_worker_sum_for_any_split():
+    # 0.1 + 0.2 + 0.3 added left to right differs from 0.1 + (0.2 + 0.3)
+    # in the last bit: the terms are summed in order, not per rank first
+    terms = [0.1, 0.2, 0.3, 1e-17, 0.7]
+    whole = run_spmd(1, _reduce_probe, [terms], backend="thread")[0][0]
+    assert whole == (((0.1 + 0.2) + 0.3 + 1e-17) + 0.7) ** 0.5
+    for parts in ([terms[:1], terms[1:]], [terms[:2], [], terms[2:]],
+                  [[], terms[:4], terms[4:]]):
+        results = run_spmd(len(parts), _reduce_probe, parts, backend="thread")
+        assert [r[0] for r in results] == [whole] * len(parts)
 
 
 def _max_probe(transport, payload):
@@ -225,3 +240,112 @@ def test_unpicklable_process_result_is_reported_at_once():
                        match=r"^worker [01] failed: PicklingError: "):
         run_spmd(2, _unpicklable_probe, None, backend="process", timeout=1.0)
     assert time.perf_counter() - t0 < 2.5
+
+
+# --- payloads larger than a pipe holds -----------------------------------------------
+
+BIG = 1 << 17  # float64 values: 1 MiB, sixteen times a pipe's buffer
+
+
+def _big(tag):
+    return np.full(BIG, float(tag))
+
+
+def _exchange_probe(transport, payload):
+    """The walk's boundary exchange: write right, then read left."""
+    rank = transport.rank
+    if rank + 1 < transport.size:
+        transport.send(rank + 1, _big(rank))
+    return float(transport.recv(rank - 1)[-1]) if rank else None
+
+
+def _route_probe(transport, payload):
+    """MgritSolver._route itself, items and expected arrivals as given."""
+    owned, dest = payload
+    owner = {j: w for w, js in enumerate(owned) for j in js}
+    rank, got = transport.rank, {}
+    expected = [(j, owner[j]) for j in sorted(dest) if dest[j] == rank]
+    MgritSolver._route(
+        SimpleNamespace(transport=transport),
+        ((j, _big(j)) for j in owned[rank]), dest.__getitem__, expected,
+        lambda j, arr: got.__setitem__(j, (arr.size, float(arr[-1]))))
+    return got
+
+
+def _route_case(p, shape):
+    if shape == "triangle":  # 0 writes to 1 and 2, 1 writes to 2
+        return [[1, 2], [3], []], {1: 1, 2: 2, 3: 2}
+    owned = [[3 * w + 1, 3 * w + 2, 3 * w + 3] for w in range(p)]
+    owner = {j: w for w, js in enumerate(owned) for j in js}
+    if shape == "right":  # each rank's last item goes right
+        return owned, {j: owner[min(j + 1, 3 * p)] for j in owner}
+    return owned, {j: owner[max(j - 1, 1)] for j in owner}  # first goes left
+
+
+def _gather_probe(transport, payload):
+    got = gather_to_root(transport, _big(transport.rank))
+    return None if got is None else [float(a[-1]) for a in got]
+
+
+def _scatter_probe(transport, payload):
+    items = ([_big(w) for w in range(transport.size)]
+             if transport.rank == 0 else None)
+    return float(scatter_from_root(transport, items)[-1])
+
+
+def _run_big(p, probe, payload, backend):
+    t0 = time.perf_counter()
+    results = run_spmd(p, probe, payload, backend=backend, timeout=5.0)
+    assert time.perf_counter() - t0 < 4.0
+    return results
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_large_boundary_exchange(p, backend):
+    results = _run_big(p, _exchange_probe, None, backend)
+    assert results == [None] + [float(w) for w in range(p - 1)]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("p,shape", [(2, "right"), (2, "left"), (3, "right"),
+                                     (3, "left"), (3, "triangle")])
+def test_large_route(p, shape, backend):
+    owned, dest = _route_case(p, shape)
+    results = _run_big(p, _route_probe, (owned, dest), backend)
+    assert results == [{j: (BIG, float(j)) for j in dest if dest[j] == w}
+                       for w in range(p)]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_large_gather_and_scatter(p, backend):
+    gathered = _run_big(p, _gather_probe, None, backend)
+    assert gathered == [[float(w) for w in range(p)]] + [None] * (p - 1)
+    assert _run_big(p, _scatter_probe, None, backend) == [
+        float(w) for w in range(p)]
+
+
+def _blocked_writer_probe(transport, payload):
+    if transport.rank == 1:
+        raise RuntimeError("reader gone")
+    transport.send(1, _big(0))  # more than the pipe holds: blocks
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_writer_blocked_on_a_failed_reader_is_released(backend):
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError,
+                       match="^worker 1 failed: RuntimeError: reader gone$"):
+        run_spmd(2, _blocked_writer_probe, None, backend=backend,
+                 timeout=30.0)
+    assert time.perf_counter() - t0 < 2.5
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_run_spmd_leaves_no_descriptor_open(backend):
+    run_spmd(3, _echo_pattern, None, backend=backend)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        run_spmd(3, _echo_pattern, None, backend=backend)
+    assert len(os.listdir("/proc/self/fd")) == before
