@@ -3,7 +3,9 @@
 A config file is plain text, one ``section.key = value`` per line, with
 ``#`` comments and blank lines ignored.  Every key is declared below with
 its type and default; unknown keys and malformed values are rejected by
-name so a typo cannot silently fall back to a default.  parse and
+name so a typo cannot silently fall back to a default.  A config is
+valid when what it configures builds from it, so every value is checked
+when the config is made, by the constructor that reads it.  parse and
 serialize are inverses, which is what makes a run reproducible from its
 config and seed.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .mgrit import CYCLE_KINDS, STOPPING_KINDS
+from .harness import (build_cycle, build_hierarchy, build_problem,
+                      build_stopping)
 from .problems import SOURCES
 from .runtime import TRANSPORTS
 from .spatial import STRATEGIES
@@ -57,43 +60,22 @@ class ExperimentConfig:
     run_seed: int = 0
 
     def __post_init__(self):
-        if self.problem_kind not in PROBLEM_KINDS:
-            raise ValueError(f"problem.kind must be one of {PROBLEM_KINDS}, "
-                             f"got {self.problem_kind!r}")
-        if self.problem_source not in SOURCES:
-            raise ValueError(f"problem.source must be one of {SOURCES}, "
-                             f"got {self.problem_source!r}")
-        if self.run_transport not in TRANSPORTS:
-            raise ValueError(f"run.transport must be one of {TRANSPORTS}, "
-                             f"got {self.run_transport!r}")
-        if self.cycle_kind not in CYCLE_KINDS:
-            raise ValueError(f"cycle.kind must be one of {CYCLE_KINDS}, "
-                             f"got {self.cycle_kind!r}")
-        if self.cycle_gamma < 0:
-            raise ValueError(f"cycle.gamma must be >= 0, "
-                             f"got {self.cycle_gamma}")
-        if self.cycle_spatial_strategy not in STRATEGIES:
-            raise ValueError(f"cycle.spatial_strategy must be one of "
-                             f"{STRATEGIES}, got "
-                             f"{self.cycle_spatial_strategy!r}")
-        if self.stopping_kind not in STOPPING_KINDS:
-            raise ValueError(f"stopping.kind must be one of {STOPPING_KINDS},"
-                             f" got {self.stopping_kind!r}")
-        positive = [("problem.nx", self.problem_nx),
-                    ("problem.spatial_grids", self.problem_spatial_grids),
-                    ("time.t_final", self.time_t_final),
-                    ("time.n_steps", self.time_n_steps),
-                    ("hierarchy.workers", self.hierarchy_workers),
-                    ("hierarchy.max_levels", self.hierarchy_max_levels),
-                    ("stopping.tolerance", self.stopping_tolerance),
-                    ("excitation.period", self.excitation_period),
-                    ("excitation.pulses", self.excitation_pulses)]
-        for name, value in positive:
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.hierarchy_coarse_factor < 2:
-            raise ValueError(f"hierarchy.coarse_factor must be >= 2, "
-                             f"got {self.hierarchy_coarse_factor}")
+        """Valid when the problem, hierarchy, cycle and stopping criterion
+        build from it; names that nothing builds from before a run (or
+        that the problem kind would fall through) are checked here."""
+        for key, value, choices in (
+                ("problem.kind", self.problem_kind, PROBLEM_KINDS),
+                ("problem.source", self.problem_source, SOURCES),
+                ("run.transport", self.run_transport, TRANSPORTS),
+                ("cycle.spatial_strategy", self.cycle_spatial_strategy,
+                 STRATEGIES)):
+            if value not in choices:
+                raise ValueError(f"{key} must be one of {choices}, "
+                                 f"got {value!r}")
+        build_problem(self)
+        build_hierarchy(self)
+        build_cycle(self)
+        build_stopping(self)
 
 
 def _key_of(attr):

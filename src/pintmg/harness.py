@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import csv
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .config import with_overrides
 from .errors import NewtonConvergenceError, TransportError
 from .excitation import PwmSource
 from .mgrit import CycleSpec, MgritSolver, SolverRun, StoppingCriterion
@@ -171,7 +171,7 @@ def compare_variants(config, out_dir, strategies=None):
                       if s == "none" or config.problem_spatial_grids > 1]
     runs = []
     for strategy in strategies:
-        variant = with_overrides(config, cycle_spatial_strategy=strategy)
+        variant = replace(config, cycle_spatial_strategy=strategy)
         runs.append((strategy, execute(variant)))
     reference_total = runs[0][1].total_seconds
     rows = []
@@ -218,7 +218,7 @@ def scale_experiment(config, out_dir, worker_counts=None):
 
     rows, runs = [], []
     for p in worker_counts:
-        run = execute(with_overrides(config, hierarchy_workers=p))
+        run = execute(replace(config, hierarchy_workers=p))
         speedup = (t_sequential / run.total_seconds
                    if run.total_seconds > 0.0 else 0.0)
         rows.append((p, _fmt_time(run.total_seconds), _fmt_time(speedup),

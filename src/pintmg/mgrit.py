@@ -228,16 +228,13 @@ class _Level:
         nf = solver.problem.spatial.size(spatial_level)
         ns = solver.problem.n_scalars
         alloc = solver._alloc_state
-        self.c_store = [alloc(index, nf, ns, spatial_level)
-                        for _ in self.c_idx]
+        self.c_store = [alloc(index, nf, ns) for _ in self.c_idx]
         self.u_keep = None
         self.rhs = None
         if index > 0:
             n_owned = self.own_hi - self.own_lo
-            self.u_keep = [alloc(index, nf, ns, spatial_level)
-                           for _ in range(n_owned)]
-            self.rhs = [alloc(index, nf, ns, spatial_level)
-                        for _ in range(n_owned)]
+            self.u_keep = [alloc(index, nf, ns) for _ in range(n_owned)]
+            self.rhs = [alloc(index, nf, ns) for _ in range(n_owned)]
         self.use_rhs = False  # plain initial-value level until a descent fills it
         self.seconds = 0.0
         self.wait = 0.0
@@ -277,9 +274,9 @@ class MgritSolver:
 
     # --- storage accounting ---
 
-    def _alloc_state(self, level, nf, ns, spatial_level):
+    def _alloc_state(self, level, nf, ns):
         self._counts[level] += 1
-        return BlockState.zeros(nf, ns, spatial_level)
+        return BlockState.zeros(nf, ns)
 
     def storage_report(self):
         est = storage_estimate(
@@ -615,7 +612,11 @@ class MgritSolver:
                     run.converged = True
                     break  # the held C-updates are dropped, never committed
         except (NewtonConvergenceError, NonFiniteError) as e:
-            if self.transport.size > 1:
+            # a non-finite norm is raised after the reduction, on every
+            # rank alike; a Newton breakdown strikes one rank, whose
+            # peers would wait on it
+            if self.transport.size > 1 and isinstance(
+                    e, NewtonConvergenceError):
                 raise
             run.failure = str(e)
         if t_solve is None:  # failed before the first cycle
@@ -637,7 +638,7 @@ class MgritSolver:
         states = self._gather(
             lvl, [u.clone() for i, u, _ in self._walk(lvl) if i >= lvl.own_lo],
             lvl.anchor.clone())
-        return None if states is None else SpaceTimeVector(states, 0)
+        return None if states is None else SpaceTimeVector(states)
 
 
 def mgrit_solve(problem, hierarchy, cycle=None, stopping=None, transport=None,

@@ -171,8 +171,7 @@ class _FieldProblem:
         self._forcing = {}
 
     def initial_state(self, spatial_level=0):
-        return BlockState.zeros(self.spatial.size(spatial_level), self.n_scalars,
-                                spatial_level)
+        return BlockState.zeros(self.spatial.size(spatial_level), self.n_scalars)
 
     def loss_weights(self, spatial_level=0):
         n = self.spatial.size(spatial_level)
@@ -228,9 +227,7 @@ class LinearDiffusionProblem(_FieldProblem):
         factor = self.prepare(spatial_level, dt)
         rhs = (self.forcing(t_next, spatial_level, smooth)
                + (self.mass_coeff / dt) * u_prev.field)
-        return (BlockState(_band_solve(factor, rhs),
-                           spatial_level=spatial_level),
-                _diagnostics(1))
+        return BlockState(_band_solve(factor, rhs)), _diagnostics(1)
 
 
 @dataclass(frozen=True)
@@ -371,8 +368,7 @@ class NonlinearSaturationProblem(_FieldProblem):
         field, it = self._newton(u_prev.field, t_prev, t_next, spatial_level,
                                  None if guess is None else guess.field,
                                  smooth)
-        return (BlockState(field, spatial_level=spatial_level),
-                _diagnostics(it))
+        return BlockState(field), _diagnostics(it)
 
 
 class SurrogateMachineProblem(NonlinearSaturationProblem):
@@ -412,8 +408,7 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
         omega_new = ((omega + dt * torque / self.inertia)
                      / (1.0 + dt * self.friction / self.inertia))
         theta_new = theta + dt * omega_new
-        return (BlockState(field, np.array([theta_new, omega_new]),
-                           spatial_level),
+        return (BlockState(field, np.array([theta_new, omega_new])),
                 _diagnostics(it))
 
 
@@ -429,7 +424,7 @@ class DahlquistProblem:
         self.spatial = SpatialHierarchy(1, 1)
 
     def initial_state(self, spatial_level=0):
-        return BlockState([self.initial], spatial_level=spatial_level)
+        return BlockState([self.initial])
 
     def loss_weights(self, spatial_level=0):
         return np.ones(1)
@@ -442,7 +437,7 @@ class DahlquistProblem:
             f = (self.excitation.smooth_value(t_next) if smooth
                  else self.excitation.value(t_next))
         val = (u_prev.field[0] + dt * f) / (1.0 - dt * self.rate)
-        return BlockState([val], spatial_level=0), _diagnostics(1)
+        return BlockState([val]), _diagnostics(1)
 
 
 def sequential_solve(problem, times, spatial_level=0, smooth=False, g=None,
@@ -465,4 +460,4 @@ def sequential_solve(problem, times, spatial_level=0, smooth=False, g=None,
         if g is not None:
             u.add_scaled(g[i], 1.0)
         states.append(u)
-    return SpaceTimeVector(states, 0)
+    return SpaceTimeVector(states)

@@ -60,7 +60,6 @@ class Decomposition:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.splitting = splitting
-        self.n_workers = n_workers
         k = splitting.n_intervals
         base, rem = divmod(k, n_workers)
         self._n_units = [base + 1 if w < rem else base
@@ -93,8 +92,9 @@ class Decomposition:
         return self.unit_owner(min((i - 1) // self.splitting.factor, k - 1))
 
     def is_empty(self, rank):
-        return self._n_units[rank] == 0 and not (
-            rank == 0 and self.splitting.n_intervals == 0)
+        """Active ranks are a prefix: rank 0 (which keeps a level with no
+        C-interval) up to the last rank dealt a unit."""
+        return rank > self._last_rank
 
     def c_points(self, rank):
         """Global indices of the closing C-points of rank's units."""
@@ -121,17 +121,12 @@ class Decomposition:
         return (lo, hi)
 
     def left_neighbor(self, rank):
-        """Closest lower active rank, or None for the first active one."""
-        for w in range(rank - 1, -1, -1):
-            if not self.is_empty(w):
-                return w
-        return None
+        """The active rank left of an active rank, None for rank 0."""
+        return rank - 1 if rank > 0 else None
 
     def right_neighbor(self, rank):
-        for w in range(rank + 1, self.n_workers):
-            if not self.is_empty(w):
-                return w
-        return None
+        """The active rank right of an active rank, None for the last."""
+        return rank + 1 if rank < self._last_rank else None
 
 
 # --- transports ---------------------------------------------------------------

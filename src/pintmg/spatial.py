@@ -2,10 +2,13 @@
 
 Grids hold interior points of the unit interval under homogeneous
 Dirichlet conditions; a grid of n points refines one of (n - 1) / 2
-points, so fine odd indices coincide with coarse points.  Fields move by
-injection (down) and linear interpolation (up); lumped scalars ride along
-unchanged in both directions.  Injection of an interpolated vector gives
-back exactly what went up, which keeps repeated transfer cycles stable.
+points, so fine odd indices coincide with coarse points.  Sizes strictly
+decrease down the stack, so a state's field size names its grid: the
+transfers read the source grid from it rather than from a tag.  Fields
+move by injection (down) and linear interpolation (up); lumped scalars
+ride along unchanged in both directions.  Injection of an interpolated
+vector gives back exactly what went up, which keeps repeated transfer
+cycles stable.
 """
 
 from __future__ import annotations
@@ -53,35 +56,31 @@ class SpatialHierarchy:
         n = self.sizes[grid]
         return np.arange(1, n + 1) / (n + 1)
 
-    def _check_grid(self, state, grid):
-        if state.spatial_level != grid:
-            raise ValueError(f"state lives on grid {state.spatial_level}, "
-                             f"expected {grid}")
-        if state.field.size != self.sizes[grid]:
-            raise ValueError(f"state field has {state.field.size} entries, "
-                             f"grid {grid} has {self.sizes[grid]}")
+    def _grid_of(self, state):
+        """The grid whose size is the state's field size."""
+        try:
+            return self.sizes.index(state.field.size)
+        except ValueError:
+            raise ValueError(f"no grid has {state.field.size} points; "
+                             f"sizes are {self.sizes}") from None
 
     def restrict_state(self, state):
         """Inject field values at coarse-aligned points, one grid down."""
-        s = state.spatial_level
+        s = self._grid_of(state)
         if s + 1 >= self.n_grids:
             raise ValueError(f"no grid below {s} (hierarchy has "
                              f"{self.n_grids})")
-        self._check_grid(state, s)
-        return BlockState(state.field[1::2].copy(), state.scalars.copy(), s + 1)
+        return BlockState(state.field[1::2].copy(), state.scalars.copy())
 
     def prolong_error(self, state):
         """Linearly interpolate the field to the next finer grid."""
-        s = state.spatial_level
-        if s == 0:
+        if self._grid_of(state) == 0:
             raise ValueError("already on the finest grid")
-        self._check_grid(state, s)
-        nc = self.sizes[s]
-        fine = np.empty(2 * nc + 1)
+        fine = np.empty(2 * state.field.size + 1)
         fine[1::2] = state.field
         padded = np.concatenate(([0.0], state.field, [0.0]))
         fine[0::2] = 0.5 * (padded[:-1] + padded[1:])
-        return BlockState(fine, state.scalars.copy(), s - 1)
+        return BlockState(fine, state.scalars.copy())
 
 
 def assign_spatial_levels(strategy, n_time_levels, n_spatial_grids):

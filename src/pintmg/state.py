@@ -1,10 +1,11 @@
 """Space-time state containers.
 
-A BlockState is one time point's unknowns: a field vector on some spatial
-grid plus a (possibly empty) vector of lumped scalars such as rotor angle
-and speed.  A SpaceTimeVector is a contiguous run of block states, with an
-explicit global index range so distributed owners can reason about their
-slice of the time line.
+A BlockState is one time point's unknowns: a field vector plus a
+(possibly empty) vector of lumped scalars such as rotor angle and speed.
+It is plain data and carries no grid tag: the field's size names its
+spatial grid, since the sizes of a grid stack strictly decrease
+(spatial.SpatialHierarchy).  A SpaceTimeVector is the run of block
+states at time indices 0, 1, ... of one level.
 """
 
 from __future__ import annotations
@@ -26,20 +27,18 @@ def _vector(values):
 class BlockState:
     """Field values plus lumped scalars at a single time point."""
 
-    __slots__ = ("field", "scalars", "spatial_level")
+    __slots__ = ("field", "scalars")
 
-    def __init__(self, field, scalars=None, spatial_level=0):
+    def __init__(self, field, scalars=None):
         self.field = _vector(field)
         self.scalars = np.zeros(0) if scalars is None else _vector(scalars)
-        self.spatial_level = int(spatial_level)
 
     @classmethod
-    def zeros(cls, n_field, n_scalars=0, spatial_level=0):
-        return cls(np.zeros(n_field), np.zeros(n_scalars), spatial_level)
+    def zeros(cls, n_field, n_scalars=0):
+        return cls(np.zeros(n_field), np.zeros(n_scalars))
 
     def clone(self):
-        return BlockState(self.field.copy(), self.scalars.copy(),
-                          self.spatial_level)
+        return BlockState(self.field.copy(), self.scalars.copy())
 
     def copy_from(self, other):
         """Overwrite in place; shapes must already agree."""
@@ -49,12 +48,10 @@ class BlockState:
         return self
 
     def _check_compatible(self, other):
-        if (self.spatial_level != other.spatial_level
-                or self.field.shape != other.field.shape
+        if (self.field.shape != other.field.shape
                 or self.scalars.shape != other.scalars.shape):
             raise ValueError(
                 "incompatible block states: "
-                f"grid {self.spatial_level}/{other.spatial_level}, "
                 f"field {self.field.shape}/{other.field.shape}, "
                 f"scalars {self.scalars.shape}/{other.scalars.shape}")
 
@@ -90,39 +87,23 @@ class BlockState:
 
     def __repr__(self):
         return (f"BlockState(n_field={self.field.size}, "
-                f"n_scalars={self.scalars.size}, grid={self.spatial_level})")
+                f"n_scalars={self.scalars.size})")
 
 
 class SpaceTimeVector:
-    """Block states at the contiguous global time indices [start, stop)."""
+    """Block states at time indices 0, 1, ..., len - 1."""
 
-    def __init__(self, states, start=0):
+    def __init__(self, states):
         self.states = list(states)
-        self.start = int(start)
-
-    @property
-    def stop(self):
-        return self.start + len(self.states)
-
-    @property
-    def indices(self):
-        return range(self.start, self.stop)
 
     def __len__(self):
         return len(self.states)
 
     def __getitem__(self, i):
-        """Access by global time index."""
-        if not self.start <= i < self.stop:
-            raise IndexError(f"index {i} outside owned range "
-                             f"[{self.start}, {self.stop})")
-        return self.states[i - self.start]
+        return self.states[i]
 
     def __setitem__(self, i, state):
-        if not self.start <= i < self.stop:
-            raise IndexError(f"index {i} outside owned range "
-                             f"[{self.start}, {self.stop})")
-        self.states[i - self.start] = state
+        self.states[i] = state
 
     def clone(self):
-        return SpaceTimeVector([s.clone() for s in self.states], self.start)
+        return SpaceTimeVector([s.clone() for s in self.states])

@@ -132,7 +132,7 @@ class TimeHierarchy:
     splittings: tuple
 
     @classmethod
-    def build(cls, fine_grid, factors, coarsest_factor=None):
+    def build(cls, fine_grid, factors):
         grids = [fine_grid]
         for m in factors:
             if m < 2:
@@ -145,9 +145,7 @@ class TimeHierarchy:
                     f"{coarse_points.size} point(s); need at least 2")
             grids.append(TimeGrid(level=parent.level + 1, points=coarse_points))
         factors = tuple(int(m) for m in factors)
-        if coarsest_factor is None:
-            coarsest_factor = factors[-1] if factors else 2
-        level_factors = factors + (int(coarsest_factor),)
+        level_factors = factors + (factors[-1] if factors else 2,)
         splittings = tuple(cf_split(g.n_points, level_factor(g.n_points, m))
                            for g, m in zip(grids, level_factors))
         return cls(grids=tuple(grids), factors=factors, splittings=splittings)

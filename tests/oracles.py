@@ -21,10 +21,8 @@ from pintmg.state import BlockState, SpaceTimeVector
 # --- vector helpers -----------------------------------------------------------------
 
 def _check_aligned(u, v):
-    if u.start != v.start or len(u) != len(v):
-        raise ValueError(
-            f"owned ranges differ: [{u.start}, {u.stop}) vs "
-            f"[{v.start}, {v.stop})")
+    if len(u) != len(v):
+        raise ValueError(f"lengths differ: {len(u)} vs {len(v)}")
 
 
 def axpy(alpha, x, y):
@@ -50,19 +48,17 @@ def space_time_residual(step, times, u, g):
     """Residual of the all-at-once system defined by one-step propagation.
 
     The block at index 0 is the initial-value identity, so r_0 = g_0 - u_0;
-    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)).  ``u`` must
-    own a full prefix [0, n) of the grid, matching ``g``.
+    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)).  ``u`` and
+    ``g`` cover the same first points of the grid.
     """
     _check_aligned(u, g)
-    if u.start != 0:
-        raise ValueError("residual evaluation needs the full time prefix")
     if len(u) > len(times):
         raise ValueError(f"{len(u)} states on a {len(times)}-point grid")
     res = [g[0] - u[0]]
-    for i in range(1, u.stop):
+    for i in range(1, len(u)):
         prop = step(u[i - 1], float(times[i - 1]), float(times[i]))
         res.append(g[i] - (u[i] - prop))
-    return SpaceTimeVector(res, 0)
+    return SpaceTimeVector(res)
 
 
 def broadcast_from_root(transport, payload=None):
@@ -258,13 +254,12 @@ class UnfusedNewton:
                                  None if guess is None else guess.field,
                                  smooth)
         if not p.n_scalars:
-            return (BlockState(field, spatial_level=spatial_level),
-                    StepDiagnostics(iterations=it))
+            return BlockState(field), StepDiagnostics(iterations=it)
         dt = t_next - t_prev
         theta, omega = u_prev.scalars
         torque = float(p._couplings[spatial_level] @ field)
         omega_new = ((omega + dt * torque / p.inertia)
                      / (1.0 + dt * p.friction / p.inertia))
         theta_new = theta + dt * omega_new
-        return (BlockState(field, [theta_new, omega_new], spatial_level),
+        return (BlockState(field, [theta_new, omega_new]),
                 StepDiagnostics(iterations=it))

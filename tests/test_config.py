@@ -94,6 +94,15 @@ def test_every_field_maps_to_a_dotted_key():
     dict(hierarchy_coarse_factor=1),
     dict(run_transport="mpi"),
     dict(excitation_pulses=0),
+    dict(excitation_modulation=1.5),
+    dict(excitation_phase=4),
+    dict(problem_conductivity=0.0),
+    dict(problem_kind="linear", problem_diffusivity=0.0),
+    dict(problem_kind="machine", problem_brauer_k3=0.0),
+    dict(problem_kind="machine", problem_inertia=0.0),
+    dict(problem_kind="machine", problem_friction=-0.1),
+    dict(problem_nx=30, problem_spatial_grids=2),
+    dict(cycle_max_iters=0),
 ])
 def test_invalid_values_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -184,8 +184,7 @@ class _KickedProblem(NonlinearSaturationProblem):
 
     def initial_state(self, spatial_level=0):
         n = self.spatial.size(spatial_level)
-        return BlockState(0.1 * np.random.default_rng(0).normal(size=n),
-                          spatial_level=spatial_level)
+        return BlockState(0.1 * np.random.default_rng(0).normal(size=n))
 
 
 def test_execute_reports_a_cholesky_breakdown_as_a_failed_run(monkeypatch):

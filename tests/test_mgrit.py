@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pintmg.errors import NewtonConvergenceError, NonFiniteError, TransportError
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import (CycleSpec, MgritSolver, StoppingCriterion,
                           mgrit_solve, qoi_change, storage_estimate)
@@ -20,14 +19,14 @@ from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
 
 def _flat_vector(problem, n_points, level=0):
     return SpaceTimeVector(
-        [problem.initial_state(level) for _ in range(n_points)], 0)
+        [problem.initial_state(level) for _ in range(n_points)])
 
 
 def _system_rhs(problem, n_points, level=0):
     """g for the initial-value system: the anchor at index 0, zeros after."""
     anchor = problem.initial_state(level)
     zeros = [anchor.clone() * 0.0 for _ in range(n_points - 1)]
-    return SpaceTimeVector([anchor] + zeros, 0)
+    return SpaceTimeVector([anchor] + zeros)
 
 
 def _linear_problem(nx=15, grids=1):
@@ -383,12 +382,16 @@ def test_newton_failure_is_recorded_not_raised():
     assert sol is None
 
 
+_NAN_GRID = build_uniform_grid(0.0, 0.02, 64)
+
+
 class _NanAtMidpoint:
     """A problem whose step writes NaN into the state it returns at
-    t = 0.01, on every time level."""
+    t = 0.01: on every time level, or with ``call`` only on the
+    call-th fine-level step into it (which one rank makes at any p)."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, inner, call=None):
+        self.inner, self.call, self.calls = inner, call, 0
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -396,22 +399,27 @@ class _NanAtMidpoint:
     def step(self, u_prev, t_prev, t_next, *args, **kwargs):
         out, diag = self.inner.step(u_prev, t_prev, t_next, *args, **kwargs)
         if abs(t_next - 0.01) < 1e-12:
-            out.field[0] = np.nan
+            if self.call is None:
+                out.field[0] = np.nan
+            elif t_prev == _NAN_GRID.points[31]:
+                self.calls += 1
+                if self.calls == self.call:
+                    out.field[0] = np.nan
         return out, diag
 
 
 def _nan_worker(transport, job):
-    kind, catch = job
+    kind, call = job
     inner = (_linear_problem() if kind == "linear"
              else DahlquistProblem(rate=-50.0, excitation=PwmSource()))
-    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 64), [4, 4])
-    try:
-        return mgrit_solve(_NanAtMidpoint(inner), hier,
-                           CycleSpec(max_iters=8), transport=transport)[0]
-    except NonFiniteError as e:
-        if not catch:
-            raise
-        return str(e)
+    hier = TimeHierarchy.build(_NAN_GRID, [4, 4])
+    return mgrit_solve(_NanAtMidpoint(inner, call), hier,
+                       CycleSpec(max_iters=8), transport=transport)[0]
+
+
+def _history(run):
+    return (run.converged, run.iterations, run.failure, run.initial_residual,
+            run.residual_norms, run.qoi_changes)
 
 
 NAN_TEXT = "fine residual norm is not finite: nan"
@@ -419,7 +427,7 @@ NAN_TEXT = "fine residual norm is not finite: nan"
 
 @pytest.mark.parametrize("kind", ["linear", "dahlquist"])
 def test_nan_step_stops_a_single_worker_run(kind):
-    run = _nan_worker(None, (kind, False))
+    run = _nan_worker(None, (kind, None))
     assert not run.converged and run.iterations < 8
     assert run.failure == NAN_TEXT
 
@@ -427,12 +435,17 @@ def test_nan_step_stops_a_single_worker_run(kind):
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("kind", ["linear", "dahlquist"])
 def test_nan_step_stops_every_worker(kind, backend):
-    with pytest.raises(TransportError,
-                       match=rf"^worker [01] failed: NonFiniteError: {NAN_TEXT}$"):
-        run_spmd(2, _nan_worker, (kind, False), backend=backend, timeout=30.0)
-    # the norm is reduced over all ranks, so every rank stops on it
-    assert run_spmd(2, _nan_worker, (kind, True), backend=backend,
-                    timeout=30.0) == [NAN_TEXT, NAN_TEXT]
+    # the norm is reduced over all ranks, so every rank stops on it and
+    # returns the run one worker returns; the 4th fine step into t = 0.01
+    # is the second cycle's restriction sweep, so one iteration completes
+    for call, done in ((None, 0), (4, 1)):
+        expect = _history(_nan_worker(None, (kind, call)))
+        assert expect[:3] == (False, done, NAN_TEXT)
+        assert len(expect[4]) == done
+        for p in (2, 3):
+            runs = run_spmd(p, _nan_worker, (kind, call), backend=backend,
+                            timeout=30.0)
+            assert [_history(run) for run in runs] == [expect] * p
 
 
 def test_spec_validation():

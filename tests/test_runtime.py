@@ -54,6 +54,28 @@ def test_unit_balance_and_idle_workers():
     assert not d2.is_empty(0) and not d2.is_empty(1)
     assert d2.left_neighbor(1) == 0 and d2.left_neighbor(0) is None
     assert d2.right_neighbor(1) is None
+    # every (points, factor, p <= 16, rank): the active ranks are the ones
+    # dealt a unit (or rank 0 on a level without one), and the neighbours
+    # of an active rank are the nearest active ranks on either side
+    cases = 0
+    for n in range(2, 50):
+        for m in range(2, 15):
+            split = cf_split(n, m)
+            for p in range(1, 17):
+                d = Decomposition(split, p)
+                active = [w for w in range(p) if d.n_units(w) > 0
+                          or (w == 0 and split.n_intervals == 0)]
+                for w in range(p):
+                    cases += 1
+                    assert d.is_empty(w) == (w not in active), (n, m, p, w)
+                    if w in active:
+                        lower = [v for v in active if v < w]
+                        higher = [v for v in active if v > w]
+                        assert d.left_neighbor(w) == (
+                            lower[-1] if lower else None), (n, m, p, w)
+                        assert d.right_neighbor(w) == (
+                            higher[0] if higher else None), (n, m, p, w)
+    assert cases == 84864
 
 
 def test_trailing_f_points_belong_to_last_active_rank():

@@ -25,25 +25,23 @@ def test_coordinates_interleave():
 
 def test_restriction_injects_odd_indices():
     h = SpatialHierarchy(7, 2)
-    s = BlockState(np.arange(1.0, 8.0), [42.0], spatial_level=0)
+    s = BlockState(np.arange(1.0, 8.0), [42.0])
     c = h.restrict_state(s)
-    assert c.spatial_level == 1
     assert c.field.tolist() == [2.0, 4.0, 6.0]
     assert c.scalars.tolist() == [42.0]
 
 
 def test_prolongation_linear_interpolation():
     h = SpatialHierarchy(7, 2)
-    e = BlockState([1.0, 2.0, 1.0], spatial_level=1)
+    e = BlockState([1.0, 2.0, 1.0])
     f = h.prolong_error(e)
-    assert f.spatial_level == 0
     assert f.field.tolist() == [0.5, 1.0, 1.5, 2.0, 1.5, 1.0, 0.5]
 
 
 def test_restrict_after_prolong_is_identity():
     h = SpatialHierarchy(31, 3)
     rng = np.random.default_rng(5)
-    e = BlockState(rng.normal(size=7), rng.normal(size=2), spatial_level=2)
+    e = BlockState(rng.normal(size=7), rng.normal(size=2))
     back = h.restrict_state(h.prolong_error(e))
     assert np.array_equal(back.field, e.field)
     assert np.array_equal(back.scalars, e.scalars)
@@ -52,21 +50,23 @@ def test_restrict_after_prolong_is_identity():
 def test_scalars_pass_through_bitwise():
     h = SpatialHierarchy(15, 2)
     sc = np.array([1.2345678901234567, -9.87e-13])
-    s = BlockState(np.ones(15), sc, spatial_level=0)
+    s = BlockState(np.ones(15), sc)
     down = h.restrict_state(s)
     assert np.array_equal(down.scalars, sc)
-    up = h.prolong_error(BlockState(np.ones(7), sc, spatial_level=1))
+    up = h.prolong_error(BlockState(np.ones(7), sc))
     assert np.array_equal(up.scalars, sc)
 
 
-def test_grid_level_mismatch_rejected():
+def test_field_size_without_a_grid_rejected():
     h = SpatialHierarchy(15, 2)
-    with pytest.raises(ValueError):
-        h.restrict_state(BlockState(np.ones(15), spatial_level=1))
-    with pytest.raises(ValueError):
-        h.restrict_state(BlockState(np.ones(7), spatial_level=0))
-    with pytest.raises(ValueError):
-        h.prolong_error(BlockState(np.ones(15), spatial_level=0))
+    for transfer in (h.restrict_state, h.prolong_error):
+        with pytest.raises(ValueError, match=r"no grid has 8 points; "
+                           r"sizes are \(15, 7\)"):
+            transfer(BlockState(np.ones(8)))
+    with pytest.raises(ValueError, match="no grid below 1"):
+        h.restrict_state(BlockState(np.ones(7)))
+    with pytest.raises(ValueError, match="already on the finest grid"):
+        h.prolong_error(BlockState(np.ones(15)))
 
 
 @pytest.mark.parametrize("strategy,expect", [

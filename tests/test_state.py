@@ -27,8 +27,6 @@ def test_block_state_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         a + BlockState([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        a + BlockState([1.0, 2.0], spatial_level=1)
-    with pytest.raises(ValueError):
         a + BlockState([1.0, 2.0], [0.0])
 
 
@@ -42,18 +40,6 @@ def test_block_state_copy_from_is_in_place():
     assert a.scalars.tolist() == [4.0]
 
 
-def test_vector_global_indexing():
-    states = [BlockState([float(i)]) for i in range(4, 8)]
-    v = SpaceTimeVector(states, start=4)
-    assert v[4].field[0] == 4.0
-    assert v[7].field[0] == 7.0
-    with pytest.raises(IndexError):
-        v[3]
-    with pytest.raises(IndexError):
-        v[8]
-    assert list(v.indices) == [4, 5, 6, 7]
-
-
 def test_axpy_values_and_alpha_zero():
     x = SpaceTimeVector([BlockState([1.0, 0.0]), BlockState([0.0, 2.0])])
     y = SpaceTimeVector([BlockState([1.0, 1.0]), BlockState([1.0, 1.0])])
@@ -62,7 +48,7 @@ def test_axpy_values_and_alpha_zero():
     assert z[1].field.tolist() == [1.0, 5.0]
     same = axpy(0.0, x, y)
     assert max_abs_diff(same, y) == 0.0
-    misaligned = SpaceTimeVector([BlockState([1.0, 1.0])], start=1)
+    misaligned = SpaceTimeVector([BlockState([1.0, 1.0])])
     with pytest.raises(ValueError):
         axpy(1.0, x, misaligned)
 
@@ -116,7 +102,10 @@ def test_residual_requires_full_prefix_and_alignment():
         return u_prev
 
     times = np.array([0.0, 1.0])
-    u = SpaceTimeVector([BlockState([1.0])], start=1)
-    g = SpaceTimeVector([BlockState([1.0])], start=1)
+    one = SpaceTimeVector([BlockState([1.0])])
+    two = SpaceTimeVector([BlockState([1.0]), BlockState([1.0])])
+    three = SpaceTimeVector([BlockState([1.0])] * 3)
     with pytest.raises(ValueError):
-        space_time_residual(step, times, u, g)
+        space_time_residual(step, times, one, two)
+    with pytest.raises(ValueError):
+        space_time_residual(step, times, three, three)
