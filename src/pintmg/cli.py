@@ -5,7 +5,9 @@
     pintmg scale   --config exp.cfg [--workers N] [--out DIR] [--seed N]
 
 Flags override the corresponding config keys; everything else comes from
-the file.  Results land in --out (default ./results) as CSV.
+the file.  Results land in --out (default ./results) as CSV.  A config
+that cannot be read or is invalid exits with status 2 and one line on
+stderr, as a bad flag does.
 """
 
 from __future__ import annotations
@@ -56,7 +58,11 @@ def _load(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = _load(args)
+    try:
+        config = _load(args)
+    except (ValueError, OSError) as e:
+        print(f"pintmg: {args.config}: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
 
     if args.command == "run":

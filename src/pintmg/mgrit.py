@@ -17,32 +17,34 @@ level is one walk of the owned range (_walk): take the left boundary,
 recompute each F-value with the problem's step plus the FAS right-hand
 side, read each stored C-value.  Sweeps stop at the last owned C-point
 and hold their steps into the C-points back until the walk, which still
-reads the old C-values, is done; the ascent and materialization walk on
-through the F-tail.  Each coarse level adds two full vectors (the kept
-restricted iterate and the right-hand side).  Index 0 never needs a
-slot: on every level the iterate there equals the restricted initial
-value, which the problem hands out per grid.  The measured peak in
-StorageReport counts exactly these workspace states; running states
-inside a walk, Newton temporaries, held-back C-updates and the transient
-buffers of a rank-0 gather are not persistent and are not charged,
-mirroring how the serial baseline is charged a single running state.
-The coarsest level's own C-store is allocated, because the model counts
-every level's C-points, but on two or more levels nothing reads it.
+reads the old C-values, is done; the ascent walks on through the
+F-tail.  Each coarse level adds two full vectors (the kept restricted
+iterate and the right-hand side).  Index 0 never needs a slot: on every
+level the iterate there equals the restricted initial value, which the
+problem hands out per grid.  The measured peak in StorageReport counts
+exactly these workspace states; running states inside a walk, Newton
+temporaries, the C-updates and walked states a measuring sweep holds
+back and the transient buffers of a rank-0 gather are not persistent and
+are not charged, mirroring how the serial baseline is charged a single
+running state.  The coarsest level's own C-store is allocated, because
+the model counts every level's C-points, but on two or more levels
+nothing reads it.
 
-One helper (_gather) assembles a level on rank 0 by point index, for
+One helper (_gather) assembles a level on rank 0 in point order, for
 the coarsest solve (sequential_solve on the gathered right-hand side,
 owned ranges scattered back; on a 1-level hierarchy it is the answer)
-and for materializing the fine trajectory.  Restriction and ascent move
-values between levels through _route: every point's payload goes to the
-rank owning it on the other level, receivers take what others computed
-in point order.
+and for the fine trajectory, which each rank sends as one field and one
+scalar array.  Restriction and ascent move values between levels
+through _route: every point's payload goes to the rank owning it on the
+other level, receivers take what others computed in point order.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
 per-C-point losses are measured inside that sweep while it holds its
 C-updates back.  Only when the stopping test fails does the cycle go on
 to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
-that stops returns exactly the iterate it measured.
+that stops returns exactly the iterate it measured: the states that
+sweep walked, and the F-tail stepped on from them.
 """
 
 from __future__ import annotations
@@ -289,16 +291,14 @@ class MgritSolver:
 
     # --- communication helpers ---
 
-    def _gather(self, lvl, chunk, first=None):
-        """Gather every rank's owned chunk onto rank 0 and assemble the
-        level's points by index, ``first`` at index 0; None elsewhere."""
-        gathered = gather_to_root(self.transport, (lvl.own_lo, chunk))
+    def _gather(self, chunk, first=None, rows=iter):
+        """Gather every rank's owned chunk onto rank 0: a level's points are
+        ``first``, then each rows(chunk) in rank order, as the owned ranges
+        follow each other; None elsewhere."""
+        gathered = gather_to_root(self.transport, chunk)
         if gathered is None:
             return None
-        points = [first] + [None] * (lvl.grid.n_points - 1)
-        for lo, part in gathered:
-            points[lo:lo + len(part)] = part
-        return points
+        return [first] + [u for part in gathered for u in rows(part)]
 
     def _route(self, items, dest_of, expected, apply):
         """Redistribute (j, payload) items between levels.
@@ -412,23 +412,24 @@ class MgritSolver:
         """The next cycle's first fine sweep, run without committing.
 
         Returns the fine residual norm, the loss change against
-        ``prev_losses`` (None without them), the per-C-point losses and
-        the held-back (left boundary, C-updates).  The fine level has no
-        FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
+        ``prev_losses`` (None without them), the per-C-point losses, the
+        held-back (left boundary, C-updates) and the walked states from the
+        boundary on.  The fine level has no FAS right-hand side: the
+        residual at c is step(u_{c-1}) - u_c.
         """
         squares, updates = [], []
         losses = np.zeros(len(lvl.c_idx))
         walk = self._walk(lvl, sweep=True)
         _, boundary, _ = next(walk, (None, None, None))
-        before = boundary
+        walked = [boundary]
         for i, u, prop in walk:
             if prop is not None:
                 squares.append((prop - u).norm_sq())
-                losses[len(updates)] = self._loss(i, before, u)
+                losses[len(updates)] = self._loss(i, walked[-1], u)
                 updates.append(prop)
-            before = u
+            walked.append(u)
         return (*self._reduce(squares, losses, prev_losses), losses,
-                (boundary, updates))
+                (boundary, updates), walked)
 
     @_charged
     def _restrict_sweep(self, lvl, nxt, held=None):
@@ -477,7 +478,7 @@ class MgritSolver:
         iterations.  On the fine level (a 1-level hierarchy) v is the
         answer: this returns _measure's tuple with v (rank 0) for the held
         updates, residual 0 by construction, losses from the scattered v."""
-        g = self._gather(lvl, lvl.rhs if lvl.use_rhs
+        g = self._gather(lvl.rhs if lvl.use_rhs
                          else [None] * (lvl.own_hi - lvl.own_lo))
         v = chunks = None
         if g is not None:
@@ -595,14 +596,16 @@ class MgritSolver:
             elif self.cycle.nested_iterations and self.n_levels > 1:
                 self._nested_iterations()
             t_solve = time.perf_counter()
-            run.initial_residual, _, losses, held = self._measure(fine)
+            run.initial_residual, _, losses, held, _ = self._measure(fine)
             for it in range(1, self.cycle.max_iters + 1):
                 if self.n_levels == 1:
                     norm, change, losses, answer = self._coarsest_solve(
                         fine, prev_losses=losses)
                 else:
+                    walked = None  # a failed stopping test drops it
                     self._cycle(0, held, self.cycle.kind == "F")
-                    norm, change, losses, held = self._measure(fine, losses)
+                    norm, change, losses, held, walked = self._measure(
+                        fine, losses)
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
@@ -629,15 +632,23 @@ class MgritSolver:
 
         solution = None
         if gather_solution and run.failure is None:
-            solution = answer if self.n_levels == 1 else self._materialize()
+            solution = (answer if self.n_levels == 1
+                        else self._materialize(walked))
         return run, solution
 
-    def _materialize(self):
-        """Walk out the full fine trajectory and gather it on rank 0."""
+    def _materialize(self, walked):
+        """Step the F-tail on from the last measuring walk and gather the
+        trajectory on rank 0 from each rank's stacked field and scalar
+        arrays, copies that share no memory with the C-store."""
         lvl = self.levels[0]
-        states = self._gather(
-            lvl, [u.clone() for i, u, _ in self._walk(lvl) if i >= lvl.own_lo],
-            lvl.anchor.clone())
+        for i in range(lvl.own_lo + len(walked) - 1, lvl.own_hi):
+            walked.append(self._step(lvl, walked[-1], i))
+        n, a = len(walked) - 1, lvl.anchor
+        fields = np.array([u.field for u in walked[1:]])
+        scalars = np.array([u.scalars for u in walked[1:]])
+        states = self._gather((fields.reshape(n, a.field.size),
+                               scalars.reshape(n, a.scalars.size)),
+                              a.clone(), rows=lambda fs: map(BlockState, *fs))
         return None if states is None else SpaceTimeVector(states)
 
 

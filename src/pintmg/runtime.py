@@ -17,12 +17,14 @@ semantics, no helper thread in the way), the receiver reads only its
 source's pipe (FIFO per pair).  Each worker puts one (rank, error_text,
 result) report, a process worker pickling its result itself so that an
 unpicklable one is its failure.  The driver raises the first failure
-report as TransportError("worker <rank> failed: <Type>: <message>"),
-only then sets the failure event (peers blocked in recv stop within one
-poll, never reporting ahead of the cause) and closes its pipe ends (a
-writer blocked on a failed reader gets BrokenPipeError).  A forked
-worker closes the ends that are not its own.  A single worker runs
-in-process on a NullTransport.
+report as TransportError("worker <rank> failed: <Type>: <message>"), or,
+within a 0.1 s poll, a forked worker that exited nonzero without one
+("worker <rank> exited with code <code> without a report"), and only
+then sets the failure event (peers blocked in recv stop within one poll,
+never reporting ahead of the cause) and closes its pipe ends (a writer
+blocked on a failed reader gets BrokenPipeError).  A forked worker
+closes the ends that are not its own.  A single worker runs in-process
+on a NullTransport.
 
 A pipe write blocks once 64 KiB wait unread, so every message pattern
 reads within itself all it writes and finishes even if each write waits
@@ -44,6 +46,7 @@ import operator
 import pickle
 import queue
 import threading
+import time
 from bisect import bisect_right
 from itertools import chain
 
@@ -269,16 +272,30 @@ def run_spmd(n_workers, fn, payload, backend="thread",
                for w in range(n_workers)]
     for w in workers:
         w.start()
-    results = [None] * n_workers
+    results, waiting = [None] * n_workers, set(range(n_workers))
+    deadline = time.monotonic() + timeout + 10.0
     try:
-        for _ in range(n_workers):
+        while waiting:
+            # exit codes are read before the poll: a worker gone by then
+            # has written whatever report it made
+            dead = [(r, workers[r].exitcode) for r in sorted(waiting)
+                    if forked and workers[r].exitcode]
             try:
-                rank, error, result = reports.get(timeout=timeout + 10.0)
+                rank, error, result = reports.get(timeout=0.1)
             except queue.Empty:
-                raise TransportError("workers did not report back") from None
+                if dead:
+                    raise TransportError(
+                        "worker {} exited with code {} without a report"
+                        .format(*dead[0])) from None
+                if time.monotonic() > deadline:
+                    raise TransportError(
+                        "workers did not report back") from None
+                continue
             if error is not None:
                 raise TransportError(f"worker {rank} failed: {error}")
+            waiting.discard(rank)
             results[rank] = pickle.loads(result) if forked else result
+            deadline = time.monotonic() + timeout + 10.0
     finally:
         failure.set()
         # read ends first: blocked writers fail while their end is open

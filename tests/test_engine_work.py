@@ -4,9 +4,11 @@ The convergence test is taken inside the next cycle's first fine sweep,
 so a solve walks the fine level (gamma + 1) times per iteration plus once
 for the initial residual, and a run that stops must return exactly the
 iterate whose residual it reported.  A sweep stops at its level's last
-C-point; only the walks that ascend or materialize step the F-tail.  A
-1-level hierarchy is solved by the coarsest-level path: sequential
-stepping on rank 0, whose trajectory is the answer.
+C-point; only the walks that ascend step the F-tail.  The answer is the
+last measuring walk's states, copied, plus the fine F-tail stepped on
+from them: no fine point before the tail is stepped again.  A 1-level
+hierarchy is solved by the coarsest-level path: sequential stepping on
+rank 0, whose trajectory is the answer.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
-from pintmg.problems import LinearDiffusionProblem, sequential_solve
+from pintmg.problems import (LinearDiffusionProblem, SurrogateMachineProblem,
+                             sequential_solve)
 from pintmg.runtime import run_spmd
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
@@ -83,7 +86,8 @@ def _solve(p, kind, gamma, stopping="residual-norm", max_iters=50,
 def _expected_steps(hier, kind, gamma, iters):
     """Step calls per level, from the cycle's structure alone.  A sweep
     steps up to the level's last C-point, swept[l] points; the F-tail
-    beyond it is stepped only by the walks that ascend or materialize."""
+    beyond it is stepped only by the walks that ascend and, on the fine
+    level, once for the answer."""
     coarsest = hier.n_levels - 1
     n = [hier[l].n_steps for l in range(hier.n_levels)]
     swept = [s.n_intervals * s.factor for s in hier.splittings]
@@ -111,7 +115,7 @@ def _expected_steps(hier, kind, gamma, iters):
     for _ in range(iters):
         cycle(0, kind == "F")
     calls[0] += swept[0] * (iters + 1)  # the measuring sweeps
-    calls[0] += n[0] - n[1]             # materializing the F-points
+    calls[0] += n[0] - swept[0]         # the answer's F-tail
     return calls
 
 
@@ -131,12 +135,17 @@ def _fields(trajectory):
     return np.array([s.field for s in trajectory.states])
 
 
+def _scalars(trajectory):
+    return np.array([s.scalars for s in trajectory.states])
+
+
 @pytest.mark.parametrize("kind,gamma,p", CASES)
 def test_step_counts_per_level_are_exact(kind, gamma, p):
     run, _, calls = _solve(p, kind, gamma)
     assert run.converged and run.iterations >= 2
     n, m = N_STEPS, FACTORS[0]
-    assert calls[0] == n * ((gamma + 1) * run.iterations + 1) + (n - n // m)
+    assert n % m == 0  # no F-tail: the answer costs no step
+    assert calls[0] == n * ((gamma + 1) * run.iterations + 1)
     assert calls == _expected_steps(_hierarchy(), kind, gamma, run.iterations)
 
 
@@ -194,6 +203,61 @@ def test_recv_waits_are_charged_apart_from_level_work(p):
         else:
             assert all(w >= 0.0 for w in run.wait_seconds)
             assert run.wait_seconds[0] > 0.0
+
+
+def _machine_solver(transport):
+    """A machine problem (two lumped scalars) on the F-tail hierarchy."""
+    problem = SurrogateMachineProblem(7, excitation=PwmSource(),
+                                      source="sine")
+    return MgritSolver(problem, _hierarchy(TAIL_STEPS), CycleSpec(),
+                       StoppingCriterion(tolerance=1e-9), transport)
+
+
+def _machine_worker(transport, _):
+    return _machine_solver(transport).solve()
+
+
+def _overwriting_worker(transport, _):
+    """Solve, copy the answer, then overwrite the fine C-store and every
+    state the measuring walks kept with NaN."""
+    solver = _machine_solver(transport)
+    walks, measure = [], solver._measure
+
+    def keeping(*args):
+        out = measure(*args)
+        walks.append(out[-1])
+        return out
+
+    solver._measure = keeping
+    run, traj = solver.solve()
+    copied = None if traj is None else (_fields(traj), _scalars(traj))
+    for state in solver.levels[0].c_store + walks[-1]:
+        if state is not None:  # an idle rank walks no boundary
+            state.field[:], state.scalars[:] = np.nan, np.nan
+    return run, traj, copied
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_the_answer_shares_no_memory_with_the_solver(p):
+    results = run_spmd(p, _overwriting_worker, None, backend="thread")
+    run, traj, (fields, scalars) = results[0]
+    assert run.converged and len(traj) == TAIL_STEPS + 1
+    assert np.isfinite(fields).all() and np.isfinite(scalars).all()
+    assert np.array_equal(_fields(traj), fields)
+    assert np.array_equal(_scalars(traj), scalars)
+
+
+@pytest.mark.parametrize("p,backend", [(3, "thread"), (2, "process")])
+def test_a_machine_answer_does_not_depend_on_the_workers(p, backend):
+    hier = _hierarchy(TAIL_STEPS)
+    assert TAIL_STEPS % FACTORS[0] and hier.splittings[-1].n_intervals < p
+    [(run_1, traj_1)] = run_spmd(1, _machine_worker, None)
+    run, traj = run_spmd(p, _machine_worker, None, backend=backend)[0]
+    assert run.converged and run.iterations == run_1.iterations >= 2
+    assert run.residual_norms == run_1.residual_norms
+    assert _scalars(traj).shape == (TAIL_STEPS + 1, 2)
+    assert np.array_equal(_fields(traj), _fields(traj_1))
+    assert np.array_equal(_scalars(traj), _scalars(traj_1))
 
 
 def _one_level_worker(transport, _):

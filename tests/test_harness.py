@@ -253,8 +253,28 @@ def test_cli_requires_subcommand():
         main([])
 
 
-def test_cli_rejects_bad_config(tmp_path):
+def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("problem.kind = fluid\n")
-    with pytest.raises(ValueError, match=r"problem\.kind"):
-        main(["run", "--config", str(bad)])
+    assert main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pintmg: {bad}: problem.kind must be one of ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    ("excitation.modulation = 1.5\n",
+     "modulation must lie in [0, 1], got 1.5"),
+    (None, "No such file or directory"),
+])
+def test_cli_reports_an_invalid_or_missing_config_in_one_line(
+        tmp_path, capsys, text, message):
+    path = tmp_path / "exp.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert main(["scale", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"pintmg: {path}: ")
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

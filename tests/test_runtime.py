@@ -264,6 +264,22 @@ def test_unpicklable_process_result_is_reported_at_once():
     assert time.perf_counter() - t0 < 2.5
 
 
+def _silent_death_probe(transport, payload):
+    if transport.rank == 0:
+        os._exit(3)  # no report, no cleanup
+    return transport.recv(0)
+
+
+def test_a_worker_that_dies_without_a_report_is_named_at_once():
+    # at the default 120 s timeout the peer blocked in recv would wait it
+    # out; the driver names the dead worker after one poll instead
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError, match="^worker 0 exited with code 3 "
+                                             "without a report$"):
+        run_spmd(2, _silent_death_probe, None, backend="process")
+    assert time.perf_counter() - t0 < 1.0
+
+
 # --- payloads larger than a pipe holds -----------------------------------------------
 
 BIG = 1 << 17  # float64 values: 1 MiB, sixteen times a pipe's buffer
