@@ -21,11 +21,19 @@ from .harness import (compare_variants, run_experiment, scale_experiment,
                       worker_ladder)
 
 
+def _positive_int(text):
+    """A worker count: argparse names the flag when this raises."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--config", required=True, metavar="PATH",
                      help="experiment config file")
-    sub.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="override hierarchy.workers")
+    sub.add_argument("--workers", type=_positive_int, default=None,
+                     metavar="N", help="override hierarchy.workers")
     sub.add_argument("--out", default="results", metavar="DIR",
                      help="output directory for CSV files")
     sub.add_argument("--seed", type=int, default=None, metavar="N",

@@ -15,26 +15,30 @@ Storage is the part worth explaining.  Workers persist a level's iterate
 only at the closing C-points of their intervals.  Every pass over a
 level is one walk of the owned range (_walk): take the left boundary,
 recompute each F-value with the problem's step plus the FAS right-hand
-side, read each stored C-value.  Sweeps stop at the last owned C-point
-and hold their steps into the C-points back until the walk, which still
-reads the old C-values, is done; the ascent walks on through the
-F-tail.  Each coarse level adds two full vectors (the kept restricted
-iterate and the right-hand side).  Index 0 never needs a slot: on every
-level the iterate there equals the restricted initial value, which the
-problem hands out per grid.  The measured peak in StorageReport counts
-exactly these workspace states; running states inside a walk, Newton
-temporaries, the C-updates and walked states a measuring sweep holds
-back and the transient buffers of a rank-0 gather are not persistent and
-are not charged, mirroring how the serial baseline is charged a single
-running state.  The coarsest level's own C-store is allocated, because
-the model counts every level's C-points, but on two or more levels
-nothing reads it.
+side, read each stored C-value.  The F-runs of a rank's k intervals do
+not depend on each other, so a walk over a level with factor m is m
+layers: layer j steps every interval from its point j - 1 to its point j
+in one call of the problem's step_many kernel (problems.batched_step),
+one row per interval, and layer m steps into the C-points.  Sweeps stop
+at the last owned C-point and hold their steps into the C-points back
+until the walk, which still reads the old C-values, is done; the ascent
+walks on through the F-tail one point at a time.  Each coarse level adds
+two full vectors (the kept restricted iterate and the right-hand side).
+A level keeps each store as one array of (field, scalars) rows.  Index 0
+never needs a slot: on every level the iterate there equals the
+restricted initial value, which the problem hands out per grid.  The
+measured peak in StorageReport counts exactly these workspace rows;
+running states inside a walk, Newton temporaries, the C-updates and
+walked states a measuring sweep holds back and the transient buffers of
+a rank-0 gather are not persistent and are not charged, mirroring how
+the serial baseline is charged a single running state.  The coarsest
+level's own C-store is allocated, because the model counts every level's
+C-points, but on two or more levels nothing reads it.
 
-One helper (_gather) assembles a level on rank 0 in point order, for
-the coarsest solve (sequential_solve on the gathered right-hand side,
-owned ranges scattered back; on a 1-level hierarchy it is the answer)
-and for the fine trajectory, which each rank sends as one field and one
-scalar array.  Restriction and ascent move values between levels
+Rank 0 gathers a level's rows in point order for the coarsest solve
+(sequential_solve on the gathered right-hand side, owned ranges
+scattered back; on a 1-level hierarchy it is the answer) and for the
+fine trajectory.  Restriction and ascent move values between levels
 through _route: every point's payload goes to the rank owning it on the
 other level, receivers take what others computed in point order.
 
@@ -43,7 +47,7 @@ fine sweep steps into every C-point anyway, so the residual and the
 per-C-point losses are measured inside that sweep while it holds its
 C-updates back.  Only when the stopping test fails does the cycle go on
 to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
-that stops returns exactly the iterate it measured: the states that
+that stops returns exactly the iterate it measured: the rows that
 sweep walked, and the F-tail stepped on from them.
 """
 
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonConvergenceError, NonFiniteError
-from .problems import joule_loss, sequential_solve
+from .problems import batched_step, joule_loss, sequential_solve
 from .runtime import (
     Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
     scatter_from_root,
@@ -214,35 +218,45 @@ def _charged(method):
 
 
 class _Level:
-    """Per-worker workspace of one time level."""
+    """Per-worker workspace of one time level.  Each store is one array of
+    rows, a state's field followed by its scalars."""
 
     def __init__(self, solver, index, grid, splitting, spatial_level):
         self.index = index
         self.grid = grid
+        self.t = grid.points.tolist()
         self.splitting = splitting
+        self.m = splitting.factor
         self.spatial_level = spatial_level
         self.decomp = Decomposition(splitting, solver.transport.size)
         rank = solver.transport.rank
         self.c_idx = [int(c) for c in self.decomp.c_points(rank)]
         self.own_lo, self.own_hi = self.decomp.owned_range(rank)
         self.left_index = self.decomp.left_boundary_index(rank)
-        self.anchor = solver.problem.initial_state(spatial_level)
-        nf = solver.problem.spatial.size(spatial_level)
-        ns = solver.problem.n_scalars
-        alloc = solver._alloc_state
-        self.c_store = [alloc(index, nf, ns) for _ in self.c_idx]
-        self.u_keep = None
-        self.rhs = None
+        self.nf = solver.problem.spatial.size(spatial_level)
+        self.width = self.nf + solver.problem.n_scalars
+        self.anchor = self.rows(
+            [solver.problem.initial_state(spatial_level)])[0]
+        alloc = functools.partial(solver._alloc_rows, index, self.width)
+        self.c_store = alloc(len(self.c_idx))
+        self.u_keep = self.rhs = None
         if index > 0:
             n_owned = self.own_hi - self.own_lo
-            self.u_keep = [alloc(index, nf, ns) for _ in range(n_owned)]
-            self.rhs = [alloc(index, nf, ns) for _ in range(n_owned)]
+            self.u_keep, self.rhs = alloc(n_owned), alloc(n_owned)
+        # the owned C-points among the owned points
+        self.c_rows = slice(self.m - 1, len(self.c_idx) * self.m, self.m)
         self.use_rhs = False  # plain initial-value level until a descent fills it
         self.seconds = 0.0
         self.wait = 0.0
 
-    def kept(self, i):
-        return self.u_keep[i - self.own_lo]
+    def state(self, row):
+        """A row as a BlockState sharing its memory."""
+        return BlockState(row[:self.nf], row[self.nf:])
+
+    def rows(self, states):
+        """BlockStates of this level's grid as a new array of rows."""
+        return np.array([np.concatenate((s.field, s.scalars))
+                         for s in states]).reshape(len(states), self.width)
 
 
 class MgritSolver:
@@ -266,6 +280,7 @@ class MgritSolver:
             self.cycle.spatial_strategy, n_levels, problem.spatial.n_grids)
 
         self._counts = [0] * n_levels
+        self._kernel = batched_step(problem)
         self.levels = [
             _Level(self, l, hierarchy[l], hierarchy.splittings[l],
                    self.assignment[l])
@@ -276,9 +291,9 @@ class MgritSolver:
 
     # --- storage accounting ---
 
-    def _alloc_state(self, level, nf, ns):
-        self._counts[level] += 1
-        return BlockState.zeros(nf, ns)
+    def _alloc_rows(self, level, width, n):
+        self._counts[level] += n
+        return np.zeros((n, width))
 
     def storage_report(self):
         est = storage_estimate(
@@ -290,15 +305,6 @@ class MgritSolver:
                              total=sum(self._counts), estimate=est)
 
     # --- communication helpers ---
-
-    def _gather(self, chunk, first=None, rows=iter):
-        """Gather every rank's owned chunk onto rank 0: a level's points are
-        ``first``, then each rows(chunk) in rank order, as the owned ranges
-        follow each other; None elsewhere."""
-        gathered = gather_to_root(self.transport, chunk)
-        if gathered is None:
-            return None
-        return [first] + [u for part in gathered for u in rows(part)]
 
     def _route(self, items, dest_of, expected, apply):
         """Redistribute (j, payload) items between levels.
@@ -329,69 +335,74 @@ class MgritSolver:
 
     # --- sweeps ---
 
-    def _step(self, lvl, u_prev, i):
-        t = lvl.grid.points
-        out, _ = self.problem.step(u_prev, float(t[i - 1]), float(t[i]),
-                                   lvl.spatial_level, guess=u_prev,
-                                   smooth=self._smooth)
-        return out
+    def _step(self, lvl, rows, first, stride=1):
+        """Row r of ``rows`` stepped from point first + r stride - 1 into
+        first + r stride, all rows in one kernel call."""
+        if not len(rows):
+            return rows
+        stop = first + len(rows) * stride
+        fields, scalars, _ = self._kernel(
+            rows[:, :lvl.nf], rows[:, lvl.nf:],
+            lvl.t[first - 1:stop - 1:stride], lvl.t[first:stop:stride],
+            lvl.spatial_level, self._smooth)
+        return np.concatenate((fields, scalars), axis=1)
 
     def _walk(self, lvl, sweep=False):
-        """Walk the owned range; idle ranks yield nothing.  Active ranks
-        send their last C-value right, take the left boundary (the anchor
-        on the first) and yield it as (left_index, boundary, None), then
-        (i, u_i, prop) per owned point: F-values propagated with the FAS
-        right-hand side added, C-values as stored.  A sweep stops at the
-        last owned C-point and gives as prop the step into each C-point,
-        before any right-hand side; otherwise prop is None and the walk
-        goes on through the F-tail."""
-        rank, d = self.transport.rank, lvl.decomp
+        """Walk the owned range in layers; returns (walked, updates).
+
+        Active ranks send their last C-value right and take the left
+        boundary (the anchor on the first).  walked holds it and then
+        every owned point up to the last owned C-point: F-values
+        propagated with the FAS right-hand side added, C-values as stored.
+        Layer j < m steps all owned intervals into their j-th points at
+        once.  A sweep's layer m steps into the C-points, and those steps,
+        before any right-hand side, are the updates; a walk that is not a
+        sweep goes on through the F-tail instead (updates None).  Idle
+        ranks walk no rows.
+        """
+        rank, d, m, k = self.transport.rank, lvl.decomp, lvl.m, len(lvl.c_idx)
+        walked = np.empty((1 + k * m, lvl.width))
         if d.is_empty(rank):
-            return
+            return walked[:0], walked[:0]
         right, left = d.right_neighbor(rank), d.left_neighbor(rank)
-        if right is not None and lvl.c_store:
+        if right is not None and k:
             self.transport.send(right, lvl.c_store[-1])
-        cur = lvl.anchor if left is None else self.transport.recv(left)
-        yield lvl.left_index, cur, None
-        stop = (lvl.c_idx or [lvl.left_index])[-1] + 1 if sweep else lvl.own_hi
-        k = 0
-        for i in range(lvl.left_index + 1, stop):
-            prop = None
-            if k < len(lvl.c_idx) and i == lvl.c_idx[k]:
-                if sweep:
-                    prop = self._step(lvl, cur, i)
-                cur, k = lvl.c_store[k], k + 1
-            else:
-                cur = self._step(lvl, cur, i)
+        walked[0] = lvl.anchor if left is None else self.transport.recv(left)
+        walked[m::m] = lvl.c_store
+        cur = walked[:-1:m]  # each interval's left end
+        for j in range(1, m + sweep):
+            cur = self._step(lvl, cur, lvl.left_index + j, m)
+            if j < m:
                 if lvl.use_rhs:
-                    cur.add_scaled(lvl.rhs[i - lvl.own_lo], 1.0)
-            yield i, cur, prop
+                    cur += lvl.rhs[j - 1:k * m:m]
+                walked[j::m] = cur
+        return (walked, cur) if sweep else (self._tail(lvl, walked), None)
 
-    def _sweep(self, lvl):
-        """(left boundary, steps into the owned C-points) of one sweep."""
-        walk = self._walk(lvl, sweep=True)
-        _, boundary, _ = next(walk, (None, None, None))
-        return boundary, [prop for _, _, prop in walk if prop is not None]
-
-    @staticmethod
-    def _commit(lvl, updates):
-        for s, upd in zip(lvl.c_store, updates):
-            s.copy_from(upd)
+    def _tail(self, lvl, walked):
+        """walked (from the left boundary on) stepped on through the
+        F-tail, one point at a time."""
+        rows = [walked]
+        for i in range(lvl.left_index + len(walked), lvl.own_hi):
+            u = self._step(lvl, rows[-1][-1:], i)
+            if lvl.use_rhs:
+                u += lvl.rhs[i - lvl.own_lo]
+            rows.append(u)
+        return np.concatenate(rows)
 
     @_charged
     def _fc_sweep(self, lvl):
         """F-relaxation, then C-relaxation from the F-relaxed values."""
-        _, updates = self._sweep(lvl)
+        _, updates = self._walk(lvl, sweep=True)
         if lvl.use_rhs:
-            for c, upd in zip(lvl.c_idx, updates):
-                upd.add_scaled(lvl.rhs[c - lvl.own_lo], 1.0)
-        self._commit(lvl, updates)
+            updates += lvl.rhs[lvl.c_rows]
+        lvl.c_store[:] = updates
 
     def _loss(self, c, before, at):
-        """Joule loss of the fine step into point c."""
-        t = self.levels[0].grid.points
-        return joule_loss(before, at, float(t[c] - t[c - 1]),
-                          self._loss_weights)
+        """Joule loss of the fine step into point c, from the rows at
+        c - 1 and c."""
+        fine = self.levels[0]
+        return joule_loss(fine.state(before), fine.state(at),
+                          fine.t[c] - fine.t[c - 1], self._loss_weights)
 
     def _reduce(self, squares, losses, prev_losses):
         """Fine residual norm from the per-C-point squares and loss change
@@ -412,24 +423,22 @@ class MgritSolver:
         """The next cycle's first fine sweep, run without committing.
 
         Returns the fine residual norm, the loss change against
-        ``prev_losses`` (None without them), the per-C-point losses, the
-        held-back (left boundary, C-updates) and the walked states from the
-        boundary on.  The fine level has no FAS right-hand side: the
-        residual at c is step(u_{c-1}) - u_c.
+        ``prev_losses`` (None without them), the per-C-point losses and the
+        held-back sweep: its walked rows and C-updates.  The fine level has
+        no FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
         """
-        squares, updates = [], []
-        losses = np.zeros(len(lvl.c_idx))
-        walk = self._walk(lvl, sweep=True)
-        _, boundary, _ = next(walk, (None, None, None))
-        walked = [boundary]
-        for i, u, prop in walk:
-            if prop is not None:
-                squares.append((prop - u).norm_sq())
-                losses[len(updates)] = self._loss(i, walked[-1], u)
-                updates.append(prop)
-            walked.append(u)
-        return (*self._reduce(squares, losses, prev_losses), losses,
-                (boundary, updates), walked)
+        walked, updates = held = self._walk(lvl, sweep=True)
+        nf, m = lvl.nf, lvl.m
+        squares = [float(r[:nf] @ r[:nf]) + float(r[nf:] @ r[nf:])
+                   for r in updates - lvl.c_store]
+        losses = np.array([self._loss(*point) for point in zip(
+            lvl.c_idx, walked[m - 1::m], walked[m::m])])
+        return (*self._reduce(squares, losses, prev_losses), losses, held)
+
+    def _transfer(self, fn, src, dst, rows):
+        """A spatial transfer, state by state, from rows of level src to
+        rows of level dst."""
+        return dst.rows([fn(src.state(r)) for r in rows])
 
     @_charged
     def _restrict_sweep(self, lvl, nxt, held=None):
@@ -439,36 +448,34 @@ class MgritSolver:
         index j = c / m: the kept restricted iterate and the coarse FAS
         right-hand side, then redistributes both to the coarse owner and
         seeds the coarse iterate with the kept values.  ``held`` is a
-        measuring sweep's (boundary, C-updates), which replace the sweep.
+        measuring sweep's (walked, C-updates), which replace the sweep.
+        The coarse steps, one per unit, are one kernel call.
         """
-        restrict = (self.problem.spatial.restrict_state
-                    if nxt.spatial_level != lvl.spatial_level
-                    else lambda s: s)  # nothing writes the C-store here
-        d = lvl.decomp
-        first = d.first_unit(self.transport.rank)
-        boundary, updates = held if held is not None else self._sweep(lvl)
-
-        def items(left_kept):
-            for k, (c, prop) in enumerate(zip(lvl.c_idx, updates)):
-                res = prop - lvl.c_store[k]
-                if lvl.use_rhs:
-                    res.add_scaled(lvl.rhs[c - lvl.own_lo], 1.0)
-                kept = restrict(lvl.c_store[k])
-                rhs = kept - self._step(nxt, left_kept, first + k + 1)
-                rhs.add_scaled(restrict(res), 1.0)
-                yield first + k + 1, (kept, rhs)
-                left_kept = kept
+        restrict = (functools.partial(
+            self._transfer, self.problem.spatial.restrict_state, lvl, nxt)
+            if nxt.spatial_level != lvl.spatial_level
+            else lambda rows: rows)  # nothing writes the C-store here
+        first = lvl.decomp.first_unit(self.transport.rank)
+        walked, updates = held if held is not None else self._walk(lvl, True)
+        res = updates - lvl.c_store
+        if lvl.use_rhs:
+            res += lvl.rhs[lvl.c_rows]
+        left = restrict(walked[:1])  # the boundary; idle ranks have none
+        kept = restrict(lvl.c_store)
+        rhs = kept - self._step(nxt, np.concatenate((left, kept))[:len(kept)],
+                                first + 1)
+        rhs += restrict(res)
 
         def fill(j, payload):
-            nxt.kept(j).copy_from(payload[0])
-            nxt.rhs[j - nxt.own_lo].copy_from(payload[1])
+            nxt.u_keep[j - nxt.own_lo], nxt.rhs[j - nxt.own_lo] = payload
 
-        self._route(items(None if boundary is None else restrict(boundary)),
+        self._route(((first + q + 1, pair)
+                     for q, pair in enumerate(zip(kept, rhs))),
                     nxt.decomp.point_owner,
-                    ((j, d.unit_owner(j - 1))
+                    ((j, lvl.decomp.unit_owner(j - 1))
                      for j in range(nxt.own_lo, nxt.own_hi)), fill)
         nxt.use_rhs = True
-        self._commit(nxt, [nxt.kept(c) for c in nxt.c_idx])  # coarse seed
+        nxt.c_store[:] = nxt.u_keep[nxt.c_rows]  # coarse seed
 
     @_charged
     def _coarsest_solve(self, lvl, nested=False, prev_losses=None):
@@ -477,16 +484,18 @@ class MgritSolver:
         slots then hold v - kept (the error), or v itself during nested
         iterations.  On the fine level (a 1-level hierarchy) v is the
         answer: this returns _measure's tuple with v (rank 0) for the held
-        updates, residual 0 by construction, losses from the scattered v."""
-        g = self._gather(lvl.rhs if lvl.use_rhs
-                         else [None] * (lvl.own_hi - lvl.own_lo))
+        sweep, residual 0 by construction, losses from the scattered v."""
+        parts = gather_to_root(self.transport,
+                               lvl.rhs if lvl.use_rhs else None)
         v = chunks = None
-        if g is not None:
-            v = sequential_solve(self.problem, lvl.grid.points,
-                                 lvl.spatial_level, self._smooth,
-                                 g if lvl.use_rhs else None,
-                                 initial=lvl.anchor.clone())
-            chunks = [v.states[slice(*lvl.decomp.owned_range(w))]
+        if parts is not None:
+            g = ([None] + [lvl.state(r) for part in parts for r in part]
+                 if lvl.use_rhs else None)
+            v = sequential_solve(self.problem, lvl.t, lvl.spatial_level,
+                                 self._smooth, g,
+                                 initial=lvl.state(lvl.anchor.copy()))
+            rows = lvl.rows(v.states)
+            chunks = [rows[slice(*lvl.decomp.owned_range(w))]
                       for w in range(self.transport.size)]
         mine = scatter_from_root(self.transport, chunks)
         if lvl.index == 0:
@@ -494,8 +503,7 @@ class MgritSolver:
             losses = np.array([self._loss(c, mine[c - 1 - lo], mine[c - lo])
                                for c in lvl.c_idx])
             return (*self._reduce([], losses, prev_losses), losses, v)
-        for slot, vi in zip(lvl.u_keep, mine):
-            slot.copy_from(vi if nested else vi - slot)
+        lvl.u_keep[:] = mine if nested else mine - lvl.u_keep
 
     @_charged
     def _ascend(self, coarse, fine, inject=False):
@@ -504,27 +512,27 @@ class MgritSolver:
 
         The coarsest level's kept slots already hold the payload for every
         owned point; on any other level a full walk reconstructs the
-        coarse iterate and emits v - kept on the fly.
+        coarse iterate and emits v - kept.
         """
-        prolong = (self.problem.spatial.prolong_error
-                   if coarse.spatial_level != fine.spatial_level
-                   else lambda s: s)
-        if coarse.index == self.n_levels - 1:
-            items = ((i, coarse.kept(i))
-                     for i in range(coarse.own_lo, coarse.own_hi))
-        else:
-            items = ((i, u if inject else u - coarse.kept(i))
-                     for i, u, _ in self._walk(coarse) if i >= coarse.own_lo)
+        prolong = (functools.partial(
+            self._transfer, self.problem.spatial.prolong_error, coarse, fine)
+            if coarse.spatial_level != fine.spatial_level
+            else lambda rows: rows)
+        values = coarse.u_keep
+        if coarse.index < self.n_levels - 1:
+            walked = self._walk(coarse)[0][1:]
+            values = walked if inject else walked - coarse.u_keep
         first = fine.decomp.first_unit(self.transport.rank) + 1
 
         def apply(j, payload):
-            slot = fine.c_store[j - first]
+            row = prolong(payload[None])[0]
             if inject:
-                slot.copy_from(prolong(payload))
+                fine.c_store[j - first] = row
             else:
-                slot.add_scaled(prolong(payload), 1.0)
+                fine.c_store[j - first] += row
 
-        self._route(items, lambda j: fine.decomp.unit_owner(j - 1),
+        self._route(zip(range(coarse.own_lo, coarse.own_hi), values),
+                    lambda j: fine.decomp.unit_owner(j - 1),
                     ((j, coarse.decomp.point_owner(j))
                      for j in range(first, first + len(fine.c_idx))), apply)
 
@@ -540,7 +548,7 @@ class MgritSolver:
             self._coarsest_solve(lvl)
             return
         if held is not None and sweeps:
-            self._commit(lvl, held[1])
+            lvl.c_store[:] = held[1]
             held, sweeps = None, sweeps - 1
         for _ in range(sweeps):
             self._fc_sweep(lvl)
@@ -568,15 +576,14 @@ class MgritSolver:
 
     def _initialize_guess(self):
         for lvl in self.levels:
-            for s in lvl.c_store:
-                s.copy_from(lvl.anchor)
+            lvl.c_store[:] = lvl.anchor
             lvl.use_rhs = False
 
     def seed(self, trajectory):
         """Load the fine-level C-store from a full trajectory (every rank
         passes the same global SpaceTimeVector)."""
         lvl = self.levels[0]
-        self._commit(lvl, [trajectory[c] for c in lvl.c_idx])
+        lvl.c_store[:] = lvl.rows([trajectory[c] for c in lvl.c_idx])
 
     def solve(self, gather_solution=True, initial_guess=None):
         """Run cycles until the stopping test passes or max_iters is hit.
@@ -596,16 +603,14 @@ class MgritSolver:
             elif self.cycle.nested_iterations and self.n_levels > 1:
                 self._nested_iterations()
             t_solve = time.perf_counter()
-            run.initial_residual, _, losses, held, _ = self._measure(fine)
+            run.initial_residual, _, losses, held = self._measure(fine)
             for it in range(1, self.cycle.max_iters + 1):
                 if self.n_levels == 1:
                     norm, change, losses, answer = self._coarsest_solve(
                         fine, prev_losses=losses)
                 else:
-                    walked = None  # a failed stopping test drops it
                     self._cycle(0, held, self.cycle.kind == "F")
-                    norm, change, losses, held, walked = self._measure(
-                        fine, losses)
+                    norm, change, losses, held = self._measure(fine, losses)
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
@@ -633,23 +638,19 @@ class MgritSolver:
         solution = None
         if gather_solution and run.failure is None:
             solution = (answer if self.n_levels == 1
-                        else self._materialize(walked))
+                        else self._materialize(held[0]))
         return run, solution
 
     def _materialize(self, walked):
         """Step the F-tail on from the last measuring walk and gather the
-        trajectory on rank 0 from each rank's stacked field and scalar
-        arrays, copies that share no memory with the C-store."""
+        trajectory on rank 0 from each rank's rows, copies that share no
+        memory with the solver's."""
         lvl = self.levels[0]
-        for i in range(lvl.own_lo + len(walked) - 1, lvl.own_hi):
-            walked.append(self._step(lvl, walked[-1], i))
-        n, a = len(walked) - 1, lvl.anchor
-        fields = np.array([u.field for u in walked[1:]])
-        scalars = np.array([u.scalars for u in walked[1:]])
-        states = self._gather((fields.reshape(n, a.field.size),
-                               scalars.reshape(n, a.scalars.size)),
-                              a.clone(), rows=lambda fs: map(BlockState, *fs))
-        return None if states is None else SpaceTimeVector(states)
+        parts = gather_to_root(self.transport, self._tail(lvl, walked)[1:])
+        if parts is None:
+            return None
+        return SpaceTimeVector([lvl.state(lvl.anchor.copy())] + [
+            lvl.state(r) for r in np.concatenate(parts)])
 
 
 def mgrit_solve(problem, hierarchy, cycle=None, stopping=None, transport=None,

@@ -50,6 +50,51 @@ class CountingProblem:
         return self._problem.step(u_prev, t_prev, t_next, *args, **kwargs)
 
 
+class _CountingLinear(LinearDiffusionProblem):
+    """_problem()'s linear problem, its steps counted per time level."""
+
+    def __init__(self, level_dts):
+        super().__init__(7, diffusivity=0.2, excitation=PwmSource(),
+                         source="sine")
+        self._dts = np.asarray(level_dts)
+        self.calls = [0] * len(level_dts)
+
+    def _count(self, t_prev, t_next):
+        self.calls[int(np.argmin(np.abs(self._dts - (t_next - t_prev))))] += 1
+
+    def step(self, u_prev, t_prev, t_next, *args, **kwargs):
+        self._count(t_prev, t_next)
+        return super().step(u_prev, t_prev, t_next, *args, **kwargs)
+
+
+class StepOnlyCountingProblem(_CountingLinear):
+    """Overrides step alone, so the engine steps it row by row."""
+
+
+class BatchCountingProblem(_CountingLinear):
+    """Defines step_many next to step, so the engine steps its layers
+    through step_many; counts each row and each call."""
+
+    batches = 0
+
+    def step(self, *args, **kwargs):
+        return super().step(*args, **kwargs)
+
+    def step_many(self, fields, scalars, t_prev, t_next, *args, **kwargs):
+        self.batches += 1
+        for a, b in zip(t_prev, t_next):
+            self._count(a, b)
+        return super().step_many(fields, scalars, t_prev, t_next, *args,
+                                 **kwargs)
+
+
+COUNTERS = {
+    "wrapper": lambda dts: CountingProblem(_problem(), dts),
+    "batched": BatchCountingProblem,
+    "step-only": StepOnlyCountingProblem,
+}
+
+
 def _hierarchy(n_steps=N_STEPS):
     return TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps), FACTORS)
 
@@ -60,10 +105,9 @@ def _problem():
 
 
 def _solve_worker(transport, job):
-    kind, gamma, stopping, max_iters, guess, n_steps = job
+    kind, gamma, stopping, max_iters, guess, n_steps, counter = job
     hier = _hierarchy(n_steps)
-    problem = CountingProblem(_problem(),
-                              [hier[l].dt for l in range(hier.n_levels)])
+    problem = COUNTERS[counter]([hier[l].dt for l in range(hier.n_levels)])
     solver = MgritSolver(problem, hier,
                          CycleSpec(kind=kind, gamma=gamma, max_iters=max_iters),
                          StoppingCriterion(kind=stopping,
@@ -74,10 +118,11 @@ def _solve_worker(transport, job):
 
 
 def _solve(p, kind, gamma, stopping="residual-norm", max_iters=50,
-           guess=None, n_steps=N_STEPS):
+           guess=None, n_steps=N_STEPS, counter="wrapper"):
     """(rank 0's run, gathered trajectory, step calls summed over ranks)."""
     results = run_spmd(p, _solve_worker,
-                       (kind, gamma, stopping, max_iters, guess, n_steps),
+                       (kind, gamma, stopping, max_iters, guess, n_steps,
+                        counter),
                        backend="thread")
     calls = np.sum([c for _, _, c in results], axis=0).tolist()
     return results[0][0], results[0][1], calls
@@ -162,6 +207,34 @@ def test_step_counts_with_an_f_tail_and_idle_ranks(kind, gamma, p):
                                                  rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("counter", ["batched", "step-only"])
+@pytest.mark.parametrize("kind,gamma,p", TAIL_CASES)
+def test_batched_and_step_only_subclasses_step_what_the_wrapper_steps(
+        kind, gamma, p, counter):
+    # the wrapper forwards attributes, so the engine steps it row by row;
+    # a subclass defining step_many next to step is stepped in layers, and
+    # one overriding step alone row by row again
+    hier = _hierarchy(TAIL_STEPS)
+    run, traj, calls = _solve(p, kind, gamma, n_steps=TAIL_STEPS,
+                              counter=counter)
+    run_w, traj_w, calls_w = _solve(p, kind, gamma, n_steps=TAIL_STEPS)
+    assert run.converged and run.iterations == run_w.iterations
+    assert calls == calls_w == _expected_steps(hier, kind, gamma,
+                                               run.iterations)
+    assert run.residual_norms == run_w.residual_norms
+    assert np.array_equal(_fields(traj), _fields(traj_w))
+
+
+def test_the_engine_steps_a_layer_in_one_step_many_call():
+    hier = _hierarchy()
+    problem = BatchCountingProblem([hier[l].dt for l in range(hier.n_levels)])
+    run, _ = MgritSolver(problem, hier, CycleSpec(kind="V", gamma=1)).solve()
+    steps = _expected_steps(hier, "V", 1, run.iterations)
+    assert problem.calls == steps
+    # a fine layer steps all 16 intervals: far fewer calls than steps
+    assert problem.batches < sum(steps) / 4
+
+
 @pytest.mark.parametrize("stopping", sorted(STOPPING))
 @pytest.mark.parametrize("kind,gamma,p", CASES)
 def test_a_stopped_run_returns_the_iterate_it_measured(kind, gamma, p,
@@ -192,8 +265,8 @@ def test_a_stopped_run_returns_the_iterate_it_measured(kind, gamma, p,
 @pytest.mark.parametrize("p", [1, 2])
 def test_recv_waits_are_charged_apart_from_level_work(p):
     results = run_spmd(p, _solve_worker,
-                       ("V", 1, "residual-norm", 50, None, N_STEPS),
-                       backend="thread")
+                       ("V", 1, "residual-norm", 50, None, N_STEPS,
+                        "wrapper"), backend="thread")
     n_levels = _hierarchy().n_levels
     for run, _, _ in results:
         assert len(run.wait_seconds) == len(run.level_seconds) == n_levels
@@ -225,15 +298,14 @@ def _overwriting_worker(transport, _):
 
     def keeping(*args):
         out = measure(*args)
-        walks.append(out[-1])
+        walks.append(out[-1][0])  # the rows the sweep walked
         return out
 
     solver._measure = keeping
     run, traj = solver.solve()
     copied = None if traj is None else (_fields(traj), _scalars(traj))
-    for state in solver.levels[0].c_store + walks[-1]:
-        if state is not None:  # an idle rank walks no boundary
-            state.field[:], state.scalars[:] = np.nan, np.nan
+    solver.levels[0].c_store[:] = np.nan
+    walks[-1][:] = np.nan  # an idle rank walks no rows
     return run, traj, copied
 
 

@@ -248,6 +248,20 @@ def test_cli_scale_ladder_from_workers_flag(tmp_path, capsys):
     assert "sequential reference" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_cli_names_a_bad_workers_flag_not_the_config(tmp_path, capsys,
+                                                     workers):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--config", cli_config(tmp_path), "--workers", workers,
+              "--out", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exp.cfg" not in err
+    assert (f"argument --workers: must be a positive integer, "
+            f"got {workers!r}") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

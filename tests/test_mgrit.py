@@ -312,20 +312,23 @@ def test_solution_independent_of_worker_count():
                                        rtol=1e-9)
 
 
-BITWISE_CASES = [  # kind, gamma, nested, spatial strategy, steps, factors
-    ("V", 0, False, "none", 64, (4, 4)),
-    ("F", 1, False, "none", 64, (4, 4)),
-    ("V", 1, True, "delayed", 64, (4, 4)),
-    ("F", 0, True, "none", 66, (4, 4)),       # F-tails
-    ("V", 1, False, "direct", 66, (8, 4)),    # idle ranks at p = 3
+BITWISE_CASES = [  # kind, gamma, nested, spatial strategy, steps, factors,
+    # spatial grids
+    ("V", 0, False, "none", 64, (4, 4), 2),
+    ("F", 1, False, "none", 64, (4, 4), 2),
+    ("V", 1, True, "delayed", 64, (4, 4), 2),
+    ("F", 0, True, "none", 66, (4, 4), 2),       # F-tails
+    ("V", 1, False, "direct", 66, (8, 4), 2),    # idle ranks at p = 3
+    # ... which restrict to a coarser grid and prolong back
+    ("F", 1, False, "direct", 66, (8, 4), 3),
 ]
 
 
 def _bitwise_worker(transport, case):
-    kind, gamma, nested, strategy, n_steps, factors = case
+    kind, gamma, nested, strategy, n_steps, factors, grids = case
     hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
                                list(factors))
-    run, sol = mgrit_solve(_linear_problem(grids=2), hier,
+    run, sol = mgrit_solve(_linear_problem(grids=grids), hier,
                            CycleSpec(kind=kind, gamma=gamma, max_iters=30,
                                      spatial_strategy=strategy,
                                      nested_iterations=nested),

@@ -620,3 +620,63 @@ def test_a_newton_step_evaluates_exp_once_per_residual(kind):
                 ["exp_and_nu"] * (1 + diag.iterations + halvings))
             t_prev = float(t_next)
     assert oracle.halvings == 0  # the PWM steps take full Newton steps
+
+
+# --- step_many: many rows in one call, each bitwise its own step -----------------
+
+def _rows_of_a_run(prob, level, smooth, n_rows, first=5):
+    """States a sequential run passes through on a 64-step grid, as rows,
+    with the consecutive step each row takes next: several distinct dt."""
+    times = build_uniform_grid(0.0, 0.02, 64).points.tolist()
+    states = sequential_solve(prob, times, level, smooth).states
+    rows = range(first, first + n_rows)
+    return (np.array([states[i].field for i in rows]),
+            np.array([states[i].scalars for i in rows]).reshape(n_rows, -1),
+            [times[i] for i in rows], [times[i + 1] for i in rows])
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("n_rows", [1, 8, 33])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_step_many_is_each_rows_step_bitwise(kind, n_rows, level, smooth):
+    prob = _problem(kind)
+    fields, scalars, t_prev, t_next = _rows_of_a_run(prob, level, smooth,
+                                                     n_rows)
+    if n_rows > 8:
+        assert len({b - a for a, b in zip(t_prev, t_next)}) > 1
+    got = prob.step_many(fields, scalars, t_prev, t_next, level, smooth)
+    want = [prob.step(BlockState(f, s), a, b, level, guess=BlockState(f, s),
+                      smooth=smooth)
+            for f, s, a, b in zip(fields, scalars, t_prev, t_next)]
+    assert np.array_equal(got[0], np.array([u.field for u, _ in want]))
+    assert np.array_equal(np.signbit(got[0]),
+                          np.signbit([u.field for u, _ in want]))
+    assert np.array_equal(got[1], np.array([u.scalars for u, _ in want])
+                          .reshape(scalars.shape))
+    assert list(got[2]) == [d.iterations for _, d in want]
+    assert not np.shares_memory(got[0], fields)
+
+
+def test_step_many_raises_the_first_failing_rows_own_error():
+    prob = NonlinearSaturationProblem(
+        15, excitation=PwmSource(**PWM), newton=NewtonOptions(max_iters=2))
+    x = np.linspace(0.1, 3.0, 15)
+    fields = np.zeros((8, 15))
+    fields[3], fields[5] = np.sin(x), 0.8 * np.sin(2.0 * x)
+    t_prev = [0.001 * r for r in range(8)]
+    t_next = [t + 0.001 for t in t_prev]
+    single = {}
+    for r in range(8):
+        u = BlockState(fields[r])
+        try:
+            prob.step(u, t_prev[r], t_next[r], guess=u)
+        except NewtonConvergenceError as e:
+            single[r] = e
+    assert sorted(single) == [3, 5]
+    assert "stalled" in str(single[3]) and str(single[3]) != str(single[5])
+    with pytest.raises(NewtonConvergenceError) as err:
+        prob.step_many(fields, np.zeros((8, 0)), t_prev, t_next)
+    assert str(err.value) == str(single[3])
+    assert (err.value.time, err.value.iterations) == (single[3].time,
+                                                      single[3].iterations)
