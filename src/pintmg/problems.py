@@ -19,31 +19,38 @@ t_next[r], spatial_level, guess=<that state>, smooth): each row does its
 single step's arithmetic, only grouped into whole-array calls (np.exp
 and the elementwise operations give each row's bits whatever the
 batch).  The linear step makes one multi-column banded solve per
-distinct dt; Newton iterates the rows still active together and gives
-each row its own norms, scale, pbsv call and line search.  A failing
-row raises exactly its single step's error, the first failing row in
-row order when several fail.  ``step`` is the same kernel on one row,
-so no kernel exists twice.  batched_step picks step_many for a problem
-whose class defines it next to ``step``, and a per-row loop over
-``step`` otherwise, so a wrapper that forwards attributes, or a subclass
-that overrides only ``step``, still sees every step.
+distinct dt; Newton iterates the rows still active together, with one
+stacked ddot for their norms and one pbsv call per iterate, and each row
+keeps its own scale and line search.  A failing row raises exactly its
+single step's error, the first failing row in row order when several
+fail.  ``step`` is the same kernel on one row, so no kernel exists
+twice.  batched_step picks step_many for a problem whose class defines
+it next to ``step``, and a per-row loop over ``step`` otherwise, so a
+wrapper that forwards attributes, or a subclass that overrides only
+``step``, still sees every step.
 
 Steppers are deterministic.  Their only state is two memos: banded
 factorizations per (grid, dt) and read-only forcing arrays per
-(t, grid, smooth).  MGRIT re-runs the same time points on every level
-and cycle, so the forcing memo is bounded by the distinct time points a
-worker sees (about 1.3 MiB per worker on 2048 steps at nx = 127).  Entries
-are written once, never modified, and equal whatever a racing thread
-computes for the same key, so concurrent workers may share an instance
-or build their own from the same config.
+(t, grid, smooth), and their (k, n) stacks per (times, grid, smooth).
+MGRIT re-runs the same time points, and a walk the same layers, on every
+level and cycle, so the memo is bounded by the distinct time points a
+worker sees (about 1.3 MiB per worker on 2048 steps at nx = 127) and
+its stacks by the layers it steps, about as much again (1.1 MiB there).
+Entries are written once, never modified, and equal whatever a racing
+thread computes for the same key, so concurrent workers may share an
+instance or build their own from the same config.
 
 Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
 directly: the same routines scipy's cholesky_banded/cho_solve_banded
 call, without their finiteness checks and copies.  Newton factors a
 fresh Jacobian and solves once per iteration, so it makes one pbsv call
-instead, which is bitwise pbtrf followed by pbtrs.  A non-finite value
-therefore passes through a step; Newton rejects a non-finite residual
-itself, and the MGRIT driver stops on a non-finite residual norm.
+instead, which is bitwise pbtrf followed by pbtrs, and for many rows
+one call on the block-diagonal band of their Jacobians: with kd = 1 and
+zero coupling, bitwise each row's solve while the stack is finite, so a
+row with a non-finite band takes a stack of its own (_newton_step).  A
+non-finite value therefore passes through a step; Newton rejects a
+non-finite residual itself, and the MGRIT driver stops on a non-finite
+residual norm.
 
 Newton evaluates the flux once per iterate: the residual at an iterate
 keeps the squared gradients, exp(k2 s^2) and nu that the Jacobian at the
@@ -119,17 +126,21 @@ _pbtrf, _pbtrs, _pbsv = get_lapack_funcs(("pbtrf", "pbtrs", "pbsv"),
 _HEAD, _TAIL, _INNER = np.s_[..., :-1], np.s_[..., 1:], np.s_[..., 1:-1]
 
 
-def _norm(v):
-    """Euclidean norm, bitwise np.linalg.norm of a 1-d float array."""
-    return math.sqrt(v @ v)
+def _norms(v):
+    """Euclidean norms as a list: of a 1-d array, bitwise np.linalg.norm;
+    of each row of a 2-d one, from one stacked ddot, bitwise the row's own
+    (np.einsum is not)."""
+    if v.ndim == 1:
+        return [math.sqrt(v @ v)]
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0]).tolist()
 
 
-def _check_factor_info(info, routine):
+def _factor_error(info, routine):
+    """The error a LAPACK routine's nonzero info stands for."""
     if info > 0:
-        raise LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of "
-                         f"internal {routine}")
+        return LinAlgError(f"{info}-th leading minor not positive definite")
+    return ValueError(f"illegal value in {-info}-th argument of "
+                      f"internal {routine}")
 
 
 def _band_factor(ab):
@@ -137,7 +148,8 @@ def _band_factor(ab):
     scipy's upper form (ab[0, 1:] the superdiagonal, ab[1] the diagonal),
     overwriting ab where LAPACK can."""
     c, info = _pbtrf(ab, lower=0, overwrite_ab=1)
-    _check_factor_info(info, "pbtrf")
+    if info:
+        raise _factor_error(info, "pbtrf")
     return c
 
 
@@ -145,19 +157,19 @@ def _band_solve(factor, b):
     """Solve A x = b from _band_factor's factor, overwriting b."""
     x, info = _pbtrs(factor, b, 0, factor.shape[0], 1)  # overwrite_b=1
     if info:
-        _check_factor_info(info, "pbtrs")
+        raise _factor_error(info, "pbtrs")
     return x
 
 
 def _band_factor_solve(ab, b):
     """Solve A x = b for a band in _band_factor's form with one LAPACK
-    pbsv call, bitwise _band_solve(_band_factor(ab), b); overwrites ab (if
-    Fortran-ordered) and b."""
+    pbsv call, bitwise _band_solve(_band_factor(ab), b), overwriting ab (if
+    Fortran-ordered) and b; (x, info), x unsolved if info > 0 (a minor)."""
     # lower=0, overwrite_ab=1, overwrite_b=1
     _, x, info = _pbsv(ab, b, 0, ab.shape[0], 1, 1)
-    if info:
-        _check_factor_info(info, "pbsv")
-    return x
+    if info < 0:
+        raise _factor_error(info, "pbsv")
+    return x, info
 
 
 def _source_profile(kind, x, seed):
@@ -228,12 +240,18 @@ class _FieldProblem:
         return f
 
     def _forcings(self, times, spatial_level, smooth):
-        """The forcing at each of times as rows; a single one as it is,
-        which broadcasts over any one row."""
+        """The forcing at each of times as memoized read-only rows; a
+        single one as it is, which broadcasts over any one row."""
         if len(times) == 1:
             return self.forcing(times[0], spatial_level, smooth)
-        return np.array([self.forcing(t, spatial_level, smooth)
-                         for t in times])
+        key = (tuple(times), spatial_level, smooth)
+        f = self._forcing.get(key)
+        if f is None:
+            f = np.array([self.forcing(t, spatial_level, smooth)
+                          for t in times])
+            f.flags.writeable = False
+            self._forcing[key] = f
+        return f
 
     def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
              smooth=False):
@@ -361,32 +379,60 @@ class NonlinearSaturationProblem(_FieldProblem):
 
     def _jacobian_band(self, s2, e, nu, sig_dt, dx):
         """sig_dt I + N'(u) in _band_factor's form from _divergence's
-        arrays at u; for 2-d arrays (sig_dt a column) one band per row.
-        A single band is Fortran-ordered, as LAPACK takes it; a row's band
-        is C-ordered, which is quicker to fill and which pbsv copies."""
+        arrays at u, Fortran-ordered as LAPACK takes it; for k rows (sig_dt
+        a column) their block-diagonal band, shape (2, k n), coupled by 0 in
+        the superdiagonal at each row's first point."""
         dphi = self.curve.flux_derivative_from(s2, e, nu)
         dphi /= dx ** 2
         lower = dphi[_HEAD]
-        n = lower.shape[-1]
-        ab = (np.empty((n, 2)).T if lower.ndim == 1
-              else np.empty((len(lower), 2, n)))
-        upper, diagonal = ab.swapaxes(0, -2)
+        ab = np.empty((lower.size, 2)).T
+        upper, diagonal = ab.reshape(2, *lower.shape)
         np.negative(lower, out=upper)
-        upper[..., 0] = 0.0  # outside the band
+        upper[..., 0] = 0.0  # outside the band, or between two rows
         np.add(sig_dt, lower, out=diagonal)
         diagonal += dphi[_TAIL]
         return ab
+
+    def _newton_step(self, r, s2, e, nu, sig_dt, dx):
+        """Newton's step -J(u)^-1 r for each row of the residual r at u, and
+        {q: LinAlgError}, row q's single-step error, for the rows whose
+        Jacobian is not positive definite (steps unsolved).  One pbsv call
+        solves all rows on their block-diagonal band: with kd = 1 pbtrf is
+        dpbtf2, and the zero coupling adds exact zeros (only a -0 ending a
+        row's step, which needs its residual to vanish at its last points,
+        could take the next row's sign), while the stack is finite: 0 inf
+        is NaN.  So a row with a non-finite band is solved alone; info > 0
+        fails row (info - 1) // n, and the rest is rebuilt (pbsv overwrote
+        the band) and solved again.  One row takes no finiteness scan."""
+        ab, delta = self._jacobian_band(s2, e, nu, sig_dt, dx), -r
+        k, n = r.shape if r.ndim == 2 else (1, len(r))
+        singular = {}
+        if k > 1 and not np.isfinite(ab).all():
+            bad = ~np.isfinite(ab.reshape(2, k, n)).all(axis=(0, 2))
+            parts = [np.flatnonzero(~bad).tolist(), *np.argwhere(bad).tolist()]
+        else:
+            x, info = _band_factor_solve(ab, delta.reshape(-1))
+            if not info:
+                return x.reshape(r.shape), singular
+            pos = (info - 1) // n
+            singular[pos] = _factor_error(info - pos * n, "pbsv")
+            parts = [[q for q in range(k) if q != pos]]
+        for rows in filter(None, parts):
+            delta[rows], part = self._newton_step(
+                *(a[rows] for a in (r, s2, e, nu, sig_dt)), dx)
+            singular.update((rows[q], err) for q, err in part.items())
+        return delta, singular
 
     def _advance(self, u_prev, scalars, t_prev, t_next, spatial_level,
                  smooth, guess):
         """Damped Newton for the step's field, for every row of the (k, n)
         array u_prev (a 1-d array is one row) from the rows of guess (None:
-        from u_prev).  Each row keeps its own norms, scale, pbsv call and
-        line search, so it does its single step's arithmetic; the rows
-        still iterating share the elementwise work.  Returns a new array
-        shaped as u_prev, the scalars (there are none to step) and the
-        per-row iteration counts, or raises the first failing row's
-        error."""
+        from u_prev).  Each row keeps its own scale and line search and
+        does its single step's arithmetic; the rows still iterating share
+        the array calls, one stacked ddot and one pbsv (_newton_step) per
+        iterate.  Returns a new array shaped as u_prev, the scalars (there
+        are none to step) and the per-row iteration counts, or raises the
+        first failing row's error."""
         k = len(t_prev)
         if not k:
             return u_prev.copy(), scalars, []
@@ -398,7 +444,7 @@ class NonlinearSaturationProblem(_FieldProblem):
         dx = self.spatial.spacing(spatial_level)
         rhs = sig * u_prev
         rhs += self._forcings(t_next, spatial_level, smooth)
-        scale = [max(_norm(b), 1e-300) for b in ((rhs,) if one else rhs)]
+        scale = [max(b, 1e-300) for b in _norms(rhs)]
         opt = self.newton
         tols = [opt.tol * s for s in scale]  # of the rows still iterating
         out, its, failed = None, [0] * k, {}
@@ -423,7 +469,7 @@ class NonlinearSaturationProblem(_FieldProblem):
         # an overflow or NaN shows up as a non-finite norm, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             r, s2, e, nu = res(u, sig, rhs)
-            rnorm = list(map(_norm, (r,) if one else r))
+            rnorm = _norms(r)
             for it in range(opt.max_iters + 1):
                 # rows that converged or failed leave; a NaN compares false
                 if not (it < opt.max_iters and sum(rnorm) < math.inf
@@ -465,20 +511,14 @@ class NonlinearSaturationProblem(_FieldProblem):
                                              for a in (rows, rnorm, tols))
                         u, r, s2, e, nu, sig, rhs = (
                             a[keep] for a in (u, r, s2, e, nu, sig, rhs))
-                delta = -r
-                jac = self._jacobian_band(s2, e, nu, sig, dx)
-                for row, ab, d in zip(rows, (jac,) if one else jac,
-                                      (delta,) if one else delta):
-                    try:
-                        _band_factor_solve(ab, d)  # d is solved in place
-                    except LinAlgError as err:
-                        fail(row, it, f"Jacobian at t={t_next[row]:.6g} on "
-                             f"grid {spatial_level} is not positive definite "
-                             f"after {it} iterations: {err}", err)
+                delta, singular = self._newton_step(r, s2, e, nu, sig, dx)
+                for q, err in singular.items():
+                    fail(rows[q], it, f"Jacobian at t={t_next[rows[q]]:.6g} "
+                         f"on grid {spatial_level} is not positive definite "
+                         f"after {it} iterations: {err}", err)
                 trial = u + delta
                 trial_res = res(trial, sig, rhs)
-                t_norm = list(map(_norm, (trial_res[0],) if one
-                                  else trial_res[0]))
+                t_norm = _norms(trial_res[0])
                 if not all(map(operator.lt, t_norm, rnorm)):
                     for q, row in enumerate(rows):
                         if t_norm[q] < rnorm[q]:
@@ -495,7 +535,7 @@ class NonlinearSaturationProblem(_FieldProblem):
                             damped = res(tq, sq, bq)
                             for a, b in zip(views[5:], damped):
                                 a[...] = b
-                            t_norm[q] = _norm(damped[0])
+                            t_norm[q], = _norms(damped[0])
                             if t_norm[q] < rnorm[q]:
                                 break
                             alpha *= 0.5
@@ -534,19 +574,19 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
                  smooth, guess):
+        """Newton, then the rotor: one row on floats, more elementwise with
+        torques from one stacked dot, in the same operations, bitwise."""
         out, _, its = super()._advance(fields, scalars, t_prev, t_next,
                                        spatial_level, smooth, guess)
-        rotor = []
-        one = out.ndim == 1  # the only row, as 1-d arrays
-        for (theta, omega), field, a, b in zip(
-                [scalars.tolist()] if one else scalars.tolist(),
-                (out,) if one else out, t_prev, t_next):
-            dt = b - a
-            torque = self.torque(field, spatial_level)
-            omega_new = ((omega + dt * torque / self.inertia)
-                         / (1.0 + dt * self.friction / self.inertia))
-            rotor.append((theta + dt * omega_new, omega_new))
-        return out, np.array(rotor).reshape(scalars.shape), its
+        one, c = out.ndim == 1, self._couplings[spatial_level]
+        theta, omega = scalars.tolist() if one else scalars.T
+        dt = t_next[0] - t_prev[0] if one else np.subtract(t_next, t_prev)
+        torque = (float(c @ out) if one
+                  else (out[:, None] @ c[:, None])[:, 0, 0])
+        omega = ((omega + dt * torque / self.inertia)
+                 / (1.0 + dt * self.friction / self.inertia))
+        rotor = np.array([theta + dt * omega, omega])
+        return out, rotor.T.reshape(scalars.shape), its
 
 
 class DahlquistProblem:

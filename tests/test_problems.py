@@ -12,8 +12,10 @@ from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (
     BrauerCurve, DahlquistProblem, LinearDiffusionProblem, NewtonOptions,
     NonlinearSaturationProblem, SurrogateMachineProblem, _band_factor,
-    _band_factor_solve, _band_solve, joule_loss, sequential_solve,
+    _band_factor_solve, _band_solve, _norms, joule_loss,
+    sequential_solve,
 )
+from pintmg import problems
 from pintmg.runtime import run_spmd
 from pintmg.state import BlockState, SpaceTimeVector
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
@@ -424,13 +426,12 @@ def test_lapack_band_helpers_match_scipy_bitwise(n):
     assert np.array_equal(_band_solve(factor, b.copy()),
                           cho_solve_banded((ref, False), b))
     # Newton's one-call pbsv: bitwise pbtrf then pbtrs
-    assert np.array_equal(_band_factor_solve(ab.copy(), b.copy()),
-                          _band_solve(factor, b.copy()))
+    x, info = _band_factor_solve(ab.copy(), b.copy())
+    assert info == 0 and np.array_equal(x, _band_solve(factor, b.copy()))
     ab[1, n // 2] = -1.0
     with pytest.raises(LinAlgError):
         _band_factor(ab.copy())
-    with pytest.raises(LinAlgError):
-        _band_factor_solve(ab, b)
+    assert _band_factor_solve(ab, b)[1] == n // 2 + 1
 
 
 def test_newton_helpers_match_padded_differences_bitwise():
@@ -680,3 +681,150 @@ def test_step_many_raises_the_first_failing_rows_own_error():
     assert str(err.value) == str(single[3])
     assert (err.value.time, err.value.iterations) == (single[3].time,
                                                       single[3].iterations)
+
+
+# --- Newton at array speed: one stacked ddot and one pbsv per iterate -------------
+
+def test_row_norms_are_each_rows_norm_bitwise():
+    rng = np.random.default_rng(14)
+    for n in (15, 31, 63, 127):
+        for k in (1, 2, 7, 32, 40):
+            for magnitude in (1e-12, 1e-6, 1.0, 1e4):
+                v = magnitude * rng.normal(size=(k, n))
+                want = [math.sqrt(row @ row) for row in v]
+                got = _norms(v)
+                assert got == want
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert _norms(v[0]) == [np.linalg.norm(v[0])]
+
+
+def _newton_rows(prob, fields, sig_dt):
+    """Residual rows of fields against zero data, and the arrays their
+    Jacobian bands come from."""
+    dx = prob.spatial.spacing(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, s2, e, nu = prob._divergence(fields, dx)
+    r += sig_dt * fields
+    return r, s2, e, nu, dx
+
+
+def _each_rows_step(prob, rows, sig_dt):
+    """Each row's Newton step solved on its own, as (step, info)."""
+    r, s2, e, nu, dx = rows
+    out = []
+    for q in range(len(r)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = prob._jacobian_band(s2[q], e[q], nu[q], sig_dt[q, 0], dx)
+        out.append(_band_factor_solve(ab, -r[q]))
+    return out
+
+
+def _assert_rows_equal(got, want, rows):
+    for q in rows:
+        assert np.array_equal(got[q], want[q], equal_nan=True)
+        assert np.array_equal(np.signbit(got[q]), np.signbit(want[q]))
+
+
+@pytest.mark.parametrize("n", [15, 31, 127])
+def test_the_stacked_solve_is_each_rows_solve_bitwise(n):
+    prob = NonlinearSaturationProblem(n)
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 9, 32):
+        fields = (0.5 / n) * rng.normal(size=(k, n)).cumsum(axis=1)
+        sig_dt = rng.uniform(10.0, 1e4, (k, 1))
+        rows = _newton_rows(prob, fields, sig_dt)
+        step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
+        want = _each_rows_step(prob, rows, sig_dt)
+        assert not singular and all(info == 0 for _, info in want)
+        _assert_rows_equal(step, [x for x, _ in want], range(k))
+
+
+def _nine_rows(prob, steep):
+    """Nine fields, sig_dt 1000 for all, and their _newton_rows.  With
+    steep, row 4 jumps so steeply that its Jacobian band is finite but not
+    positive definite in floating point, at a residual of finite norm."""
+    x = np.linspace(0.1, 3.0, 15)
+    fields = np.array([0.05 * (q + 1) * np.sin(x) for q in range(9)])
+    sig_dt = np.full((9, 1), 1000.0)
+    for jump in np.linspace(0.5, 1.0, 101) if steep else [0.0]:
+        fields[4, 7:] = 0.1 * np.sin(x[7:]) + jump
+        rows = _newton_rows(prob, fields, sig_dt)
+        if not steep:
+            return fields, sig_dt, rows
+        r4 = rows[0][4]
+        band = prob._jacobian_band(rows[1][4], rows[2][4], rows[3][4],
+                                   1000.0, rows[4])
+        with np.errstate(over="ignore"):
+            norm, = _norms(r4)
+        if (math.isfinite(norm) and np.isfinite(band).all()
+                and _band_factor_solve(band, -r4)[1]):
+            return fields, sig_dt, rows
+    raise AssertionError("no jump makes row 4's Jacobian singular")
+
+
+@pytest.mark.parametrize("finite_band", [True, False])
+def test_a_failing_or_non_finite_row_leaves_the_others_bitwise(finite_band):
+    prob = NonlinearSaturationProblem(15)
+    _, sig_dt, rows = _nine_rows(prob, steep=finite_band)
+    if not finite_band:
+        rows[3][4, 7] = np.nan  # a NaN band, which pbsv solves to NaN
+    want = _each_rows_step(prob, rows, sig_dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
+    solved = [0, 1, 2, 3, 5, 6, 7, 8] if finite_band else range(9)
+    _assert_rows_equal(step, [x for x, _ in want], solved)
+    assert np.isfinite(step[5:]).all()
+    if finite_band:
+        assert list(singular) == [4]
+        assert str(singular[4]) == (f"{want[4][1]}-th leading minor not "
+                                    "positive definite")
+    else:
+        assert not singular and want[4][1] == 0
+        assert np.isnan(step[4]).any()
+
+
+def test_a_row_with_a_singular_jacobian_raises_its_own_error():
+    prob = NonlinearSaturationProblem(15)
+    fields, _, _ = _nine_rows(prob, steep=True)
+    t_prev = [0.001 * q for q in range(9)]
+    t_next = [t + 0.001 for t in t_prev]
+    u = BlockState(fields[4])
+    with pytest.raises(NewtonConvergenceError) as single:
+        prob.step(u, t_prev[4], t_next[4], guess=u)
+    assert "not positive definite after 0 iterations" in str(single.value)
+    with pytest.raises(NewtonConvergenceError) as err:
+        prob.step_many(fields, np.zeros((9, 0)), t_prev, t_next)
+    assert str(err.value) == str(single.value)
+    assert (err.value.time, err.value.iterations) == (
+        single.value.time, single.value.iterations)
+    assert isinstance(err.value.__cause__, LinAlgError)
+
+
+def test_a_layer_makes_one_pbsv_call_per_newton_iterate(monkeypatch):
+    prob = _problem("nonlinear")
+    fields, scalars, t_prev, t_next = _rows_of_a_run(prob, 0, False, 32)
+    fields[16:] *= 100.0  # steeper: some rows take another iterate
+    calls = []
+    pbsv = problems._pbsv
+
+    def counting(ab, b, *args):
+        calls.append(b.size)
+        return pbsv(ab, b, *args)
+
+    monkeypatch.setattr(problems, "_pbsv", counting)
+    _, _, its = prob.step_many(fields, scalars, t_prev, t_next)
+    assert min(its) >= 2 and min(its) < max(its)
+    # one call per iterate, on every row still iterating
+    assert calls == [15 * sum(i > it for i in its) for it in range(max(its))]
+
+
+def test_a_layers_forcing_stack_is_memoized_read_only():
+    prob = _problem("machine")
+    times = [0.001 * q for q in range(1, 9)]
+    for level, smooth in ((0, False), (2, True)):
+        stack = prob._forcings(times, level, smooth)
+        assert prob._forcings(list(times), level, smooth) is stack
+        assert not stack.flags.writeable
+        for t, row in zip(times, stack):
+            assert np.array_equal(row, prob.forcing(t, level, smooth))
+    assert prob._forcings(times[:1], 0, False) is prob.forcing(times[0])
