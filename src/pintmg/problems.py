@@ -33,24 +33,21 @@ Steppers are deterministic.  Their only state is two memos: banded
 factorizations per (grid, dt) and read-only forcing arrays per
 (t, grid, smooth), and their (k, n) stacks per (times, grid, smooth).
 MGRIT re-runs the same time points, and a walk the same layers, on every
-level and cycle, so the memo is bounded by the distinct time points a
-worker sees (about 1.3 MiB per worker on 2048 steps at nx = 127) and
-its stacks by the layers it steps, about as much again (1.1 MiB there).
-Entries are written once, never modified, and equal whatever a racing
-thread computes for the same key, so concurrent workers may share an
-instance or build their own from the same config.
+level and cycle, so the memo is bounded by the time points and layers a
+worker sees: about 1.3 MiB of forcings and 1.1 MiB of stacks per worker
+on 2048 steps at nx = 127.  Entries are written once, never modified,
+and equal whatever a racing thread computes for the same key, so
+concurrent workers may share an instance.
 
 Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
 directly: the same routines scipy's cholesky_banded/cho_solve_banded
 call, without their finiteness checks and copies.  Newton factors a
-fresh Jacobian and solves once per iteration, so it makes one pbsv call
-instead, which is bitwise pbtrf followed by pbtrs, and for many rows
-one call on the block-diagonal band of their Jacobians: with kd = 1 and
-zero coupling, bitwise each row's solve while the stack is finite, so a
-row with a non-finite band takes a stack of its own (_newton_step).  A
-non-finite value therefore passes through a step; Newton rejects a
-non-finite residual itself, and the MGRIT driver stops on a non-finite
-residual norm.
+fresh Jacobian and solves once per iterate with one pbsv call, bitwise
+pbtrf then pbtrs, on the block-diagonal band of all its rows'
+Jacobians, so each row's step is bitwise its own solve (_newton_step
+solves a row alone where the stack would not be).  A non-finite value
+therefore passes through a step; Newton rejects a non-finite residual
+itself, and the MGRIT solver stops on a non-finite residual norm.
 
 Newton evaluates the flux once per iterate: the residual at an iterate
 keeps the squared gradients, exp(k2 s^2) and nu that the Jacobian at the
@@ -397,13 +394,13 @@ class NonlinearSaturationProblem(_FieldProblem):
         """Newton's step -J(u)^-1 r for each row of the residual r at u, and
         {q: LinAlgError}, row q's single-step error, for the rows whose
         Jacobian is not positive definite (steps unsolved).  One pbsv call
-        solves all rows on their block-diagonal band: with kd = 1 pbtrf is
-        dpbtf2, and the zero coupling adds exact zeros (only a -0 ending a
-        row's step, which needs its residual to vanish at its last points,
-        could take the next row's sign), while the stack is finite: 0 inf
-        is NaN.  So a row with a non-finite band is solved alone; info > 0
-        fails row (info - 1) // n, and the rest is rebuilt (pbsv overwrote
-        the band) and solved again.  One row takes no finiteness scan."""
+        solves all rows on their block-diagonal band, bitwise row by row
+        but for the sign of a zero ending a row's step: with kd = 1 pbtrf
+        is dpbtf2, and the zero coupling adds signed zeros, and NaN where
+        the stack is not finite.  So a row with a non-finite band, or with
+        a step ending in a zero, is solved alone; info > 0 fails row (info
+        - 1) // n, and the rest is rebuilt (pbsv overwrote it) and solved
+        again.  One row takes no scan."""
         ab, delta = self._jacobian_band(s2, e, nu, sig_dt, dx), -r
         k, n = r.shape if r.ndim == 2 else (1, len(r))
         singular = {}
@@ -412,11 +409,15 @@ class NonlinearSaturationProblem(_FieldProblem):
             parts = [np.flatnonzero(~bad).tolist(), *np.argwhere(bad).tolist()]
         else:
             x, info = _band_factor_solve(ab, delta.reshape(-1))
-            if not info:
-                return x.reshape(r.shape), singular
-            pos = (info - 1) // n
-            singular[pos] = _factor_error(info - pos * n, "pbsv")
-            parts = [[q for q in range(k) if q != pos]]
+            delta = x.reshape(r.shape)
+            if info:
+                pos = (info - 1) // n
+                singular[pos] = _factor_error(info - pos * n, "pbsv")
+                parts = [[q for q in range(k) if q != pos]]
+            elif k == 1 or delta[:, ::n - 1 or 1].all():  # no zero ends
+                return delta, singular
+            else:  # each row whose step ends in a zero is solved alone
+                parts = np.argwhere(~delta[:, ::n - 1 or 1].all(1)).tolist()
         for rows in filter(None, parts):
             delta[rows], part = self._newton_step(
                 *(a[rows] for a in (r, s2, e, nu, sig_dt)), dx)
@@ -430,9 +431,8 @@ class NonlinearSaturationProblem(_FieldProblem):
         from u_prev).  Each row keeps its own scale and line search and
         does its single step's arithmetic; the rows still iterating share
         the array calls, one stacked ddot and one pbsv (_newton_step) per
-        iterate.  Returns a new array shaped as u_prev, the scalars (there
-        are none to step) and the per-row iteration counts, or raises the
-        first failing row's error."""
+        iterate.  Returns a new array shaped as u_prev, the scalars and the
+        per-row iteration counts, or raises the first failing row's error."""
         k = len(t_prev)
         if not k:
             return u_prev.copy(), scalars, []
@@ -458,8 +458,7 @@ class NonlinearSaturationProblem(_FieldProblem):
             return r, s2, e, nu
 
         def fail(row, it, text, why=None):
-            """Record row's first error, its single step's, raised once
-            all rows are done."""
+            """Record row's first error, its single step's, raised last."""
             err = NewtonConvergenceError(f"Newton {text}", time=t_next[row],
                                          iterations=it)
             err.__cause__ = why
@@ -581,7 +580,7 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
         one, c = out.ndim == 1, self._couplings[spatial_level]
         theta, omega = scalars.tolist() if one else scalars.T
         dt = t_next[0] - t_prev[0] if one else np.subtract(t_next, t_prev)
-        torque = (float(c @ out) if one
+        torque = (self.torque(out, spatial_level) if one
                   else (out[:, None] @ c[:, None])[:, 0, 0])
         omega = ((omega + dt * torque / self.inertia)
                  / (1.0 + dt * self.friction / self.inertia))

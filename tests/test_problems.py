@@ -737,6 +737,26 @@ def test_the_stacked_solve_is_each_rows_solve_bitwise(n):
         want = _each_rows_step(prob, rows, sig_dt)
         assert not singular and all(info == 0 for _, info in want)
         _assert_rows_equal(step, [x for x, _ in want], range(k))
+    # row 4 is +-0 at its three first and last points, its residual at two;
+    # from a tiny field at a huge sig_dt its step underflows to zeros
+    # there, whose signs must not come from row 3 or row 5
+    for tiny in (False, True):
+        for sign4 in (1.0, -1.0):
+            for sign5 in (1.0, -1.0):
+                fields = (0.5 / n) * rng.normal(size=(9, n)).cumsum(axis=1)
+                sig_dt = rng.uniform(10.0, 1e4, (9, 1))
+                fields[4] = sign4 * np.pad(rng.uniform(0.5, 1.0, n - 6) / n, 3)
+                fields[5] *= sign5
+                if tiny:
+                    fields[4] *= 1e-300
+                    sig_dt[4] = 1e150
+                rows = _newton_rows(prob, fields, sig_dt)
+                assert not rows[0][4, [0, 1, -2, -1]].any()
+                step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
+                want = _each_rows_step(prob, rows, sig_dt)
+                assert not singular and all(info == 0 for _, info in want)
+                assert (want[4][0][[0, -1]] == 0).all() == tiny
+                _assert_rows_equal(step, [x for x, _ in want], range(9))
 
 
 def _nine_rows(prob, steep):

@@ -1,8 +1,7 @@
 """Time the solver's two lowest layers on several source trees, in one
 process, alternating the trees round by round.
 
-    python tools/bench_layers.py new=src old=../parent/src \
-        [--rounds 21] [--steps 512] [--seed 7]
+    python tools/bench_layers.py new=src old=../parent/src [--rounds 61]
 
 Run from the root of a checkout: the workloads are the benchmark's three
 (perfbench/workloads.py), built from each tree's own package, which is
@@ -13,8 +12,10 @@ measures, as thread CPU time:
   level, of a p = 1 solver (no transport) after one solve has filled its
   stores and memos;
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
-  first ``--steps`` steps of the workload's time grid, on a problem whose
+  first STEPS steps of the workload's time grid, on a problem whose
   forcing memo one untimed solve has filled.
+
+The problems take the random source profile drawn with SEED.
 
 Each round times every tree once, the first tree first in even rounds and
 last in odd ones.  Printed per tree: the median over rounds and, for each
@@ -37,6 +38,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import PWM, T_FINAL, TOLERANCE, WORKLOADS  # noqa: E402
 
+STEPS = 512  # sequential steps timed per L0 measurement
+SEED = 7  # of the random source profile
+
 
 def load_tree(src, name):
     """The package under ``src``/pintmg, imported as module ``name``."""
@@ -49,7 +53,7 @@ def load_tree(src, name):
     return module
 
 
-def problem(pm, w, seed):
+def problem(pm, w):
     cls = {"linear": pm.LinearDiffusionProblem,
            "nonlinear": pm.NonlinearSaturationProblem,
            "machine": pm.SurrogateMachineProblem}[w.kind]
@@ -57,25 +61,25 @@ def problem(pm, w, seed):
                           modulation=PWM["modulation"], phase=PWM["phase"],
                           ramp_enabled=PWM["ramp"])
     return cls(w.nx, n_spatial_grids=w.spatial_grids, excitation=source,
-               source="random", seed=seed)
+               source="random", seed=SEED)
 
 
 class Layers:
     """One tree's solver after a solve, and a problem for sequential
     stepping, for one workload."""
 
-    def __init__(self, pm, w, seed, steps):
+    def __init__(self, pm, w):
         grid = pm.build_uniform_grid(0.0, T_FINAL, w.n_steps)
         self.solver = pm.MgritSolver(
-            problem(pm, w, seed), pm.TimeHierarchy.build(grid, w.factors),
+            problem(pm, w), pm.TimeHierarchy.build(grid, w.factors),
             pm.CycleSpec(kind=w.cycle, gamma=1, max_iters=50,
                          spatial_strategy=w.strategy,
                          nested_iterations=w.nested),
             pm.StoppingCriterion(tolerance=TOLERANCE))
         self.solver.solve()
         self.points = w.n_steps
-        self.stepper = problem(pm, w, seed)
-        self.times = grid.points[:steps + 1]
+        self.stepper = problem(pm, w)
+        self.times = grid.points[:STEPS + 1]
         self.sequential = pm.sequential_solve
         self.sequential(self.stepper, self.times)
 
@@ -96,18 +100,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("trees", nargs="+", metavar="[LABEL=]SRC",
                     help="src directories to compare, the first the base")
-    ap.add_argument("--rounds", type=int, default=21)
-    ap.add_argument("--steps", type=int, default=512)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--rounds", type=int, default=61)
     args = ap.parse_args(argv)
     labels, srcs = zip(*(t.split("=", 1) if "=" in t else (t, t)
                          for t in args.trees))
     packages = [load_tree(src, f"pintmg_tree{i}")
                 for i, src in enumerate(srcs)]
-    print(f"# {args.rounds} rounds, thread CPU time, seed {args.seed}; "
+    print(f"# {args.rounds} rounds, thread CPU time, seed {SEED}; "
           "ratios are per-round times over the first tree's")
     for name, w in WORKLOADS.items():
-        layers = [Layers(pm, w, args.seed, args.steps) for pm in packages]
+        layers = [Layers(pm, w) for pm in packages]
         for label, measure in (("L1 sweep us/point", Layers.sweep_us),
                                ("L0 step us/call", Layers.step_us)):
             times = [[] for _ in layers]
