@@ -21,23 +21,25 @@ from .harness import (compare_variants, run_experiment, scale_experiment,
                       worker_ladder)
 
 
-def _positive_int(text):
-    """A worker count: argparse names the flag when this raises."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_from(low, kind):
+    """An integer >= low: argparse names the flag when this raises."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, metavar="PATH",
                      help="experiment config file")
-    sub.add_argument("--workers", type=_positive_int, default=None,
+    sub.add_argument("--workers", type=_int_from(1, "positive"), default=None,
                      metavar="N", help="override hierarchy.workers")
     sub.add_argument("--out", default="results", metavar="DIR",
                      help="output directory for CSV files")
-    sub.add_argument("--seed", type=int, default=None, metavar="N",
-                     help="override run.seed")
+    sub.add_argument("--seed", type=_int_from(0, "non-negative"),
+                     default=None, metavar="N", help="override run.seed")
 
 
 def build_parser():

@@ -36,11 +36,12 @@ level's own C-store is allocated, because the model counts every level's
 C-points, but on two or more levels nothing reads it.
 
 Rank 0 gathers a level's rows in point order for the coarsest solve
-(sequential_solve on the gathered right-hand side, owned ranges
-scattered back; on a 1-level hierarchy it is the answer) and for the
-fine trajectory.  Restriction and ascent move values between levels
-through _route: every point's payload goes to the rank owning it on the
-other level, receivers take what others computed in point order.
+(_tail steps the anchor on through the gathered right-hand side, owned
+ranges are scattered back; on a 1-level hierarchy it is the answer) and
+for the fine trajectory; so _step is the only way to the problem.
+Restriction and ascent move values between levels through _route: every
+point's payload goes to the rank owning it on the other level, receivers
+take what others computed in point order.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NewtonConvergenceError, NonFiniteError
-from .problems import batched_step, joule_loss, sequential_solve
+from .problems import batched_step, joule_loss
 from .runtime import (
     Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
     scatter_from_root,
@@ -378,14 +379,16 @@ class MgritSolver:
                 walked[j::m] = cur
         return (walked, cur) if sweep else (self._tail(lvl, walked), None)
 
-    def _tail(self, lvl, walked):
-        """walked (from the left boundary on) stepped on through the
-        F-tail, one point at a time."""
+    def _tail(self, lvl, walked, stop=None, rhs=None):
+        """walked (from the left boundary on) stepped on to ``stop`` (the
+        owned end) one point at a time, the engine's only such loop,
+        adding ``rhs`` (rows from own_lo on; default the level's own)."""
+        rhs = lvl.rhs if rhs is None and lvl.use_rhs else rhs
         rows = [walked]
-        for i in range(lvl.left_index + len(walked), lvl.own_hi):
+        for i in range(lvl.left_index + len(walked), stop or lvl.own_hi):
             u = self._step(lvl, rows[-1][-1:], i)
-            if lvl.use_rhs:
-                u += lvl.rhs[i - lvl.own_lo]
+            if rhs is not None:
+                u += rhs[i - lvl.own_lo]
             rows.append(u)
         return np.concatenate(rows)
 
@@ -437,7 +440,11 @@ class MgritSolver:
 
     def _transfer(self, fn, src, dst, rows):
         """A spatial transfer, state by state, from rows of level src to
-        rows of level dst."""
+        rows of level dst; the rows themselves between levels on the same
+        grid, which is safe because callers never write the rows they get
+        back."""
+        if src.spatial_level == dst.spatial_level:
+            return rows
         return dst.rows([fn(src.state(r)) for r in rows])
 
     @_charged
@@ -451,10 +458,8 @@ class MgritSolver:
         measuring sweep's (walked, C-updates), which replace the sweep.
         The coarse steps, one per unit, are one kernel call.
         """
-        restrict = (functools.partial(
+        restrict = functools.partial(
             self._transfer, self.problem.spatial.restrict_state, lvl, nxt)
-            if nxt.spatial_level != lvl.spatial_level
-            else lambda rows: rows)  # nothing writes the C-store here
         first = lvl.decomp.first_unit(self.transport.rank)
         walked, updates = held if held is not None else self._walk(lvl, True)
         res = updates - lvl.c_store
@@ -479,23 +484,20 @@ class MgritSolver:
 
     @_charged
     def _coarsest_solve(self, lvl, nested=False, prev_losses=None):
-        """Gather the right-hand side, step the level sequentially on
-        rank 0, scatter the owned ranges.  On a coarse level the kept
-        slots then hold v - kept (the error), or v itself during nested
-        iterations.  On the fine level (a 1-level hierarchy) v is the
-        answer: this returns _measure's tuple with v (rank 0) for the held
-        sweep, residual 0 by construction, losses from the scattered v."""
+        """Gather the right-hand side, step the anchor through the level
+        with it on rank 0, scatter the owned ranges of those rows v.  On a
+        coarse level the kept slots then hold v - kept (the error), or v
+        itself during nested iterations.  On the fine level (a 1-level
+        hierarchy) v is the answer: this returns _measure's tuple with v
+        (rank 0) for the held sweep, residual 0 by construction, losses
+        from the scattered v."""
         parts = gather_to_root(self.transport,
                                lvl.rhs if lvl.use_rhs else None)
         v = chunks = None
         if parts is not None:
-            g = ([None] + [lvl.state(r) for part in parts for r in part]
-                 if lvl.use_rhs else None)
-            v = sequential_solve(self.problem, lvl.t, lvl.spatial_level,
-                                 self._smooth, g,
-                                 initial=lvl.state(lvl.anchor.copy()))
-            rows = lvl.rows(v.states)
-            chunks = [rows[slice(*lvl.decomp.owned_range(w))]
+            v = self._tail(lvl, lvl.anchor[None], len(lvl.t),
+                           np.concatenate(parts) if lvl.use_rhs else None)
+            chunks = [v[slice(*lvl.decomp.owned_range(w))]
                       for w in range(self.transport.size)]
         mine = scatter_from_root(self.transport, chunks)
         if lvl.index == 0:
@@ -514,10 +516,8 @@ class MgritSolver:
         owned point; on any other level a full walk reconstructs the
         coarse iterate and emits v - kept.
         """
-        prolong = (functools.partial(
+        prolong = functools.partial(
             self._transfer, self.problem.spatial.prolong_error, coarse, fine)
-            if coarse.spatial_level != fine.spatial_level
-            else lambda rows: rows)
         values = coarse.u_keep
         if coarse.index < self.n_levels - 1:
             walked = self._walk(coarse)[0][1:]
@@ -637,20 +637,20 @@ class MgritSolver:
 
         solution = None
         if gather_solution and run.failure is None:
-            solution = (answer if self.n_levels == 1
-                        else self._materialize(held[0]))
+            rows = answer if self.n_levels == 1 else self._materialize(
+                held[0])
+            if rows is not None:  # rank 0
+                solution = SpaceTimeVector(map(fine.state, rows))
         return run, solution
 
     def _materialize(self, walked):
         """Step the F-tail on from the last measuring walk and gather the
-        trajectory on rank 0 from each rank's rows, copies that share no
-        memory with the solver's."""
+        trajectory's rows on rank 0 (None elsewhere), a copy that shares
+        no memory with the solver's."""
         lvl = self.levels[0]
         parts = gather_to_root(self.transport, self._tail(lvl, walked)[1:])
-        if parts is None:
-            return None
-        return SpaceTimeVector([lvl.state(lvl.anchor.copy())] + [
-            lvl.state(r) for r in np.concatenate(parts)])
+        return None if parts is None else np.concatenate(
+            [lvl.anchor[None], *parts])
 
 
 def mgrit_solve(problem, hierarchy, cycle=None, stopping=None, transport=None,

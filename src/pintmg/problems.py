@@ -24,10 +24,12 @@ stacked ddot for their norms and one pbsv call per iterate, and each row
 keeps its own scale and line search.  A failing row raises exactly its
 single step's error, the first failing row in row order when several
 fail.  ``step`` is the same kernel on one row, so no kernel exists
-twice.  batched_step picks step_many for a problem whose class defines
-it next to ``step``, and a per-row loop over ``step`` otherwise, so a
-wrapper that forwards attributes, or a subclass that overrides only
-``step``, still sees every step.
+twice, and step_many takes that path for a single row (chosen by the
+row count), so a one-row call costs what ``step`` does.  batched_step
+picks step_many for a problem whose class defines it next to ``step``,
+and a per-row loop over ``step`` otherwise, so a wrapper that forwards
+attributes, or a subclass that overrides only ``step``, still sees
+every step.
 
 Steppers are deterministic.  Their only state is two memos: banded
 factorizations per (grid, dt) and read-only forcing arrays per
@@ -55,8 +57,9 @@ same iterate is then assembled from, and an accepted trial (damped or
 not) hands its arrays on to the next iteration.  The results are bitwise
 those of evaluating residual and Jacobian separately.
 
-Chaining steps over a whole time grid (sequential_solve) is the oracle
-every parallel-in-time result is measured against.
+sequential_solve, plain forward stepping with ``step`` from the initial
+state, is the oracle every parallel-in-time result is measured against;
+the solver never calls it.
 """
 
 from __future__ import annotations
@@ -261,7 +264,12 @@ class _FieldProblem:
                   smooth=False):
         """Row r of the result is step(BlockState(fields[r], scalars[r]),
         t_prev[r], t_next[r], spatial_level, guess=<that state>, smooth)
-        bit for bit, as (fields, scalars, iterations)."""
+        bit for bit, as (fields, scalars, iterations).  A single row takes
+        step's path, on its 1-d arrays, without the rows' bookkeeping."""
+        if len(t_prev) == 1:
+            f, s, its = self._advance(fields[0], scalars[0], t_prev, t_next,
+                                      spatial_level, smooth, None)
+            return f[None], s[None], its
         return self._advance(fields, scalars, t_prev, t_next, spatial_level,
                              smooth, None)
 
@@ -647,24 +655,12 @@ def batched_step(problem):
     return step_rows
 
 
-def sequential_solve(problem, times, spatial_level=0, smooth=False, g=None,
-                     initial=None):
-    """Forward block solve: the O(n_steps) serial oracle.
-
-    With a right-hand-side vector ``g`` this solves the all-at-once system
-    u_0 = g_0, u_i = step(u_{i-1}) + g_i, which is how coarse levels carry
-    their correction sources; without it, g is the plain initial-value
-    right-hand side.  Returns the trajectory as a SpaceTimeVector.
-    """
-    n = len(times)
-    if initial is None:
-        initial = (g[0].clone() if g is not None
-                   else problem.initial_state(spatial_level))
-    states = [initial]
-    for i in range(1, n):
+def sequential_solve(problem, times, spatial_level=0, smooth=False):
+    """Forward stepping from the initial state: the O(n_steps) serial
+    oracle.  Returns the trajectory as a SpaceTimeVector."""
+    states = [problem.initial_state(spatial_level)]
+    for i in range(1, len(times)):
         u, _ = problem.step(states[-1], float(times[i - 1]), float(times[i]),
                             spatial_level, guess=states[-1], smooth=smooth)
-        if g is not None:
-            u.add_scaled(g[i], 1.0)
         states.append(u)
     return SpaceTimeVector(states)

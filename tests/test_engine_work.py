@@ -8,7 +8,8 @@ C-point; only the walks that ascend step the F-tail.  The answer is the
 last measuring walk's states, copied, plus the fine F-tail stepped on
 from them: no fine point before the tail is stepped again.  A 1-level
 hierarchy is solved by the coarsest-level path: sequential stepping on
-rank 0, whose trajectory is the answer.
+rank 0, whose trajectory is the answer.  The engine reaches the problem
+only through step_many, never through step.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from pintmg.problems import (LinearDiffusionProblem, SurrogateMachineProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
+
+from oracles import max_abs_diff
 
 N_STEPS, FACTORS = 64, [4, 4]
 CASES = [(kind, gamma, p) for kind in ("V", "F") for gamma in (0, 1, 2)
@@ -233,6 +236,44 @@ def test_the_engine_steps_a_layer_in_one_step_many_call():
     assert problem.calls == steps
     # a fine layer steps all 16 intervals: far fewer calls than steps
     assert problem.batches < sum(steps) / 4
+
+
+# (cycle kind, nested iterations, fine steps, factors): the three cycles,
+# nested iterations, an F-tail and a 1-level hierarchy
+GUARD_CASES = [("V", False, N_STEPS, FACTORS), ("F", False, N_STEPS, FACTORS),
+               ("two-level", False, N_STEPS, FACTORS),
+               ("V", True, N_STEPS, FACTORS), ("F", True, TAIL_STEPS, FACTORS),
+               ("V", False, N_STEPS, [])]
+
+
+def _step_raises(*args, **kwargs):
+    raise AssertionError("the engine called step")
+
+
+def _guarded_worker(transport, job):
+    """Solve with ``step`` raising on the instance: batched_step looks
+    step_many up on the type, so only the engine's _step can get through."""
+    kind, nested, n_steps, factors = job
+    problem = _problem()
+    problem.step = _step_raises
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               factors)
+    return MgritSolver(problem, hier,
+                       CycleSpec(kind=kind, nested_iterations=nested),
+                       StoppingCriterion(tolerance=1e-10), transport).solve()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kind,nested,n_steps,factors", GUARD_CASES)
+def test_the_engine_steps_only_through_step_many(kind, nested, n_steps,
+                                                  factors, p):
+    run, traj = run_spmd(p, _guarded_worker, (kind, nested, n_steps, factors),
+                         backend="thread")[0]
+    seq = sequential_solve(_problem(),
+                           build_uniform_grid(0.0, 0.02, n_steps).points)
+    assert run.converged and run.failure is None
+    # a 1-level hierarchy is sequential stepping itself
+    assert max_abs_diff(traj, seq) <= (1e-8 if factors else 0.0)
 
 
 @pytest.mark.parametrize("stopping", sorted(STOPPING))

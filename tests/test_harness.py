@@ -248,18 +248,30 @@ def test_cli_scale_ladder_from_workers_flag(tmp_path, capsys):
     assert "sequential reference" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("workers", ["0", "-1", "two"])
-def test_cli_names_a_bad_workers_flag_not_the_config(tmp_path, capsys,
-                                                     workers):
+def _assert_flag_named(tmp_path, capsys, flag, value, kind):
+    """pintmg run with a bad flag value exits 2 naming the flag, not the
+    config, and writes nothing.  The config takes the random source
+    profile, which would reject a negative seed once loaded."""
+    config = cli_config(tmp_path, problem_source="random")
     with pytest.raises(SystemExit) as exited:
-        main(["run", "--config", cli_config(tmp_path), "--workers", workers,
+        main(["run", "--config", config, flag, value,
               "--out", str(tmp_path / "out")])
     assert exited.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "exp.cfg" not in err
-    assert (f"argument --workers: must be a positive integer, "
-            f"got {workers!r}") in err
+    assert f"argument {flag}: must be a {kind} integer, got {value!r}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_cli_names_a_bad_workers_flag_not_the_config(tmp_path, capsys,
+                                                     workers):
+    _assert_flag_named(tmp_path, capsys, "--workers", workers, "positive")
+
+
+@pytest.mark.parametrize("seed", ["-1", "x", "\u00b2"])
+def test_cli_names_a_bad_seed_flag_not_the_config(tmp_path, capsys, seed):
+    _assert_flag_named(tmp_path, capsys, "--seed", seed, "non-negative")
 
 
 def test_cli_requires_subcommand():

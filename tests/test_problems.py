@@ -17,7 +17,7 @@ from pintmg.problems import (
 )
 from pintmg import problems
 from pintmg.runtime import run_spmd
-from pintmg.state import BlockState, SpaceTimeVector
+from pintmg.state import BlockState
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 from oracles import UnfusedNewton
@@ -276,17 +276,6 @@ def test_sequential_solve_matches_dense_recursion():
         dt = times[i] - times[i - 1]
         u = dense_linear_step(n, nu, sigma, dt, u, prob.forcing(times[i]))
         assert np.allclose(sol[i].field, u, rtol=1e-11, atol=1e-13)
-
-
-def test_sequential_solve_with_rhs_vector_adds_g():
-    prob = DahlquistProblem(rate=-1.0, initial=1.0)
-    times = np.array([0.0, 1.0, 2.0])
-    g = SpaceTimeVector([BlockState([2.0]), BlockState([0.1]), BlockState([0.0])])
-    sol = sequential_solve(prob, times, g=g)
-    # u_0 = 2.0, u_1 = 1.0 + 0.1, u_2 = 0.55
-    assert sol[0].field[0] == 2.0
-    assert sol[1].field[0] == pytest.approx(1.1)
-    assert sol[2].field[0] == pytest.approx(0.55)
 
 
 def test_joule_loss_values():

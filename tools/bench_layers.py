@@ -11,6 +11,9 @@ measures, as thread CPU time:
 - L1: microseconds per point of one fine sweep, ``_walk`` of the fine
   level, of a p = 1 solver (no transport) after one solve has filled its
   stores and memos;
+- L1 coarsest: microseconds per point of that solver's coarsest solve,
+  ``_coarsest_solve(levels[-1], nested=True)`` on the right-hand side the
+  solve left there;
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
   first STEPS steps of the workload's time grid, on a problem whose
   forcing memo one untimed solve has filled.
@@ -90,6 +93,12 @@ class Layers:
             collections.deque(walk, maxlen=0)
         return (time.thread_time() - t0) * 1e6 / self.points
 
+    def coarsest_us(self):
+        lvl = self.solver.levels[-1]
+        t0 = time.thread_time()
+        self.solver._coarsest_solve(lvl, nested=True)
+        return (time.thread_time() - t0) * 1e6 / (len(lvl.t) - 1)
+
     def step_us(self):
         t0 = time.thread_time()
         self.sequential(self.stepper, self.times)
@@ -111,6 +120,7 @@ def main(argv=None):
     for name, w in WORKLOADS.items():
         layers = [Layers(pm, w) for pm in packages]
         for label, measure in (("L1 sweep us/point", Layers.sweep_us),
+                               ("L1 coarsest us/pt", Layers.coarsest_us),
                                ("L0 step us/call", Layers.step_us)):
             times = [[] for _ in layers]
             for r in range(args.rounds):
