@@ -72,6 +72,9 @@ class ExperimentConfig:
             if value not in choices:
                 raise ValueError(f"{key} must be one of {choices}, "
                                  f"got {value!r}")
+        if self.run_seed < 0:  # only the random profile draws from it
+            raise ValueError(f"run.seed must be non-negative, "
+                             f"got {self.run_seed}")
         build_problem(self)
         build_hierarchy(self)
         build_cycle(self)

@@ -39,9 +39,10 @@ Rank 0 gathers a level's rows in point order for the coarsest solve
 (_tail steps the anchor on through the gathered right-hand side, owned
 ranges are scattered back; on a 1-level hierarchy it is the answer) and
 for the fine trajectory; so _step is the only way to the problem.
-Restriction and ascent move values between levels through _route: every
-point's payload goes to the rank owning it on the other level, receivers
-take what others computed in point order.
+Restriction and ascent move row blocks: the spatial transfers are the
+problem's row functions on a level's rows, and _route sends each peer
+one block of consecutive points, read off the two levels' decompositions.
+Residual squares and losses are stacked dots over the rows.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -55,7 +56,6 @@ sweep walked, and the F-tail stepped on from them.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import operator
 import time
@@ -108,6 +108,13 @@ class StoppingCriterion:
         if self.tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, "
                              f"got {self.tolerance}")
+
+
+def _squares(rows, nf):
+    """Each row's field square plus its scalars' square, from stacked dots:
+    bitwise float(f @ f) + float(s @ s) of the row's parts."""
+    return (rows[:, None, :nf] @ rows[:, :nf, None]
+            + rows[:, None, nf:] @ rows[:, nf:, None])[:, 0, 0]
 
 
 def qoi_change(p_new, p_old, floor=QOI_FLOOR):
@@ -229,15 +236,21 @@ class _Level:
         self.splitting = splitting
         self.m = splitting.factor
         self.spatial_level = spatial_level
-        self.decomp = Decomposition(splitting, solver.transport.size)
+        d = self.decomp = Decomposition(splitting, solver.transport.size)
+        # per rank as [start, stop): its owned points, and its closing
+        # C-points as points of the next coarser level
+        ranks = range(solver.transport.size)
+        self.owned = [d.owned_range(w) for w in ranks]
+        self.closing = [(d.first_unit(w) + 1, d.first_unit(w) + 1
+                         + d.n_units(w)) for w in ranks]
         rank = solver.transport.rank
-        self.c_idx = [int(c) for c in self.decomp.c_points(rank)]
-        self.own_lo, self.own_hi = self.decomp.owned_range(rank)
-        self.left_index = self.decomp.left_boundary_index(rank)
+        self.c_idx = [int(c) for c in d.c_points(rank)]
+        self.own_lo, self.own_hi = self.owned[rank]
+        self.left_index = d.left_boundary_index(rank)
         self.nf = solver.problem.spatial.size(spatial_level)
         self.width = self.nf + solver.problem.n_scalars
-        self.anchor = self.rows(
-            [solver.problem.initial_state(spatial_level)])[0]
+        init = solver.problem.initial_state(spatial_level)
+        self.anchor = np.concatenate((init.field, init.scalars))
         alloc = functools.partial(solver._alloc_rows, index, self.width)
         self.c_store = alloc(len(self.c_idx))
         self.u_keep = self.rhs = None
@@ -249,15 +262,6 @@ class _Level:
         self.use_rhs = False  # plain initial-value level until a descent fills it
         self.seconds = 0.0
         self.wait = 0.0
-
-    def state(self, row):
-        """A row as a BlockState sharing its memory."""
-        return BlockState(row[:self.nf], row[self.nf:])
-
-    def rows(self, states):
-        """BlockStates of this level's grid as a new array of rows."""
-        return np.array([np.concatenate((s.field, s.scalars))
-                         for s in states]).reshape(len(states), self.width)
 
 
 class MgritSolver:
@@ -287,6 +291,8 @@ class MgritSolver:
                    self.assignment[l])
             for l in range(n_levels)]
         self._loss_weights = problem.loss_weights(self.assignment[0])
+        fine = self.levels[0]
+        self._loss_dt = [fine.t[c] - fine.t[c - 1] for c in fine.c_idx]
         self._smooth = False
         self.setup_seconds = time.perf_counter() - t_setup
 
@@ -307,32 +313,32 @@ class MgritSolver:
 
     # --- communication helpers ---
 
-    def _route(self, items, dest_of, expected, apply):
-        """Redistribute (j, payload) items between levels.
-
-        Each item goes to rank dest_of(j): local ones are applied at once,
-        the rest are sent once the items are exhausted, merged in
-        ascending j with the expected (j, source) arrivals.  Both ends of
-        every message meet it in that one order, so no two ranks can
-        block writing to each other (see the runtime module).
-        """
-        rank, outgoing = self.transport.rank, []
-        for j, payload in items:
-            dest = dest_of(j)
-            if dest == rank:
-                apply(j, payload)
-            else:
-                outgoing.append((j, True, dest, payload))
-        incoming = ((j, False, src, None) for j, src in expected if src != rank)
-        for j, sending, peer, payload in heapq.merge(
-                outgoing, incoming, key=operator.itemgetter(0)):
-            if sending:
-                self.transport.send(peer, (j, payload))
+    def _route(self, rows, sent, received):
+        """Move rows between levels: rank w holds the rows of the points
+        sent[w] and gets back those of received[w], [start, stop) ranges.
+        A peer's block goes in one message.  Sends and receives run in
+        ascending start point, one order for both ends of a message, so no
+        two ranks block writing to each other (see the runtime module)."""
+        rank, moves = self.transport.rank, []
+        (lo, hi), (in_lo, in_hi) = sent[rank], received[rank]
+        out = np.empty((in_hi - in_lo, *rows.shape[1:]))
+        for w, ((s_lo, s_hi), (r_lo, r_hi)) in enumerate(zip(sent, received)):
+            a, b = max(lo, r_lo), min(hi, r_hi)  # from here to w
+            if a < b:
+                moves.append((a, w, rows[a - lo:b - lo]))
+            a, b = max(in_lo, s_lo), min(in_hi, s_hi)  # from w to here
+            if a < b and w != rank:
+                moves.append((a, w, None))
+        for a, peer, block in sorted(moves, key=operator.itemgetter(0)):
+            if block is not None and peer != rank:
+                self.transport.send(peer, (a, block))
                 continue
-            jj, payload = self.transport.recv(peer)
-            if jj != j:
-                raise RuntimeError(f"redistribution order broke: {jj} != {j}")
-            apply(j, payload)
+            if block is None:
+                start, block = self.transport.recv(peer)
+                if start != a:
+                    raise RuntimeError(f"route order broke: {start} != {a}")
+            out[a - in_lo:a - in_lo + len(block)] = block
+        return out
 
     # --- sweeps ---
 
@@ -400,12 +406,12 @@ class MgritSolver:
             updates += lvl.rhs[lvl.c_rows]
         lvl.c_store[:] = updates
 
-    def _loss(self, c, before, at):
-        """Joule loss of the fine step into point c, from the rows at
-        c - 1 and c."""
-        fine = self.levels[0]
-        return joule_loss(fine.state(before), fine.state(at),
-                          fine.t[c] - fine.t[c - 1], self._loss_weights)
+    def _losses(self, before, at):
+        """Joule losses of the fine steps into the owned C-points, from
+        the rows at c - 1 and at c, in one stacked call."""
+        nf = self.levels[0].nf
+        return joule_loss(before[:, :nf], at[:, :nf], self._loss_dt,
+                          self._loss_weights)
 
     def _reduce(self, squares, losses, prev_losses):
         """Fine residual norm from the per-C-point squares and loss change
@@ -431,21 +437,18 @@ class MgritSolver:
         no FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
         """
         walked, updates = held = self._walk(lvl, sweep=True)
-        nf, m = lvl.nf, lvl.m
-        squares = [float(r[:nf] @ r[:nf]) + float(r[nf:] @ r[nf:])
-                   for r in updates - lvl.c_store]
-        losses = np.array([self._loss(*point) for point in zip(
-            lvl.c_idx, walked[m - 1::m], walked[m::m])])
+        squares = _squares(updates - lvl.c_store, lvl.nf)
+        losses = self._losses(walked[lvl.m - 1::lvl.m], walked[lvl.m::lvl.m])
         return (*self._reduce(squares, losses, prev_losses), losses, held)
 
     def _transfer(self, fn, src, dst, rows):
-        """A spatial transfer, state by state, from rows of level src to
-        rows of level dst; the rows themselves between levels on the same
-        grid, which is safe because callers never write the rows they get
-        back."""
+        """Rows of level src as rows of level dst, fn (a row function of the
+        problem's spatial hierarchy) on the fields; on the same grid the rows
+        themselves, safe because callers never write what they get back."""
         if src.spatial_level == dst.spatial_level:
             return rows
-        return dst.rows([fn(src.state(r)) for r in rows])
+        return np.concatenate((fn(rows[:, :src.nf]), rows[:, src.nf:]),
+                              axis=1)
 
     @_charged
     def _restrict_sweep(self, lvl, nxt, held=None):
@@ -459,8 +462,7 @@ class MgritSolver:
         The coarse steps, one per unit, are one kernel call.
         """
         restrict = functools.partial(
-            self._transfer, self.problem.spatial.restrict_state, lvl, nxt)
-        first = lvl.decomp.first_unit(self.transport.rank)
+            self._transfer, self.problem.spatial.restrict_fields, lvl, nxt)
         walked, updates = held if held is not None else self._walk(lvl, True)
         res = updates - lvl.c_store
         if lvl.use_rhs:
@@ -468,17 +470,11 @@ class MgritSolver:
         left = restrict(walked[:1])  # the boundary; idle ranks have none
         kept = restrict(lvl.c_store)
         rhs = kept - self._step(nxt, np.concatenate((left, kept))[:len(kept)],
-                                first + 1)
+                                lvl.closing[self.transport.rank][0])
         rhs += restrict(res)
-
-        def fill(j, payload):
-            nxt.u_keep[j - nxt.own_lo], nxt.rhs[j - nxt.own_lo] = payload
-
-        self._route(((first + q + 1, pair)
-                     for q, pair in enumerate(zip(kept, rhs))),
-                    nxt.decomp.point_owner,
-                    ((j, lvl.decomp.unit_owner(j - 1))
-                     for j in range(nxt.own_lo, nxt.own_hi)), fill)
+        got = self._route(np.stack((kept, rhs), axis=1), lvl.closing,
+                          nxt.owned)
+        nxt.u_keep[:], nxt.rhs[:] = got[:, 0], got[:, 1]
         nxt.use_rhs = True
         nxt.c_store[:] = nxt.u_keep[nxt.c_rows]  # coarse seed
 
@@ -497,13 +493,12 @@ class MgritSolver:
         if parts is not None:
             v = self._tail(lvl, lvl.anchor[None], len(lvl.t),
                            np.concatenate(parts) if lvl.use_rhs else None)
-            chunks = [v[slice(*lvl.decomp.owned_range(w))]
-                      for w in range(self.transport.size)]
+            chunks = [v[slice(*owned)] for owned in lvl.owned]
         mine = scatter_from_root(self.transport, chunks)
         if lvl.index == 0:
-            lo = lvl.own_lo
-            losses = np.array([self._loss(c, mine[c - 1 - lo], mine[c - lo])
-                               for c in lvl.c_idx])
+            end = len(lvl.c_idx) * lvl.m  # mine[c - own_lo] for c in c_idx
+            losses = self._losses(mine[lvl.m - 2:end:lvl.m],
+                                  mine[lvl.m - 1:end:lvl.m])
             return (*self._reduce([], losses, prev_losses), losses, v)
         lvl.u_keep[:] = mine if nested else mine - lvl.u_keep
 
@@ -514,27 +509,17 @@ class MgritSolver:
 
         The coarsest level's kept slots already hold the payload for every
         owned point; on any other level a full walk reconstructs the
-        coarse iterate and emits v - kept.
+        coarse iterate and emits v - kept.  The owned block is prolonged
+        once, then routed.
         """
-        prolong = functools.partial(
-            self._transfer, self.problem.spatial.prolong_error, coarse, fine)
         values = coarse.u_keep
         if coarse.index < self.n_levels - 1:
             walked = self._walk(coarse)[0][1:]
             values = walked if inject else walked - coarse.u_keep
-        first = fine.decomp.first_unit(self.transport.rank) + 1
-
-        def apply(j, payload):
-            row = prolong(payload[None])[0]
-            if inject:
-                fine.c_store[j - first] = row
-            else:
-                fine.c_store[j - first] += row
-
-        self._route(zip(range(coarse.own_lo, coarse.own_hi), values),
-                    lambda j: fine.decomp.unit_owner(j - 1),
-                    ((j, coarse.decomp.point_owner(j))
-                     for j in range(first, first + len(fine.c_idx))), apply)
+        got = self._route(self._transfer(self.problem.spatial.prolong_fields,
+                                         coarse, fine, values),
+                          coarse.owned, fine.closing)
+        fine.c_store[:] = got if inject else fine.c_store + got
 
     # --- cycles ---
 
@@ -583,7 +568,9 @@ class MgritSolver:
         """Load the fine-level C-store from a full trajectory (every rank
         passes the same global SpaceTimeVector)."""
         lvl = self.levels[0]
-        lvl.c_store[:] = lvl.rows([trajectory[c] for c in lvl.c_idx])
+        for row, c in zip(lvl.c_store, lvl.c_idx):
+            u = trajectory[c]
+            row[:lvl.nf], row[lvl.nf:] = u.field, u.scalars
 
     def solve(self, gather_solution=True, initial_guess=None):
         """Run cycles until the stopping test passes or max_iters is hit.
@@ -640,7 +627,8 @@ class MgritSolver:
             rows = answer if self.n_levels == 1 else self._materialize(
                 held[0])
             if rows is not None:  # rank 0
-                solution = SpaceTimeVector(map(fine.state, rows))
+                solution = SpaceTimeVector(
+                    BlockState(r[:fine.nf], r[fine.nf:]) for r in rows)
         return run, solution
 
     def _materialize(self, walked):

@@ -107,9 +107,11 @@ class NewtonOptions:
 
 
 def joule_loss(u_prev, u_next, dt, weights):
-    """Weighted square of the discrete time derivative of the field."""
-    du = (u_next.field - u_prev.field) / dt
-    return float(weights @ (du * du))
+    """Weighted square of the discrete time derivative of each of the k
+    rows of fields, steps dt (k or one), from one stacked dot: bitwise each
+    row's weights @ (du * du) (q @ weights, a gemv, is not)."""
+    du = (u_next - u_prev) / np.reshape(dt, (-1, 1))
+    return ((du * du)[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
 SOURCES = ("sine", "bump", "random")
@@ -310,20 +312,26 @@ class LinearDiffusionProblem(_FieldProblem):
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
                  smooth, guess):
-        """One _solve per distinct dt; the guess is not needed, and there
-        are no scalars to step."""
-        if len(t_prev) == 1:
+        """One _solve per distinct dt (a uniform grid's steps differ in
+        their last bits), the rows sorted stably by dt and cut where it
+        changes; no guess is needed, and there are no scalars to step."""
+        k = len(t_prev)
+        if k == 1:
             return (self._solve(fields, t_next[0] - t_prev[0], t_next,
                                 spatial_level, smooth), scalars, [1])
-        groups = {}
-        for r, (a, b) in enumerate(zip(t_prev, t_next)):
-            groups.setdefault(b - a, []).append(r)
-        out = np.empty(fields.shape)
-        for dt, rows in groups.items():
-            out[rows] = self._solve(fields[rows], dt,
-                                    [t_next[r] for r in rows],
+        dt = np.subtract(t_next, t_prev)
+        order = dt.argsort(kind="stable")
+        dt = dt[order]
+        cuts = [0, *(np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist(), k]
+        if len(cuts) == 2:  # one dt: one solve, no copies
+            return (self._solve(fields, dt[0].item(), t_next, spatial_level,
+                                smooth), scalars, [1] * k)
+        times, out = np.array(t_next)[order].tolist(), np.empty(fields.shape)
+        for a, b in zip(cuts, cuts[1:]):
+            rows = order[a:b]
+            out[rows] = self._solve(fields[rows], dt[a].item(), times[a:b],
                                     spatial_level, smooth)
-        return out, scalars, [1] * len(t_prev)
+        return out, scalars, [1] * k
 
 
 @dataclass(frozen=True)

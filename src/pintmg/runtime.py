@@ -30,10 +30,11 @@ A pipe write blocks once 64 KiB wait unread, so every message pattern
 reads within itself all it writes and finishes even if each write waits
 for its reader.  A walk's boundary exchange writes only rightward, so
 the writers unwind from the last active rank.  A route between levels
-(MgritSolver._route) merges each rank's writes and reads in ascending
-point index, one order both ends of every message follow; writing all
-before reading could deadlock from p = 5 (a writes to b, b to c, c waits
-for a), although no pair sends both ways.  Gather and scatter only write
+(MgritSolver._route) sends each peer one block of consecutive points,
+the writes and reads in ascending first point, one order both ends of
+every message follow (a point has one sender and one receiver); writing
+all before reading could deadlock from p = 5 (a writes to b, b to c, c
+waits for a), although no pair sends both ways.  Gather and scatter only write
 to or only read from rank 0, which takes the ranks in order.
 """
 
@@ -80,19 +81,12 @@ class Decomposition:
     def first_unit(self, rank):
         return self._first_unit[rank]
 
-    def unit_owner(self, unit):
-        """Rank whose unit range contains the given global unit index."""
-        if not 0 <= unit < self.splitting.n_intervals:
-            raise ValueError(f"unit {unit} out of range")
-        return bisect_right(self._ends, unit)
-
     def point_owner(self, i):
         """Rank owning point i >= 1: the owner of the unit it closes or
         lies inside, the F-tail going with the last unit."""
         k = self.splitting.n_intervals
-        if k == 0:
-            return 0
-        return self.unit_owner(min((i - 1) // self.splitting.factor, k - 1))
+        unit = min((i - 1) // self.splitting.factor, k - 1)
+        return bisect_right(self._ends, unit) if k else 0
 
     def is_empty(self, rank):
         """Active ranks are a prefix: rank 0 (which keeps a level with no

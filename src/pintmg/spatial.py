@@ -3,12 +3,14 @@
 Grids hold interior points of the unit interval under homogeneous
 Dirichlet conditions; a grid of n points refines one of (n - 1) / 2
 points, so fine odd indices coincide with coarse points.  Sizes strictly
-decrease down the stack, so a state's field size names its grid: the
-transfers read the source grid from it rather than from a tag.  Fields
-move by injection (down) and linear interpolation (up); lumped scalars
-ride along unchanged in both directions.  Injection of an interpolated
-vector gives back exactly what went up, which keeps repeated transfer
-cycles stable.
+decrease down the stack, so a field's size names its grid: the transfers
+read the source grid from it rather than from a tag.  Fields move by
+injection (down) and linear interpolation (up); lumped scalars ride
+along unchanged in both directions.  Injection of an interpolated vector
+gives back exactly what went up, which keeps repeated transfer cycles
+stable.  The transfers are row functions along the last axis, which the
+MGRIT engine applies to a level's (k, n) field rows; restrict_state and
+prolong_error call them on one state.
 """
 
 from __future__ import annotations
@@ -56,31 +58,43 @@ class SpatialHierarchy:
         n = self.sizes[grid]
         return np.arange(1, n + 1) / (n + 1)
 
-    def _grid_of(self, state):
-        """The grid whose size is the state's field size."""
-        try:
-            return self.sizes.index(state.field.size)
-        except ValueError:
-            raise ValueError(f"no grid has {state.field.size} points; "
-                             f"sizes are {self.sizes}") from None
+    def _grid_of(self, fields):
+        """The grid whose size is the fields' last axis."""
+        if fields.shape[-1] not in self.sizes:
+            raise ValueError(f"no grid has {fields.shape[-1]} points; "
+                             f"sizes are {self.sizes}")
+        return self.sizes.index(fields.shape[-1])
 
-    def restrict_state(self, state):
-        """Inject field values at coarse-aligned points, one grid down."""
-        s = self._grid_of(state)
+    def restrict_fields(self, fields):
+        """Inject the values at coarse-aligned points, one grid down, along
+        the last axis, as a new array."""
+        s = self._grid_of(fields)
         if s + 1 >= self.n_grids:
             raise ValueError(f"no grid below {s} (hierarchy has "
                              f"{self.n_grids})")
-        return BlockState(state.field[1::2].copy(), state.scalars.copy())
+        return fields[..., 1::2].copy()
+
+    def prolong_fields(self, fields):
+        """Linearly interpolate to the next finer grid along the last
+        axis, as a new array."""
+        if self._grid_of(fields) == 0:
+            raise ValueError("already on the finest grid")
+        padded = np.zeros((*fields.shape[:-1], fields.shape[-1] + 2))
+        padded[..., 1:-1] = fields
+        fine = np.empty((*fields.shape[:-1], 2 * fields.shape[-1] + 1))
+        fine[..., 1::2] = fields
+        fine[..., 0::2] = 0.5 * (padded[..., :-1] + padded[..., 1:])
+        return fine
+
+    def restrict_state(self, state):
+        """restrict_fields of the state's field, scalars copied along."""
+        return BlockState(self.restrict_fields(state.field),
+                          state.scalars.copy())
 
     def prolong_error(self, state):
-        """Linearly interpolate the field to the next finer grid."""
-        if self._grid_of(state) == 0:
-            raise ValueError("already on the finest grid")
-        fine = np.empty(2 * state.field.size + 1)
-        fine[1::2] = state.field
-        padded = np.concatenate(([0.0], state.field, [0.0]))
-        fine[0::2] = 0.5 * (padded[:-1] + padded[1:])
-        return BlockState(fine, state.scalars.copy())
+        """prolong_fields of the state's field, scalars copied along."""
+        return BlockState(self.prolong_fields(state.field),
+                          state.scalars.copy())
 
 
 def assign_spatial_levels(strategy, n_time_levels, n_spatial_grids):

@@ -40,13 +40,6 @@ class BlockState:
     def clone(self):
         return BlockState(self.field.copy(), self.scalars.copy())
 
-    def copy_from(self, other):
-        """Overwrite in place; shapes must already agree."""
-        self._check_compatible(other)
-        self.field[:] = other.field
-        self.scalars[:] = other.scalars
-        return self
-
     def _check_compatible(self, other):
         if (self.field.shape != other.field.shape
                 or self.scalars.shape != other.scalars.shape):

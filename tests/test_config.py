@@ -117,6 +117,13 @@ def test_source_is_checked_at_parse_time():
         parse_config("problem.source = sin\n")
 
 
+@pytest.mark.parametrize("source", ["sine", "random"])
+def test_negative_seed_rejected_by_name_for_every_source(source):
+    with pytest.raises(ValueError,
+                       match=r"^run\.seed must be non-negative, got -1$"):
+        parse_config(f"problem.source = {source}\nrun.seed = -1\n")
+
+
 def test_with_overrides():
     c = ExperimentConfig()
     c2 = with_overrides(c, hierarchy_workers=4, run_seed=17)

@@ -291,6 +291,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("excitation.modulation = 1.5\n",
      "modulation must lie in [0, 1], got 1.5"),
+    ("problem.source = sine\nrun.seed = -1\n",
+     "run.seed must be non-negative, got -1"),
+    ("problem.source = random\nrun.seed = -1\n",
+     "run.seed must be non-negative, got -1"),
     (None, "No such file or directory"),
 ])
 def test_cli_reports_an_invalid_or_missing_config_in_one_line(

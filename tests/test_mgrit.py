@@ -5,7 +5,8 @@ import pytest
 
 from pintmg.excitation import PwmSource
 from pintmg.mgrit import (CycleSpec, MgritSolver, StoppingCriterion,
-                          mgrit_solve, qoi_change, storage_estimate)
+                          _squares, mgrit_solve, qoi_change,
+                          storage_estimate)
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
                              sequential_solve)
@@ -478,3 +479,15 @@ def test_run_records_timings_and_history():
     assert len(run.level_seconds) == hier.n_levels
     assert run.total_seconds >= run.solve_seconds > 0.0
     assert run.initial_residual > run.residual_norms[-1]
+
+
+def test_residual_squares_are_each_rows_squares_bitwise():
+    rng = np.random.default_rng(15)
+    for n in (15, 31, 63, 127):
+        for n_scalars in (0, 2):
+            for k in (1, 2, 7, 64, 256):
+                for magnitude in (1e-12, 1.0, 1e4):
+                    r = magnitude * rng.normal(size=(k, n + n_scalars))
+                    want = [float(x[:n] @ x[:n]) + float(x[n:] @ x[n:])
+                            for x in r]
+                    assert _squares(r, n).tolist() == want

@@ -279,11 +279,30 @@ def test_sequential_solve_matches_dense_recursion():
 
 
 def test_joule_loss_values():
-    a = BlockState([1.0, 1.0])
-    b = BlockState([1.0, 1.0])
-    assert joule_loss(a, b, 0.1, np.array([2.0, 3.0])) == 0.0
-    c = BlockState([4.0, 1.0])
-    assert joule_loss(a, c, 1.0, np.array([2.0, 0.0])) == pytest.approx(18.0)
+    a = np.array([[1.0, 1.0]])
+    b = np.array([[1.0, 1.0]])
+    assert joule_loss(a, b, 0.1, np.array([2.0, 3.0])).tolist() == [0.0]
+    c = np.array([[4.0, 1.0]])
+    assert joule_loss(a, c, 1.0, np.array([2.0, 0.0])) == pytest.approx(
+        [18.0])
+    # one loss per row, each with its own step
+    assert joule_loss(np.vstack((a, a)), np.vstack((b, c)), [0.1, 1.0],
+                      np.array([2.0, 0.0])) == pytest.approx([0.0, 18.0])
+
+
+def test_joule_loss_rows_are_each_rows_loss_bitwise():
+    rng = np.random.default_rng(16)
+    for n in (15, 31, 63, 127):
+        w = rng.uniform(0.5, 2.0, size=n) / (n + 1)
+        for k in (1, 2, 7, 64, 256):
+            before, at = rng.normal(size=(2, k, n))
+            for dt in (rng.uniform(1e-6, 1e-4, size=k).tolist(), 1e-5):
+                steps = dt if isinstance(dt, list) else [dt] * k
+                want = []
+                for a, b, d in zip(before, at, steps):
+                    du = (b - a) / d
+                    want.append(float(w @ (du * du)))
+                assert joule_loss(before, at, dt, w).tolist() == want
 
 
 def test_loss_weights_scale_with_spacing():
@@ -646,6 +665,30 @@ def test_step_many_is_each_rows_step_bitwise(kind, n_rows, level, smooth):
                           .reshape(scalars.shape))
     assert list(got[2]) == [d.iterations for _, d in want]
     assert not np.shares_memory(got[0], fields)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_linear_step_many_groups_interleaved_dts_bitwise(level):
+    """A linspace grid's steps differ in their last bits, so a layer's rows
+    take several dts; interleaved, each row is bitwise its own step, and
+    so is each row of a layer with a single dt."""
+    prob = _problem("linear")
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 0.02, 2049).tolist()
+    n = prob.spatial.size(level)
+    for q in (rng.permutation(48), [7] * 5):
+        t_prev, t_next = [times[4 * i] for i in q], [times[4 * i + 1]
+                                                    for i in q]
+        dts = {b - a for a, b in zip(t_prev, t_next)}
+        assert len(dts) >= 3 if len(q) == 48 else len(dts) == 1
+        fields = rng.normal(size=(len(q), n))
+        got, _, its = prob.step_many(fields, np.zeros((len(q), 0)), t_prev,
+                                     t_next, level)
+        want = np.array([prob.step(BlockState(f), a, b, level)[0].field
+                         for f, a, b in zip(fields, t_prev, t_next)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert its == [1] * len(q)
 
 
 def test_step_many_raises_the_first_failing_rows_own_error():

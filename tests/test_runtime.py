@@ -297,17 +297,30 @@ def _exchange_probe(transport, payload):
     return float(transport.recv(rank - 1)[-1]) if rank else None
 
 
+def _ranges(points_of):
+    """Each rank's points, consecutive ones, as a [start, stop) range."""
+    out = []
+    for js in points_of:
+        lo, hi = (min(js), max(js) + 1) if js else (0, 0)
+        assert sorted(js) == list(range(lo, hi))
+        out.append((lo, hi))
+    return out
+
+
 def _route_probe(transport, payload):
-    """MgritSolver._route itself, items and expected arrivals as given."""
+    """MgritSolver._route itself: rank w holds the rows of the points
+    owned[w] and takes the points that dest maps to w."""
     owned, dest = payload
-    owner = {j: w for w, js in enumerate(owned) for j in js}
-    rank, got = transport.rank, {}
-    expected = [(j, owner[j]) for j in sorted(dest) if dest[j] == rank]
-    MgritSolver._route(
+    sent = _ranges(owned)
+    received = _ranges([[j for j in dest if dest[j] == w]
+                        for w in range(transport.size)])
+    lo, hi = sent[transport.rank]
+    got = MgritSolver._route(
         SimpleNamespace(transport=transport),
-        ((j, _big(j)) for j in owned[rank]), dest.__getitem__, expected,
-        lambda j, arr: got.__setitem__(j, (arr.size, float(arr[-1]))))
-    return got
+        np.array([_big(j) for j in range(lo, hi)]).reshape(hi - lo, BIG),
+        sent, received)
+    return {received[transport.rank][0] + q: (row.size, float(row[-1]))
+            for q, row in enumerate(got)}
 
 
 def _route_case(p, shape):

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pintmg.mgrit import MgritSolver
 from pintmg.spatial import SpatialHierarchy, assign_spatial_levels, coarse_size
 from pintmg.state import BlockState
 
@@ -67,6 +70,65 @@ def test_field_size_without_a_grid_rejected():
         h.restrict_state(BlockState(np.ones(7)))
     with pytest.raises(ValueError, match="already on the finest grid"):
         h.prolong_error(BlockState(np.ones(15)))
+
+
+def _old_restrict(field):
+    """Injection as written per state before the row functions."""
+    return field[1::2].copy()
+
+
+def _old_prolong(field):
+    """Interpolation as written per state before the row functions."""
+    fine = np.empty(2 * field.size + 1)
+    fine[1::2] = field
+    padded = np.concatenate(([0.0], field, [0.0]))
+    fine[0::2] = 0.5 * (padded[:-1] + padded[1:])
+    return fine
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_scalars", [0, 2])
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
+def test_row_transfers_are_each_states_transfer_bitwise(k, n_scalars):
+    """The engine's _transfer of a (k, width) block through the row
+    functions, against each row through the state transfers and through
+    the per-state arithmetic they replaced, for n = 7 to 127."""
+    h = SpatialHierarchy(127, 6)  # 127, 63, 31, 15, 7, 3
+    rng = np.random.default_rng(k + n_scalars)
+    level = [SimpleNamespace(spatial_level=g, nf=n)
+             for g, n in enumerate(h.sizes)]
+    for g in range(1, h.n_grids):
+        for src, dst, fn, state_fn, old in (
+                (g - 1, g, h.restrict_fields, h.restrict_state, _old_restrict),
+                (g, g - 1, h.prolong_fields, h.prolong_error, _old_prolong)):
+            n = h.sizes[src]
+            rows = rng.normal(size=(k, n + n_scalars))
+            rows[rng.random(rows.shape) < 0.1] = -0.0
+            got = MgritSolver._transfer(None, fn, level[src], level[dst],
+                                        rows)
+            assert not np.shares_memory(got, rows)
+            for row, out in zip(rows, got):
+                state = state_fn(BlockState(row[:n], row[n:]))
+                want = np.concatenate((state.field, state.scalars))
+                assert _same_bits(out, want)
+                assert _same_bits(state.field, old(row[:n]))
+                assert _same_bits(state.scalars, row[n:])
+            assert _same_bits(fn(rows[0, :n]), fn(rows[:, :n])[0])
+
+
+def test_row_transfers_reject_a_field_size_without_a_grid():
+    h = SpatialHierarchy(15, 2)
+    for transfer in (h.restrict_fields, h.prolong_fields):
+        with pytest.raises(ValueError, match=r"no grid has 8 points; "
+                           r"sizes are \(15, 7\)"):
+            transfer(np.ones((3, 8)))
+    with pytest.raises(ValueError, match="no grid below 1"):
+        h.restrict_fields(np.ones((3, 7)))
+    with pytest.raises(ValueError, match="already on the finest grid"):
+        h.prolong_fields(np.ones((3, 15)))
 
 
 @pytest.mark.parametrize("strategy,expect", [

@@ -30,16 +30,6 @@ def test_block_state_shape_mismatch_rejected():
         a + BlockState([1.0, 2.0], [0.0])
 
 
-def test_block_state_copy_from_is_in_place():
-    a = BlockState.zeros(3, 1)
-    b = BlockState([1.0, 2.0, 3.0], [4.0])
-    buf = a.field
-    a.copy_from(b)
-    assert a.field is buf
-    assert a.field.tolist() == [1.0, 2.0, 3.0]
-    assert a.scalars.tolist() == [4.0]
-
-
 def test_axpy_values_and_alpha_zero():
     x = SpaceTimeVector([BlockState([1.0, 0.0]), BlockState([0.0, 2.0])])
     y = SpaceTimeVector([BlockState([1.0, 1.0]), BlockState([1.0, 1.0])])

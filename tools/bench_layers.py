@@ -14,11 +14,17 @@ measures, as thread CPU time:
 - L1 coarsest: microseconds per point of that solver's coarsest solve,
   ``_coarsest_solve(levels[-1], nested=True)`` on the right-hand side the
   solve left there;
+- L1 restrict and L1 ascend: microseconds per coarse point of one
+  ``_restrict_sweep(levels[0], levels[1])`` and of one
+  ``_ascend(levels[1], levels[0])`` of that solver, the fine C-store put
+  back after each ascent so that corrections do not pile up;
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
   first STEPS steps of the workload's time grid, on a problem whose
   forcing memo one untimed solve has filled.
 
-The problems take the random source profile drawn with SEED.
+The problems take the random source profile drawn with SEED.  A row
+that reads an attribute a tree lacks (``_Level.t`` before the levels kept
+their times as a list, say) prints "n/a" for that tree.
 
 Each round times every tree once, the first tree first in even rounds and
 last in odd ones.  Printed per tree: the median over rounds and, for each
@@ -95,9 +101,26 @@ class Layers:
 
     def coarsest_us(self):
         lvl = self.solver.levels[-1]
+        points = len(lvl.t) - 1
         t0 = time.thread_time()
         self.solver._coarsest_solve(lvl, nested=True)
-        return (time.thread_time() - t0) * 1e6 / (len(lvl.t) - 1)
+        return (time.thread_time() - t0) * 1e6 / points
+
+    def restrict_us(self):
+        fine, coarse = self.solver.levels[:2]
+        points = len(coarse.t) - 1
+        t0 = time.thread_time()
+        self.solver._restrict_sweep(fine, coarse)
+        return (time.thread_time() - t0) * 1e6 / points
+
+    def ascend_us(self):
+        fine, coarse = self.solver.levels[:2]
+        points, c_store = len(coarse.t) - 1, fine.c_store.copy()
+        t0 = time.thread_time()
+        self.solver._ascend(coarse, fine)
+        elapsed = time.thread_time() - t0
+        fine.c_store[...] = c_store
+        return elapsed * 1e6 / points
 
     def step_us(self):
         t0 = time.thread_time()
@@ -121,17 +144,26 @@ def main(argv=None):
         layers = [Layers(pm, w) for pm in packages]
         for label, measure in (("L1 sweep us/point", Layers.sweep_us),
                                ("L1 coarsest us/pt", Layers.coarsest_us),
+                               ("L1 restrict us/cpt", Layers.restrict_us),
+                               ("L1 ascend us/cpt", Layers.ascend_us),
                                ("L0 step us/call", Layers.step_us)):
-            times = [[] for _ in layers]
+            times = [[] for _ in layers]  # None: the tree lacks the row
             for r in range(args.rounds):
                 order = range(len(layers)) if r % 2 == 0 else range(
                     len(layers) - 1, -1, -1)
                 for i in order:
-                    times[i].append(measure(layers[i]))
+                    if times[i] is not None:
+                        try:
+                            times[i].append(measure(layers[i]))
+                        except AttributeError:
+                            times[i] = None
             cells = []
             for i, ts in enumerate(times):
+                if ts is None:
+                    cells.append(f"{labels[i]} n/a")
+                    continue
                 cell = f"{labels[i]} {statistics.median(ts):.2f}"
-                if i:
+                if i and times[0] is not None:
                     cell += " ({:.3f}x)".format(statistics.median(
                         a / b for a, b in zip(ts, times[0])))
                 cells.append(cell)
