@@ -18,8 +18,8 @@ Row r is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
 t_next[r], spatial_level, guess=<that state>, smooth): each row does its
 single step's arithmetic, only grouped into whole-array calls (np.exp
 and the elementwise operations give each row's bits whatever the
-batch).  The linear step makes one multi-column banded solve per
-distinct dt; Newton iterates the rows still active together, with one
+batch).  The linear step makes one pbtrs call for all rows, whatever
+their dts; Newton iterates the rows still active together, with one
 stacked ddot for their norms and one pbsv call per iterate, and each row
 keeps its own scale and line search.  A failing row raises exactly its
 single step's error, the first failing row in row order when several
@@ -32,24 +32,30 @@ attributes, or a subclass that overrides only ``step``, still sees
 every step.
 
 Steppers are deterministic.  Their only state is two memos: banded
-factorizations per (grid, dt) and read-only forcing arrays per
-(t, grid, smooth), and their (k, n) stacks per (times, grid, smooth).
-MGRIT re-runs the same time points, and a walk the same layers, on every
-level and cycle, so the memo is bounded by the time points and layers a
-worker sees: about 1.3 MiB of forcings and 1.1 MiB of stacks per worker
-on 2048 steps at nx = 127.  Entries are written once, never modified,
-and equal whatever a racing thread computes for the same key, so
-concurrent workers may share an instance.
+factors per (grid, dt) and their block-diagonal bands per linear layer
+(t_prev, t_next, grid); read-only forcing arrays per (t, grid, smooth)
+and their (k, n) stacks per (times, grid, smooth).  A new stack's new
+times take one call of the excitation's value or smooth_value on their
+array, which it must accept (a single time is passed as a float).  MGRIT
+re-runs the same time points, and a walk the same layers, on every level
+and cycle, so the memos are bounded by the time points and layers a
+worker sees: on 2048 steps at nx = 127 and three grids, one worker
+holds 2.1 MiB of forcings, 2.3 MiB of stacks and 4.5 MiB of bands.
+Entries are written once, never modified, and equal whatever a racing
+thread computes for the same key, so concurrent workers may share an
+instance.
 
 Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
-directly: the same routines scipy's cholesky_banded/cho_solve_banded
-call, without their finiteness checks and copies.  Newton factors a
-fresh Jacobian and solves once per iterate with one pbsv call, bitwise
-pbtrf then pbtrs, on the block-diagonal band of all its rows'
-Jacobians, so each row's step is bitwise its own solve (_newton_step
-solves a row alone where the stack would not be).  A non-finite value
-therefore passes through a step; Newton rejects a non-finite residual
-itself, and the MGRIT solver stops on a non-finite residual norm.
+directly, as scipy's cholesky_banded/cho_solve_banded do, without their
+finiteness checks and copies.  A linear layer's rows take one pbtrs
+call on their band, and Newton's one pbsv call per iterate (bitwise
+pbtrf then pbtrs) on that of their Jacobians.  Either is bitwise row by
+row but for the sign of a zero ending a row's solution, and for NaN,
+which the zero coupling spreads to every row: such a row is solved
+alone, as is every row of a non-finite linear solve and each row of a
+non-finite Jacobian (_newton_step).  A non-finite value so passes through
+a step; Newton rejects a non-finite residual itself, and the MGRIT
+solver stops on a non-finite residual norm.
 
 Newton evaluates the flux once per iterate: the residual at an iterate
 keeps the squared gradients, exp(k2 s^2) and nu that the Jacobian at the
@@ -243,12 +249,22 @@ class _FieldProblem:
 
     def _forcings(self, times, spatial_level, smooth):
         """The forcing at each of times as memoized read-only rows; a
-        single one as it is, which broadcasts over any one row."""
+        single one as it is, which broadcasts over any one row; a new
+        stack's new times are memoized from one call of the source."""
         if len(times) == 1:
             return self.forcing(times[0], spatial_level, smooth)
         key = (tuple(times), spatial_level, smooth)
         f = self._forcing.get(key)
         if f is None:
+            new = [t for t in dict.fromkeys(times)
+                   if (t, spatial_level, smooth) not in self._forcing]
+            if new and self.excitation is not None:
+                src = self.excitation
+                v = (src.smooth_value if smooth else src.value)(np.array(new))
+                rows = v[:, None] * self._shapes[spatial_level]
+                rows.flags.writeable = False
+                self._forcing.update(((t, spatial_level, smooth), row)
+                                     for t, row in zip(new, rows))
             f = np.array([self.forcing(t, spatial_level, smooth)
                           for t in times])
             f.flags.writeable = False
@@ -287,51 +303,52 @@ class LinearDiffusionProblem(_FieldProblem):
         self.diffusivity = float(diffusivity)
         self._factor_cache = {}
 
-    def _stiffness_banded(self, spatial_level):
-        n = self.spatial.size(spatial_level)
-        dx = self.spatial.spacing(spatial_level)
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -self.diffusivity / dx ** 2
-        ab[1, :] = 2.0 * self.diffusivity / dx ** 2
-        return ab
-
     def prepare(self, spatial_level, dt):
+        """The memoized banded Cholesky factor of M / dt + K on the grid."""
         key = (spatial_level, float(dt))
         if key not in self._factor_cache:
-            ab = self._stiffness_banded(spatial_level)
-            ab[1, :] += self.mass_coeff / dt
+            dx2 = self.spatial.spacing(spatial_level) ** 2
+            ab = np.zeros((2, self.spatial.size(spatial_level)))
+            ab[0, 1:] = -self.diffusivity / dx2
+            ab[1] = 2.0 * self.diffusivity / dx2 + self.mass_coeff / dt
             self._factor_cache[key] = _band_factor(ab)
         return self._factor_cache[key]
 
-    def _solve(self, u, dt, t_next, spatial_level, smooth):
-        """Rows u, all stepped by dt, in one multi-column banded solve."""
-        rhs = (self.mass_coeff / dt) * u
-        rhs += self._forcings(t_next, spatial_level, smooth)
-        # the columns of the Fortran-ordered transpose, solved in place
-        return _band_solve(self.prepare(spatial_level, dt), rhs.T).T
+    def _band(self, t_prev, t_next, spatial_level):
+        """The memoized block-diagonal band of the rows' prepare factors,
+        (2, k n) Fortran-ordered, +0.0 coupling each row to the one before."""
+        key = (tuple(t_prev), tuple(t_next), spatial_level)
+        band = self._factor_cache.get(key)
+        if band is None:
+            band = np.asfortranarray(np.concatenate(
+                [self.prepare(spatial_level, dt)
+                 for dt in np.subtract(t_next, t_prev).tolist()], axis=1))
+            band[0, ::self.spatial.size(spatial_level)] = 0.0
+            band.flags.writeable = False
+            self._factor_cache[key] = band
+        return band
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
                  smooth, guess):
-        """One _solve per distinct dt (a uniform grid's steps differ in
-        their last bits), the rows sorted stably by dt and cut where it
-        changes; no guess is needed, and there are no scalars to step."""
-        k = len(t_prev)
-        if k == 1:
-            return (self._solve(fields, t_next[0] - t_prev[0], t_next,
-                                spatial_level, smooth), scalars, [1])
-        dt = np.subtract(t_next, t_prev)
-        order = dt.argsort(kind="stable")
-        dt = dt[order]
-        cuts = [0, *(np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist(), k]
-        if len(cuts) == 2:  # one dt: one solve, no copies
-            return (self._solve(fields, dt[0].item(), t_next, spatial_level,
-                                smooth), scalars, [1] * k)
-        times, out = np.array(t_next)[order].tolist(), np.empty(fields.shape)
-        for a, b in zip(cuts, cuts[1:]):
-            rows = order[a:b]
-            out[rows] = self._solve(fields[rows], dt[a].item(), times[a:b],
-                                    spatial_level, smooth)
-        return out, scalars, [1] * k
+        """One banded solve for the only row (1-d fields) or on _band's band
+        for all rows, after which a row ending in a zero, or every row of a
+        non-finite result, is solved alone; no guess, no scalars to step."""
+        if fields.ndim == 1:
+            dt = t_next[0] - t_prev[0]
+            rhs = (self.mass_coeff / dt) * fields
+            rhs += self.forcing(t_next[0], spatial_level, smooth)
+            return (_band_solve(self.prepare(spatial_level, dt), rhs),
+                    scalars, [1])
+        rhs = (self.mass_coeff / np.subtract(t_next, t_prev)[:, None]) * fields
+        rhs += self._forcings(t_next, spatial_level, smooth)
+        out = _band_solve(self._band(t_prev, t_next, spatial_level),
+                          rhs.reshape(-1)).reshape(fields.shape)
+        for r in (np.flatnonzero(~out[:, [0, -1]].all(1))
+                  if np.isfinite(out).all() else range(len(out))):
+            out[r] = self._advance(fields[r], scalars[r], t_prev[r:r + 1],
+                                   t_next[r:r + 1], spatial_level, smooth,
+                                   None)[0]
+        return out, scalars, [1] * len(out)
 
 
 @dataclass(frozen=True)

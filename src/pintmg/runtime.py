@@ -48,7 +48,6 @@ import pickle
 import queue
 import threading
 import time
-from bisect import bisect_right
 from itertools import chain
 
 from .errors import TransportError
@@ -71,7 +70,6 @@ class Decomposition:
         self._first_unit = [0] * n_workers
         for w in range(1, n_workers):
             self._first_unit[w] = self._first_unit[w - 1] + self._n_units[w - 1]
-        self._ends = [f + n for f, n in zip(self._first_unit, self._n_units)]
         self._last_rank = max(
             (w for w in range(n_workers) if self._n_units[w] > 0), default=0)
 
@@ -80,13 +78,6 @@ class Decomposition:
 
     def first_unit(self, rank):
         return self._first_unit[rank]
-
-    def point_owner(self, i):
-        """Rank owning point i >= 1: the owner of the unit it closes or
-        lies inside, the F-tail going with the last unit."""
-        k = self.splitting.n_intervals
-        unit = min((i - 1) // self.splitting.factor, k - 1)
-        return bisect_right(self._ends, unit) if k else 0
 
     def is_empty(self, rank):
         """Active ranks are a prefix: rank 0 (which keeps a level with no

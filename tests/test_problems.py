@@ -458,37 +458,45 @@ def test_newton_helpers_match_padded_differences_bitwise():
 
 
 def _shared_or_own_worker(transport, shared):
-    problem = _problem("machine") if shared is None else shared
+    """A solve on the problem shared, or on one of the kind named."""
+    problem = _problem(shared) if isinstance(shared, str) else shared
     run, sol = _three_level_solve(problem, transport)
     return run.residual_norms, None if sol is None else _arrays(sol)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_one_instance_shared_by_thread_ranks_changes_no_bit(p):
-    # threads switch often, so ranks race on the shared memos
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        shared = run_spmd(p, _shared_or_own_worker, _problem("machine"),
-                          timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    own = run_spmd(p, _shared_or_own_worker, None)
-    for a, b in zip(shared, own):
-        assert a[0] == b[0]
-    assert all(np.array_equal(x, y) for x, y in zip(shared[0][1], own[0][1]))
+    for kind in ("machine", "linear"):
+        # threads switch often, so ranks race on the shared memos
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = run_spmd(p, _shared_or_own_worker, _problem(kind),
+                              timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        own = run_spmd(p, _shared_or_own_worker, kind)
+        for a, b in zip(shared, own):
+            assert a[0] == b[0]
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(shared[0][1], own[0][1]))
 
 
 class _CountingSource:
+    """A PWM source counting its calls and the times it is evaluated at,
+    a call on an array of times counting each."""
+
     def __init__(self):
-        self.inner, self.calls = PwmSource(**PWM), 0
+        self.inner, self.calls, self.times = PwmSource(**PWM), 0, 0
 
     def value(self, t):
         self.calls += 1
+        self.times += np.size(t)
         return self.inner.value(t)
 
     def smooth_value(self, t):
         self.calls += 1
+        self.times += np.size(t)
         return self.inner.smooth_value(t)
 
 
@@ -505,7 +513,7 @@ def test_source_is_evaluated_once_per_distinct_forcing_key():
     run, _ = _three_level_solve(prob)
     assert run.converged
     assert {(l, s) for _, l, s in keys} >= {(0, False), (2, True)}
-    assert source.calls == len(keys)
+    assert source.times == len(keys)
 
 
 # --- Newton at its floor: one flux evaluation per iterate ----------------------------
@@ -880,3 +888,154 @@ def test_a_layers_forcing_stack_is_memoized_read_only():
         for t, row in zip(times, stack):
             assert np.array_equal(row, prob.forcing(t, level, smooth))
     assert prob._forcings(times[:1], 0, False) is prob.forcing(times[0])
+
+
+# --- one banded solve per linear layer, one source call per forcing stack ----
+
+def _counting_pbtrs(monkeypatch):
+    """The right-hand-side sizes of the _pbtrs calls, as they are made."""
+    calls, pbtrs = [], problems._pbtrs
+
+    def counting(factor, b, *args):
+        calls.append(b.size)
+        return pbtrs(factor, b, *args)
+
+    monkeypatch.setattr(problems, "_pbtrs", counting)
+    return calls
+
+
+def _linspace_steps(n_rows, seed):
+    """(t_prev, t_next) of n_rows steps drawn from a linspace grid: their
+    dts differ in the last bits, at least three of them interleaved."""
+    times = np.linspace(0.0, 0.02, 2049).tolist()
+    first = np.random.default_rng(seed).choice(2048, n_rows, replace=False)
+    t_prev, t_next = [times[i] for i in first], [times[i + 1] for i in first]
+    assert len({b - a for a, b in zip(t_prev, t_next)}) >= 3
+    return t_prev, t_next
+
+
+def _assert_each_rows_step(prob, got, fields, t_prev, t_next, level):
+    want = np.array([prob.step(BlockState(f), a, b, level)[0].field
+                     for f, a, b in zip(fields, t_prev, t_next)])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    return want
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_linear_layer_makes_one_pbtrs_call(monkeypatch, level):
+    prob = _problem("linear")
+    t_prev, t_next = _linspace_steps(48, level)
+    n = prob.spatial.size(level)
+    fields = np.random.default_rng(level).normal(size=(48, n))
+    calls = _counting_pbtrs(monkeypatch)
+    got, scalars, its = prob.step_many(fields, np.zeros((48, 0)), t_prev,
+                                       t_next, level)
+    assert calls == [48 * n]
+    assert scalars.shape == (48, 0) and its == [1] * 48
+    band = prob._band(t_prev, t_next, level)
+    assert prob._band(list(t_prev), list(t_next), level) is band
+    assert band.flags.f_contiguous and not band.flags.writeable
+    assert np.array_equal(band[0, ::n], np.zeros(48))
+    assert not np.signbit(band[0, ::n]).any()
+    _assert_each_rows_step(prob, got, fields, t_prev, t_next, level)
+
+
+class _NegativeZeroSource:
+    """A source of -0.0 at every time: on the sine shape, a forcing of -0,
+    so that a field of -0 steps to -0."""
+
+    def value(self, t):
+        return -0.0 * np.ones(np.shape(t))
+
+    smooth_value = value
+
+
+def test_linear_rows_ending_in_a_zero_are_solved_alone(monkeypatch):
+    """Rows stepping to +-0 (zero fields, and 1e-300 fields over a dt of
+    1e150, which underflow) sit next to rows of either sign, where the
+    stack's zero coupling could flip the sign of a zero; each is solved
+    alone, and every row is bitwise its own step, sign bits included."""
+    prob = LinearDiffusionProblem(15, n_spatial_grids=3, source="sine",
+                                  excitation=_NegativeZeroSource())
+    rng = np.random.default_rng(17)
+    t_prev, t_next = _linspace_steps(10, 17)
+    fields = -np.abs(rng.normal(size=(10, 15)))
+    fields[0] *= -1.0
+    fields[1] = fields[8] = -0.0
+    fields[3] = 0.0
+    fields[6] = np.pad(rng.uniform(0.5, 1.0, 9), 3) * -1.0
+    for r, sign in ((4, -1.0), (7, 1.0)):
+        fields[r] = sign * 1e-300 * rng.uniform(0.5, 1.0, 15)
+        t_next[r] = t_prev[r] + 1e150
+    calls = _counting_pbtrs(monkeypatch)
+    got, _, _ = prob.step_many(fields, np.zeros((10, 0)), t_prev, t_next)
+    assert calls == [150] + [15] * 5
+    want = _assert_each_rows_step(prob, got, fields, t_prev, t_next, 0)
+    assert np.flatnonzero(~want[:, ::14].all(1)).tolist() == [1, 3, 4, 7, 8]
+    assert np.signbit(want[[1, 4, 8]]).all()
+    assert not np.signbit(want[[3, 7]]).any()
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_a_non_finite_linear_layer_solves_every_row_alone(monkeypatch,
+                                                         level):
+    """The zero coupling spreads a NaN to every row of the stack."""
+    prob = _problem("linear")
+    n = prob.spatial.size(level)
+    t_prev, t_next = _linspace_steps(9, 5)
+    fields = np.random.default_rng(5).normal(size=(9, n))
+    fields[2, 0], fields[6, n // 2] = np.inf, np.nan
+    calls = _counting_pbtrs(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        got, _, _ = prob.step_many(fields, np.zeros((9, 0)), t_prev, t_next,
+                                   level)
+        assert calls == [9 * n] + [n] * 9
+        want = _assert_each_rows_step(prob, got, fields, t_prev, t_next,
+                                      level)
+    assert np.isfinite(want[[0, 1, 3, 4, 5, 7, 8]]).all()
+    assert not np.isfinite(want[[2, 6]]).all(1).any()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_forcing_stack_is_bitwise_each_times_forcing(kind):
+    """A stack's new times take one source call on their array; its rows,
+    memoized as the per-time forcings, are bitwise the scalar formula."""
+    source = _CountingSource()
+    prob, scalar = _problem(kind, source), _uncached_forcing(_problem(kind))
+    times = build_uniform_grid(0.0, 0.02, 512).points.tolist()
+    for level in range(3):
+        for smooth in (False, True):
+            for a, b in ((1, 34), (20, 53), (300, 302), (0, 513)):
+                calls, evaluated = source.calls, source.times
+                new = {t for t in times[a:b]
+                       if (t, level, smooth) not in prob._forcing}
+                stack = prob._forcings(times[a:b], level, smooth)
+                assert source.calls - calls == 1
+                assert source.times - evaluated == len(new)
+                want = np.array([scalar(t, level, smooth)
+                                 for t in times[a:b]])
+                assert np.array_equal(stack, want)
+                assert np.array_equal(np.signbit(stack), np.signbit(want))
+                for t, row in zip(times[a:b], stack):
+                    f = prob.forcing(t, level, smooth)
+                    assert np.array_equal(f, row) and not f.flags.writeable
+    assert source.times == 3 * 2 * 513
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+@pytest.mark.parametrize("phase", [1, 2, 3])
+def test_pwm_source_on_an_array_is_bitwise_its_value_per_time(phase, ramp):
+    """A stack's forcings rest on this, for the numpy build at hand."""
+    source = PwmSource(**{**PWM, "phase": phase, "ramp_enabled": ramp})
+    for n_steps in (512, 2048):
+        times = build_uniform_grid(0.0, 0.02, n_steps).points.tolist()
+        for method in (source.value, source.smooth_value):
+            each = np.array([method(t) for t in times])
+            for length in (*range(1, 34), len(times)):
+                for start in {0, (37 * length) % (len(times) - length + 1)}:
+                    got = method(np.array(times[start:start + length]))
+                    assert np.array_equal(got, each[start:start + length])
+                    assert np.array_equal(np.signbit(got),
+                                          np.signbit(each[start:start
+                                                          + length]))

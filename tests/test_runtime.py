@@ -92,20 +92,6 @@ def test_degenerate_level_all_points_to_rank_zero():
     assert d.is_empty(1) and d.owned_range(1) == (0, 0)
 
 
-@pytest.mark.parametrize("n,m,p", [
-    (11, 4, 2),   # an F-tail after the last C-point
-    (9, 4, 4),    # two idle ranks
-    (35, 4, 3),   # F-tail and an uneven deal
-    (2, 2, 3),    # no C-interval at all
-    (3, 4, 2),    # fewer points than the factor
-])
-def test_point_owner_agrees_with_owned_ranges(n, m, p):
-    d = Decomposition(cf_split(n, m), p)
-    owners = {i: w for w in range(p) for i in range(*d.owned_range(w))}
-    assert sorted(owners) == list(range(1, n))
-    assert all(d.point_owner(i) == w for i, w in owners.items())
-
-
 # --- transports ------------------------------------------------------------------
 
 def _echo_pattern(transport, payload):

@@ -18,6 +18,10 @@ measures, as thread CPU time:
   ``_restrict_sweep(levels[0], levels[1])`` and of one
   ``_ascend(levels[1], levels[0])`` of that solver, the fine C-store put
   back after each ascent so that corrections do not pile up;
+- L1 cold: microseconds per point of that fine sweep with the problem's
+  memos (forcings and factors) emptied first, as a fresh problem's are:
+  the cost every solve pays on first reaching a time point or layer,
+  which the warm rows above do not show;
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
   first STEPS steps of the workload's time grid, on a problem whose
   forcing memo one untimed solve has filled.
@@ -122,6 +126,12 @@ class Layers:
         fine.c_store[...] = c_store
         return elapsed * 1e6 / points
 
+    def cold_us(self):
+        problem = self.solver.problem
+        problem._forcing.clear()
+        getattr(problem, "_factor_cache", {}).clear()
+        return self.sweep_us()
+
     def step_us(self):
         t0 = time.thread_time()
         self.sequential(self.stepper, self.times)
@@ -146,6 +156,7 @@ def main(argv=None):
                                ("L1 coarsest us/pt", Layers.coarsest_us),
                                ("L1 restrict us/cpt", Layers.restrict_us),
                                ("L1 ascend us/cpt", Layers.ascend_us),
+                               ("L1 cold us/point", Layers.cold_us),
                                ("L0 step us/call", Layers.step_us)):
             times = [[] for _ in layers]  # None: the tree lacks the row
             for r in range(args.rounds):
