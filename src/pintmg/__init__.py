@@ -13,7 +13,7 @@ Typical use:
 
     problem = LinearDiffusionProblem(31, excitation=PwmSource())
     grid = build_uniform_grid(0.0, 0.02, 256)
-    run, solution = mgrit_solve(problem, TimeHierarchy.plan(grid, 1, 5, 4))
+    run, solution = mgrit_solve(problem, TimeHierarchy.plan(grid, 5, 4))
 
 The ``pintmg`` command line wraps the same machinery behind config
 files; see ``pintmg --help``.

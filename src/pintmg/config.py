@@ -75,6 +75,9 @@ class ExperimentConfig:
         if self.run_seed < 0:  # only the random profile draws from it
             raise ValueError(f"run.seed must be non-negative, "
                              f"got {self.run_seed}")
+        if self.hierarchy_workers < 1:  # only a run spawns them
+            raise ValueError(f"hierarchy.workers must be positive, "
+                             f"got {self.hierarchy_workers}")
         build_problem(self)
         build_hierarchy(self)
         build_cycle(self)

@@ -70,8 +70,7 @@ def build_problem(config):
 
 def build_hierarchy(config):
     grid = build_uniform_grid(0.0, config.time_t_final, config.time_n_steps)
-    return TimeHierarchy.plan(grid, config.hierarchy_workers,
-                              config.hierarchy_max_levels,
+    return TimeHierarchy.plan(grid, config.hierarchy_max_levels,
                               config.hierarchy_coarse_factor)
 
 
@@ -201,9 +200,9 @@ def worker_ladder(max_workers):
 def scale_experiment(config, out_dir, worker_counts=None):
     """Strong scaling against the timed sequential forward solve.
 
-    Each worker count gets its own coarsening plan (the planner takes the
-    worker count as input), so this measures the end-to-end practice of
-    re-tuning the hierarchy per machine size.  Writes scaling.csv.
+    Every worker count solves the same hierarchy (the coarsening plan does
+    not depend on it), so the rows differ only in how the work is split.
+    Writes scaling.csv.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

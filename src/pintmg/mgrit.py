@@ -231,7 +231,6 @@ class _Level:
 
     def __init__(self, solver, index, grid, splitting, spatial_level):
         self.index = index
-        self.grid = grid
         self.t = grid.points.tolist()
         self.splitting = splitting
         self.m = splitting.factor

@@ -31,19 +31,19 @@ and a per-row loop over ``step`` otherwise, so a wrapper that forwards
 attributes, or a subclass that overrides only ``step``, still sees
 every step.
 
-Steppers are deterministic.  Their only state is two memos: banded
-factors per (grid, dt) and their block-diagonal bands per linear layer
-(t_prev, t_next, grid); read-only forcing arrays per (t, grid, smooth)
-and their (k, n) stacks per (times, grid, smooth).  A new stack's new
-times take one call of the excitation's value or smooth_value on their
-array, which it must accept (a single time is passed as a float).  MGRIT
-re-runs the same time points, and a walk the same layers, on every level
-and cycle, so the memos are bounded by the time points and layers a
-worker sees: on 2048 steps at nx = 127 and three grids, one worker
-holds 2.1 MiB of forcings, 2.3 MiB of stacks and 4.5 MiB of bands.
-Entries are written once, never modified, and equal whatever a racing
-thread computes for the same key, so concurrent workers may share an
-instance.
+Steppers are deterministic.  Their only state is two memos, each entry
+computed from its own key alone, in one call, and read-only: the linear
+problem's block-diagonal bands of banded factors per (dts, grid), from
+one pbtrf call on the distinct dts; and forcings per (t, grid, smooth),
+from one call of the excitation's value or smooth_value on the float t,
+or per (times, grid, smooth), a (k, n) stack from one call on the array
+of times, which the excitation must accept.  MGRIT re-runs the same time
+points, and a walk the same layers, on every level and cycle, so the
+memos are bounded by the layers and single steps a worker sees: on 2048
+steps at nx = 127 and three grids, one worker holds 2.3 MiB of forcings
+in 34 entries and 4.5 MiB of bands in 25.  An entry is written once,
+never modified, and equal to whatever a racing thread computes for the
+same key, so concurrent workers may share an instance.
 
 Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
 directly, as scipy's cholesky_banded/cho_solve_banded do, without their
@@ -88,7 +88,6 @@ from .state import BlockState, SpaceTimeVector
 @dataclass(frozen=True)
 class StepDiagnostics:
     iterations: int
-    converged: bool = True
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,39 +233,25 @@ class _FieldProblem:
     def forcing(self, t, spatial_level=0, smooth=False):
         """Source term at time t, memoized and read-only: callers add it
         into a new array, never into this one."""
-        key = (t, spatial_level, smooth)
-        f = self._forcing.get(key)
-        if f is None:
-            if self.excitation is None:
-                f = np.zeros(self.spatial.size(spatial_level))
-            else:
-                v = (self.excitation.smooth_value(t) if smooth
-                     else self.excitation.value(t))
-                f = v * self._shapes[spatial_level]
-            f.flags.writeable = False
-            self._forcing[key] = f
-        return f
+        return self._forcings((t,), spatial_level, smooth)
 
     def _forcings(self, times, spatial_level, smooth):
-        """The forcing at each of times as memoized read-only rows; a
-        single one as it is, which broadcasts over any one row; a new
-        stack's new times are memoized from one call of the source."""
-        if len(times) == 1:
-            return self.forcing(times[0], spatial_level, smooth)
-        key = (tuple(times), spatial_level, smooth)
+        """The forcing at each of times, memoized read-only per (times,
+        grid, smooth) from one call of the source: a single time's row, on
+        its float, which broadcasts over any one row; more times' (k, n)
+        stack, on their array.  Without a source, a row of zeros."""
+        one = len(times) == 1
+        key = (times[0] if one else tuple(times), spatial_level, smooth)
         f = self._forcing.get(key)
         if f is None:
-            new = [t for t in dict.fromkeys(times)
-                   if (t, spatial_level, smooth) not in self._forcing]
-            if new and self.excitation is not None:
+            shape = self._shapes[spatial_level]
+            if self.excitation is None:
+                f = np.zeros(shape.size)
+            else:
                 src = self.excitation
-                v = (src.smooth_value if smooth else src.value)(np.array(new))
-                rows = v[:, None] * self._shapes[spatial_level]
-                rows.flags.writeable = False
-                self._forcing.update(((t, spatial_level, smooth), row)
-                                     for t, row in zip(new, rows))
-            f = np.array([self.forcing(t, spatial_level, smooth)
-                          for t in times])
+                value = src.smooth_value if smooth else src.value
+                f = (value(times[0]) * shape if one
+                     else value(np.array(times))[:, None] * shape)
             f.flags.writeable = False
             self._forcing[key] = f
         return f
@@ -303,27 +288,24 @@ class LinearDiffusionProblem(_FieldProblem):
         self.diffusivity = float(diffusivity)
         self._factor_cache = {}
 
-    def prepare(self, spatial_level, dt):
-        """The memoized banded Cholesky factor of M / dt + K on the grid."""
-        key = (spatial_level, float(dt))
-        if key not in self._factor_cache:
-            dx2 = self.spatial.spacing(spatial_level) ** 2
-            ab = np.zeros((2, self.spatial.size(spatial_level)))
-            ab[0, 1:] = -self.diffusivity / dx2
-            ab[1] = 2.0 * self.diffusivity / dx2 + self.mass_coeff / dt
-            self._factor_cache[key] = _band_factor(ab)
-        return self._factor_cache[key]
-
-    def _band(self, t_prev, t_next, spatial_level):
-        """The memoized block-diagonal band of the rows' prepare factors,
-        (2, k n) Fortran-ordered, +0.0 coupling each row to the one before."""
-        key = (tuple(t_prev), tuple(t_next), spatial_level)
+    def _band(self, dts, spatial_level):
+        """The banded Cholesky factors of M / dt + K on the grid for each of
+        the step sizes dts, memoized read-only per (dts, grid) as their
+        block-diagonal band, (2, k n) Fortran-ordered, +0.0 coupling each
+        row to the one before: one pbtrf call factors the band of the
+        distinct dts, whose blocks are gathered to the rows."""
+        key = (dts, spatial_level)
         band = self._factor_cache.get(key)
         if band is None:
-            band = np.asfortranarray(np.concatenate(
-                [self.prepare(spatial_level, dt)
-                 for dt in np.subtract(t_next, t_prev).tolist()], axis=1))
-            band[0, ::self.spatial.size(spatial_level)] = 0.0
+            n = self.spatial.size(spatial_level)
+            dx2 = self.spatial.spacing(spatial_level) ** 2
+            distinct, rows = np.unique(dts, return_inverse=True)
+            ab = np.zeros((2, len(distinct), n))
+            ab[0, :, 1:] = -self.diffusivity / dx2
+            ab[1] = (2.0 * self.diffusivity / dx2
+                     + self.mass_coeff / distinct[:, None])
+            factor = _band_factor(ab.reshape(2, -1)).reshape(ab.shape)
+            band = np.asfortranarray(factor[:, rows].reshape(2, -1))
             band.flags.writeable = False
             self._factor_cache[key] = band
         return band
@@ -336,12 +318,13 @@ class LinearDiffusionProblem(_FieldProblem):
         if fields.ndim == 1:
             dt = t_next[0] - t_prev[0]
             rhs = (self.mass_coeff / dt) * fields
-            rhs += self.forcing(t_next[0], spatial_level, smooth)
-            return (_band_solve(self.prepare(spatial_level, dt), rhs),
+            rhs += self._forcings(t_next, spatial_level, smooth)
+            return (_band_solve(self._band((dt,), spatial_level), rhs),
                     scalars, [1])
-        rhs = (self.mass_coeff / np.subtract(t_next, t_prev)[:, None]) * fields
+        dts = np.subtract(t_next, t_prev)
+        rhs = (self.mass_coeff / dts[:, None]) * fields
         rhs += self._forcings(t_next, spatial_level, smooth)
-        out = _band_solve(self._band(t_prev, t_next, spatial_level),
+        out = _band_solve(self._band(tuple(dts.tolist()), spatial_level),
                           rhs.reshape(-1)).reshape(fields.shape)
         for r in (np.flatnonzero(~out[:, [0, -1]].all(1))
                   if np.isfinite(out).all() else range(len(out))):

@@ -8,7 +8,6 @@ does not divide the step count) stay on the fine level as an F-only tail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,26 +91,19 @@ def level_factor(n_points, factor):
     return factor if n_points > factor else max(2, n_points - 1)
 
 
-def plan_coarsening(n_steps, n_workers, max_levels, coarse_factor):
-    """Choose inter-level factors: first one sized so the second level has
-    about one point per worker, then coarse_factor repeatedly.
-
-    Coarsening stops once max_levels is reached or the next grid would
-    drop below 3 points.  Returns the (possibly empty) factor list.
+def plan_coarsening(n_steps, max_levels, coarse_factor):
+    """Choose inter-level factors as XBraid does: coarse_factor per level
+    until max_levels is reached or the next grid would drop below 2 steps.
+    Returns the (possibly empty) factor list.
     """
-    if n_steps < 1 or n_workers < 1:
-        raise ValueError("n_steps and n_workers must be positive")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if coarse_factor < 2:
         raise ValueError(f"coarse_factor must be >= 2, got {coarse_factor}")
     factors = []
     steps = n_steps
-    if max_levels > 1:
-        first = max(2, math.ceil(n_steps / n_workers))
-        if steps // first >= 1:
-            factors.append(first)
-            steps //= first
     while len(factors) + 1 < max_levels and steps // coarse_factor >= 2:
         factors.append(coarse_factor)
         steps //= coarse_factor
@@ -151,9 +143,8 @@ class TimeHierarchy:
         return cls(grids=tuple(grids), factors=factors, splittings=splittings)
 
     @classmethod
-    def plan(cls, fine_grid, n_workers, max_levels, coarse_factor):
-        factors = plan_coarsening(fine_grid.n_steps, n_workers, max_levels,
-                                  coarse_factor)
+    def plan(cls, fine_grid, max_levels, coarse_factor):
+        factors = plan_coarsening(fine_grid.n_steps, max_levels, coarse_factor)
         return cls.build(fine_grid, factors)
 
     @property

@@ -124,6 +124,12 @@ def test_negative_seed_rejected_by_name_for_every_source(source):
         parse_config(f"problem.source = {source}\nrun.seed = -1\n")
 
 
+def test_zero_workers_rejected_by_name_at_parse_time():
+    with pytest.raises(ValueError,
+                       match=r"^hierarchy\.workers must be positive, got 0$"):
+        parse_config("hierarchy.workers = 0\n")
+
+
 def test_with_overrides():
     c = ExperimentConfig()
     c2 = with_overrides(c, hierarchy_workers=4, run_seed=17)

@@ -46,9 +46,19 @@ def test_build_problem_excitation_toggle():
     assert build_problem(off).excitation is None
 
 
-def test_build_hierarchy_respects_workers():
-    h = build_hierarchy(small_config(hierarchy_workers=4, time_n_steps=256))
-    assert h.grids[1].n_steps >= 4
+def test_build_hierarchy_is_the_same_at_every_worker_count():
+    """The default config (256 steps, 5 levels, factor 4) plans [4, 4, 4]
+    at every p; max_levels and coarse_factor each take effect."""
+    for p in (1, 2, 4):
+        assert build_hierarchy(ExperimentConfig(hierarchy_workers=p)).factors \
+            == (4, 4, 4)
+        for levels, factor, factors in ((3, 4, (4, 4)), (2, 4, (4,)),
+                                        (1, 4, ()), (5, 2, (2, 2, 2, 2)),
+                                        (5, 8, (8, 8))):
+            h = build_hierarchy(ExperimentConfig(
+                hierarchy_workers=p, hierarchy_max_levels=levels,
+                hierarchy_coarse_factor=factor))
+            assert h.factors == factors and h.n_levels == len(factors) + 1
 
 
 def test_worker_ladder():

@@ -73,7 +73,7 @@ def test_linear_step_matches_dense_solve():
     f = prob.forcing(0.001 + dt)
     expect = dense_linear_step(n, nu, sigma, dt, u_prev.field, f)
     assert np.allclose(out.field, expect, rtol=1e-12, atol=1e-14)
-    assert diag.converged
+    assert diag.iterations == 1
 
 
 def test_linear_step_is_deterministic():
@@ -126,11 +126,11 @@ def test_nonlinear_step_matches_picard_oracle():
     u_prev = BlockState(0.4 * np.sin(math.pi * x))
     f = 2.0 * np.sin(2.0 * math.pi * x)
     prob_forced = NonlinearSaturationProblem(n, curve=curve, mass_coeff=sigma)
-    prob_forced.forcing = lambda t, s=0, smooth=False: f
+    prob_forced._forcings = lambda times, level, smooth: f
     out, diag = prob_forced.step(u_prev, 0.0, dt)
     expect = picard_step(n, sigma, curve.k1, curve.k2, curve.k3, dt,
                          u_prev.field, f)
-    assert diag.converged
+    assert diag.iterations >= 1
     assert np.max(np.abs(out.field - expect)) < 1e-9
 
 
@@ -170,7 +170,7 @@ def test_newton_failure_surfaces_as_error():
         newton=NewtonOptions(max_iters=1, tol=1e-14))
     x = np.arange(1, 10) / 10.0
     u_prev = BlockState(3.0 * np.sin(math.pi * x))
-    prob.forcing = lambda t, s=0, smooth=False: 50.0 * np.sin(2 * math.pi * x)
+    prob._forcings = lambda times, level, smooth: 50.0 * np.sin(2 * math.pi * x)
     with pytest.raises(NewtonConvergenceError):
         prob.step(u_prev, 0.0, 0.05)
 
@@ -377,6 +377,17 @@ def _uncached_forcing(problem):
     return forcing
 
 
+def _uncached_forcings(problem):
+    """_forcings from the formula, afresh per call and per time: a single
+    time's row, or the stack of the rows."""
+    forcing = _uncached_forcing(problem)
+
+    def forcings(times, spatial_level, smooth):
+        rows = [forcing(t, spatial_level, smooth) for t in times]
+        return rows[0] if len(rows) == 1 else np.array(rows)
+    return forcings
+
+
 def _three_level_solve(problem, transport=None):
     hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 64), [4, 4])
     solver = MgritSolver(
@@ -406,7 +417,7 @@ def test_forcing_is_memoized_read_only():
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_forcing_memo_changes_no_bit(kind):
     memo, fresh = _problem(kind), _problem(kind)
-    fresh.forcing = _uncached_forcing(fresh)
+    fresh._forcings = _uncached_forcings(fresh)
     times = build_uniform_grid(0.0, 0.02, 64).points
     for smooth in (False, True):
         a = _arrays(sequential_solve(memo, times, 1, smooth))
@@ -483,37 +494,35 @@ def test_one_instance_shared_by_thread_ranks_changes_no_bit(p):
 
 
 class _CountingSource:
-    """A PWM source counting its calls and the times it is evaluated at,
-    a call on an array of times counting each."""
+    """A PWM source recording each call as (argument, smooth)."""
 
     def __init__(self):
-        self.inner, self.calls, self.times = PwmSource(**PWM), 0, 0
+        self.inner, self.args = PwmSource(**PWM), []
 
     def value(self, t):
-        self.calls += 1
-        self.times += np.size(t)
+        self.args.append((t, False))
         return self.inner.value(t)
 
     def smooth_value(self, t):
-        self.calls += 1
-        self.times += np.size(t)
+        self.args.append((t, True))
         return self.inner.smooth_value(t)
 
 
 def test_source_is_evaluated_once_per_distinct_forcing_key():
+    """Each forcing memo entry of a solve comes from one source call on
+    exactly its own times: a single time's float, a stack's array."""
     source = _CountingSource()
     prob = _problem("machine", source)
-    keys, memoized = set(), prob.forcing
-
-    def recording(t, spatial_level=0, smooth=False):
-        keys.add((t, spatial_level, smooth))
-        return memoized(t, spatial_level, smooth)
-
-    prob.forcing = recording
     run, _ = _three_level_solve(prob)
     assert run.converged
+    keys = prob._forcing.keys()
     assert {(l, s) for _, l, s in keys} >= {(0, False), (2, True)}
-    assert source.times == len(keys)
+    assert {type(t) for t, _, _ in keys} == {float, tuple}
+    assert {type(t) for t, _ in source.args} == {float, np.ndarray}
+    evaluated = sorted((tuple(np.atleast_1d(t).tolist()), s)
+                       for t, s in source.args)
+    assert evaluated == sorted((t if type(t) is tuple else (t,), s)
+                               for t, _, s in keys)
 
 
 # --- Newton at its floor: one flux evaluation per iterate ----------------------------
@@ -892,15 +901,16 @@ def test_a_layers_forcing_stack_is_memoized_read_only():
 
 # --- one banded solve per linear layer, one source call per forcing stack ----
 
-def _counting_pbtrs(monkeypatch):
-    """The right-hand-side sizes of the _pbtrs calls, as they are made."""
-    calls, pbtrs = [], problems._pbtrs
+def _counting(monkeypatch, routine="_pbtrs"):
+    """The band widths (points) of the calls of a LAPACK band routine, as
+    they are made: a _pbtrs call's right-hand-side size."""
+    calls, lapack = [], getattr(problems, routine)
 
-    def counting(factor, b, *args):
-        calls.append(b.size)
-        return pbtrs(factor, b, *args)
+    def counting(ab, *args, **kwargs):
+        calls.append(ab.shape[1])
+        return lapack(ab, *args, **kwargs)
 
-    monkeypatch.setattr(problems, "_pbtrs", counting)
+    monkeypatch.setattr(problems, routine, counting)
     return calls
 
 
@@ -924,21 +934,35 @@ def _assert_each_rows_step(prob, got, fields, t_prev, t_next, level):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_a_linear_layer_makes_one_pbtrs_call(monkeypatch, level):
+    """One pbtrs call per layer, on a band memoized per (dts, grid) from one
+    pbtrf call on the distinct dts' band, and none on a memo hit; each
+    row's block is its dt's factor, as scipy computes it."""
     prob = _problem("linear")
     t_prev, t_next = _linspace_steps(48, level)
+    dts = tuple(np.subtract(t_next, t_prev).tolist())
     n = prob.spatial.size(level)
     fields = np.random.default_rng(level).normal(size=(48, n))
-    calls = _counting_pbtrs(monkeypatch)
-    got, scalars, its = prob.step_many(fields, np.zeros((48, 0)), t_prev,
-                                       t_next, level)
-    assert calls == [48 * n]
+    calls, factored = _counting(monkeypatch), _counting(monkeypatch, "_pbtrf")
+    for _ in range(2):
+        got, scalars, its = prob.step_many(fields, np.zeros((48, 0)), t_prev,
+                                           t_next, level)
+    assert calls == [48 * n] * 2
+    assert factored == [len(set(dts)) * n]
+    band = prob._band(dts, level)
+    assert prob._factor_cache == {(dts, level): band}
     assert scalars.shape == (48, 0) and its == [1] * 48
-    band = prob._band(t_prev, t_next, level)
-    assert prob._band(list(t_prev), list(t_next), level) is band
     assert band.flags.f_contiguous and not band.flags.writeable
     assert np.array_equal(band[0, ::n], np.zeros(48))
     assert not np.signbit(band[0, ::n]).any()
+    dx2 = prob.spatial.spacing(level) ** 2
+    for q, dt in enumerate(dts):
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -prob.diffusivity / dx2
+        ab[1] = 2.0 * prob.diffusivity / dx2 + prob.mass_coeff / dt
+        assert np.array_equal(band[:, q * n:(q + 1) * n], cholesky_banded(ab))
     _assert_each_rows_step(prob, got, fields, t_prev, t_next, level)
+    # the rows' one-row steps: one band, from one pbtrf call, per new dt
+    assert len(prob._factor_cache) == len(factored) == 1 + len(set(dts))
 
 
 class _NegativeZeroSource:
@@ -968,7 +992,7 @@ def test_linear_rows_ending_in_a_zero_are_solved_alone(monkeypatch):
     for r, sign in ((4, -1.0), (7, 1.0)):
         fields[r] = sign * 1e-300 * rng.uniform(0.5, 1.0, 15)
         t_next[r] = t_prev[r] + 1e150
-    calls = _counting_pbtrs(monkeypatch)
+    calls = _counting(monkeypatch)
     got, _, _ = prob.step_many(fields, np.zeros((10, 0)), t_prev, t_next)
     assert calls == [150] + [15] * 5
     want = _assert_each_rows_step(prob, got, fields, t_prev, t_next, 0)
@@ -986,7 +1010,7 @@ def test_a_non_finite_linear_layer_solves_every_row_alone(monkeypatch,
     t_prev, t_next = _linspace_steps(9, 5)
     fields = np.random.default_rng(5).normal(size=(9, n))
     fields[2, 0], fields[6, n // 2] = np.inf, np.nan
-    calls = _counting_pbtrs(monkeypatch)
+    calls = _counting(monkeypatch)
     with np.errstate(invalid="ignore"):
         got, _, _ = prob.step_many(fields, np.zeros((9, 0)), t_prev, t_next,
                                    level)
@@ -999,28 +1023,78 @@ def test_a_non_finite_linear_layer_solves_every_row_alone(monkeypatch,
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_forcing_stack_is_bitwise_each_times_forcing(kind):
-    """A stack's new times take one source call on their array; its rows,
-    memoized as the per-time forcings, are bitwise the scalar formula."""
+    """A new stack takes one source call on the array of exactly its times,
+    a repeated one none, and a single time one call on its float; every
+    row is read-only and bitwise the scalar formula."""
     source = _CountingSource()
     prob, scalar = _problem(kind, source), _uncached_forcing(_problem(kind))
     times = build_uniform_grid(0.0, 0.02, 512).points.tolist()
     for level in range(3):
         for smooth in (False, True):
+            stacks = []
             for a, b in ((1, 34), (20, 53), (300, 302), (0, 513)):
-                calls, evaluated = source.calls, source.times
-                new = {t for t in times[a:b]
-                       if (t, level, smooth) not in prob._forcing}
-                stack = prob._forcings(times[a:b], level, smooth)
-                assert source.calls - calls == 1
-                assert source.times - evaluated == len(new)
+                made = len(source.args)
+                stacks.append(prob._forcings(times[a:b], level, smooth))
+                (arg, s), = source.args[made:]
+                assert type(arg) is np.ndarray and s == smooth
+                assert arg.tolist() == times[a:b]
                 want = np.array([scalar(t, level, smooth)
                                  for t in times[a:b]])
-                assert np.array_equal(stack, want)
-                assert np.array_equal(np.signbit(stack), np.signbit(want))
-                for t, row in zip(times[a:b], stack):
-                    f = prob.forcing(t, level, smooth)
-                    assert np.array_equal(f, row) and not f.flags.writeable
-    assert source.times == 3 * 2 * 513
+                assert np.array_equal(stacks[-1], want)
+                assert np.array_equal(np.signbit(stacks[-1]),
+                                      np.signbit(want))
+                assert not stacks[-1].flags.writeable
+            made = len(source.args)
+            assert prob._forcings(tuple(times[1:34]), level, smooth) \
+                is stacks[0]
+            assert len(source.args) == made
+            for t in times[20:23]:
+                made = len(source.args)
+                f = prob.forcing(t, level, smooth)
+                assert source.args[made:] == [(t, smooth)]
+                assert type(source.args[-1][0]) is float
+                assert prob._forcings([t], level, smooth) is f
+                want = scalar(t, level, smooth)
+                assert np.array_equal(f, want) and not f.flags.writeable
+                assert np.array_equal(np.signbit(f), np.signbit(want))
+    assert len(source.args) == 3 * 2 * (4 + 3)
+
+
+class _HashingSource(_CountingSource):
+    """Hashes each argument, as a tracer keeping a set of the times it saw
+    does: an array of times raises TypeError."""
+
+    def value(self, t):
+        hash(t)
+        return super().value(t)
+
+    def smooth_value(self, t):
+        hash(t)
+        return super().smooth_value(t)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_single_time_hands_the_source_a_float(kind):
+    """A one-row step or step_many hands the source its time's float, which
+    a hashing source takes; three rows hand it their times' array."""
+    prob = _problem(kind, _HashingSource())
+    fields = np.zeros((3, prob.spatial.size(1)))
+    scalars = np.zeros((3, prob.n_scalars))
+    t_prev = [0.001, 0.002, 0.003]
+    t_next = [t + 0.001 for t in t_prev]
+    for smooth in (False, True):
+        prob.step(BlockState(fields[0], scalars[0]), t_prev[0], t_next[0], 1,
+                  smooth=smooth)
+        prob.step_many(fields[1:2], scalars[1:2], t_prev[1:2], t_next[1:2], 1,
+                       smooth)
+    assert [(type(t), s) for t, s in prob.excitation.args] == [
+        (float, False), (float, False), (float, True), (float, True)]
+    with pytest.raises(TypeError, match="unhashable"):
+        prob.step_many(fields, scalars, t_prev, t_next, 1)
+    prob = _problem(kind, _CountingSource())
+    prob.step_many(fields, scalars, t_prev, t_next, 1)
+    (t, smooth), = prob.excitation.args
+    assert type(t) is np.ndarray and t.tolist() == t_next and not smooth
 
 
 @pytest.mark.parametrize("ramp", [False, True])

@@ -48,35 +48,25 @@ def test_cf_split_partition():
         assert np.all(s.c_indices % m == 0)
 
 
-def test_plan_for_129_points_16_workers():
-    factors = plan_coarsening(128, 16, 5, 2)
-    assert factors == [8, 2, 2, 2]
+def test_plan_for_129_points():
+    factors = plan_coarsening(128, 5, 2)
+    assert factors == [2, 2, 2, 2]
     h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 128), factors)
-    assert [g.n_points for g in h.grids] == [129, 17, 9, 5, 3]
+    assert [g.n_points for g in h.grids] == [129, 65, 33, 17, 9]
 
 
-def test_plan_single_worker_two_levels():
-    factors = plan_coarsening(8, 1, 2, 2)
-    assert factors == [8]
-    h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 8), factors)
-    assert [g.n_points for g in h.grids] == [9, 2]
-
-
-def test_plan_large_run_first_factor_from_worker_count():
-    factors = plan_coarsening(2 ** 15, 256, 5, 4)
-    assert factors == [128, 4, 4, 4]
-    h = TimeHierarchy.build(build_uniform_grid(0.0, 0.03125, 2 ** 15), factors)
-    assert [g.n_points for g in h.grids] == [2 ** 15 + 1, 257, 65, 17, 5]
-
-
-def test_plan_clamps_first_factor_to_two():
-    assert plan_coarsening(16, 16, 3, 2)[0] == 2
-    assert plan_coarsening(16, 64, 3, 2)[0] == 2
+def test_plan_stops_above_two_coarse_steps():
+    # 8 steps: 4 after one factor of 2, 2 after two; 1 would be too few
+    assert plan_coarsening(8, 5, 2) == [2, 2]
+    assert plan_coarsening(9, 5, 4) == [4]
+    h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 8), [2, 2])
+    assert [g.n_points for g in h.grids] == [9, 5, 3]
 
 
 def test_plan_degenerate_inputs_give_single_level():
-    assert plan_coarsening(1, 4, 3, 2) == []
-    assert plan_coarsening(8, 1, 1, 2) == []
+    assert plan_coarsening(1, 3, 2) == []
+    assert plan_coarsening(3, 3, 2) == []
+    assert plan_coarsening(8, 1, 2) == []
     h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 1), [])
     assert h.n_levels == 1
 
