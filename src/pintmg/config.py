@@ -12,12 +12,13 @@ config and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .harness import (build_cycle, build_hierarchy, build_problem,
                       build_stopping)
 from .problems import SOURCES
-from .runtime import TRANSPORTS
+from .runtime import DEFAULT_TIMEOUT, TRANSPORTS
 from .spatial import STRATEGIES
 
 PROBLEM_KINDS = ("linear", "nonlinear", "machine", "dahlquist")
@@ -58,6 +59,7 @@ class ExperimentConfig:
     excitation_ramp: bool = True
     run_transport: str = "process"
     run_seed: int = 0
+    run_timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
         """Valid when the problem, hierarchy, cycle and stopping criterion
@@ -75,6 +77,9 @@ class ExperimentConfig:
         if self.run_seed < 0:  # only the random profile draws from it
             raise ValueError(f"run.seed must be non-negative, "
                              f"got {self.run_seed}")
+        if not 0.0 < self.run_timeout < math.inf:  # only a run waits
+            raise ValueError(f"run.timeout must be a positive number of "
+                             f"seconds, got {self.run_timeout}")
         if self.hierarchy_workers < 1:  # only a run spawns them
             raise ValueError(f"hierarchy.workers must be positive, "
                              f"got {self.hierarchy_workers}")

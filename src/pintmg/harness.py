@@ -104,7 +104,8 @@ def execute(config):
     p = config.hierarchy_workers
     try:
         return run_spmd(p, _solver_worker, config,
-                        backend=config.run_transport)[0]
+                        backend=config.run_transport,
+                        timeout=config.run_timeout)[0]
     except (NewtonConvergenceError, TransportError) as e:
         return SolverRun(converged=False, n_workers=p, failure=str(e))
 

@@ -18,9 +18,9 @@ Row r is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
 t_next[r], spatial_level, guess=<that state>, smooth): each row does its
 single step's arithmetic, only grouped into whole-array calls (np.exp
 and the elementwise operations give each row's bits whatever the
-batch).  The linear step makes one pbtrs call for all rows, whatever
+batch).  The linear step makes one pttrs call for all rows, whatever
 their dts; Newton iterates the rows still active together, with one
-stacked ddot for their norms and one pbsv call per iterate, and each row
+stacked ddot for their norms and one ptsv call per iterate, and each row
 keeps its own scale and line search.  A failing row raises exactly its
 single step's error, the first failing row in row order when several
 fail.  ``step`` is the same kernel on one row, so no kernel exists
@@ -33,8 +33,8 @@ every step.
 
 Steppers are deterministic.  Their only state is two memos, each entry
 computed from its own key alone, in one call, and read-only: the linear
-problem's block-diagonal bands of banded factors per (dts, grid), from
-one pbtrf call on the distinct dts; and forcings per (t, grid, smooth),
+problem's block-diagonal bands of LDL^T factors per (dts, grid), from
+one pttrf call on the distinct dts; and forcings per (t, grid, smooth),
 from one call of the excitation's value or smooth_value on the float t,
 or per (times, grid, smooth), a (k, n) stack from one call on the array
 of times, which the excitation must accept.  MGRIT re-runs the same time
@@ -45,17 +45,18 @@ in 34 entries and 4.5 MiB of bands in 25.  An entry is written once,
 never modified, and equal to whatever a racing thread computes for the
 same key, so concurrent workers may share an instance.
 
-Banded Cholesky factorizations and solves call LAPACK's pbtrf/pbtrs
-directly, as scipy's cholesky_banded/cho_solve_banded do, without their
-finiteness checks and copies.  A linear layer's rows take one pbtrs
-call on their band, and Newton's one pbsv call per iterate (bitwise
-pbtrf then pbtrs) on that of their Jacobians.  Either is bitwise row by
-row but for the sign of a zero ending a row's solution, and for NaN,
-which the zero coupling spreads to every row: such a row is solved
-alone, as is every row of a non-finite linear solve and each row of a
-non-finite Jacobian (_newton_step).  A non-finite value so passes through
-a step; Newton rejects a non-finite residual itself, and the MGRIT
-solver stops on a non-finite residual norm.
+Every matrix is symmetric positive-definite tridiagonal, solved with
+LAPACK's LDL^T routines pttrf/pttrs/ptsv as scipy's solveh_banded does,
+without its checks and copies: one pttrs call per linear layer and one
+ptsv call (bitwise pttrf then pttrs) per Newton iterate, on the rows'
+block-diagonal band.  dptts2 subtracts its +0.0 coupling times the row
+before's last entry from a row's first, and times the next row's first
+from a row's last.  That flips the sign of a zero starting a row's
+right-hand side or ending its solution, and spreads an inf or a NaN to
+every row; and one point alone is scaled by 1 / d, not divided.  Those
+rows (_solved_alone) are solved alone, so a non-finite value passes
+through a step; Newton rejects a non-finite residual itself, and the
+MGRIT solver stops on a non-finite residual norm.
 
 Newton evaluates the flux once per iterate: the residual at an iterate
 keeps the squared gradients, exp(k2 s^2) and nu that the Jacobian at the
@@ -121,10 +122,11 @@ def joule_loss(u_prev, u_next, dt, weights):
 
 SOURCES = ("sine", "bump", "random")
 
-# The hot calls pass (lower, ldab, overwrite_*) positionally, which the
-# f2py wrappers parse faster than keywords.
-_pbtrf, _pbtrs, _pbsv = get_lapack_funcs(("pbtrf", "pbtrs", "pbsv"),
-                                         (np.empty((2, 1)),))
+# The hot calls pass the overwrite flags positionally, which the f2py
+# wrappers parse faster than keywords; the wrappers check the shapes, so
+# no call returns info < 0 (an illegal argument).
+_pttrf, _pttrs, _ptsv = get_lapack_funcs(("pttrf", "pttrs", "ptsv"),
+                                         (np.empty(1),))
 
 
 # index expressions along the last axis, the points of one state's field
@@ -142,41 +144,48 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0]).tolist()
 
 
-def _factor_error(info, routine):
-    """The error a LAPACK routine's nonzero info stands for."""
-    if info > 0:
-        return LinAlgError(f"{info}-th leading minor not positive definite")
-    return ValueError(f"illegal value in {-info}-th argument of "
-                      f"internal {routine}")
+def _factor_error(info):
+    """The error of pttrf's or ptsv's info > 0."""
+    return LinAlgError(f"{info}-th leading minor not positive definite")
+
+
+def _diagonals(ab):
+    """A band's diagonal and superdiagonal in scipy's upper form, as the
+    contiguous views the pt routines take (of one point, the pad ab[0]:
+    the f2py wrappers want one entry)."""
+    return ab[1], ab[0, 1:] if ab.shape[1] > 1 else ab[0]
 
 
 def _band_factor(ab):
-    """Upper Cholesky factor of a symmetric positive-definite band in
-    scipy's upper form (ab[0, 1:] the superdiagonal, ab[1] the diagonal),
-    overwriting ab where LAPACK can."""
-    c, info = _pbtrf(ab, lower=0, overwrite_ab=1)
+    """pttrf's LDL^T factors (d, l) of an SPD tridiagonal band in scipy's
+    upper form, C-ordered, in place: _diagonals' views of ab."""
+    factor = _diagonals(ab)
+    *_, info = _pttrf(*factor, 1, 1)  # overwrite_d, overwrite_e
     if info:
-        raise _factor_error(info, "pbtrf")
-    return c
+        raise _factor_error(info)
+    return factor
 
 
 def _band_solve(factor, b):
-    """Solve A x = b from _band_factor's factor, overwriting b."""
-    x, info = _pbtrs(factor, b, 0, factor.shape[0], 1)  # overwrite_b=1
-    if info:
-        raise _factor_error(info, "pbtrs")
-    return x
+    """Solve A x = b from _band_factor's (d, l) (pttrs), overwriting b."""
+    return _pttrs(*factor, b, 1)[0]  # overwrite_b=1
 
 
 def _band_factor_solve(ab, b):
-    """Solve A x = b for a band in _band_factor's form with one LAPACK
-    pbsv call, bitwise _band_solve(_band_factor(ab), b), overwriting ab (if
-    Fortran-ordered) and b; (x, info), x unsolved if info > 0 (a minor)."""
-    # lower=0, overwrite_ab=1, overwrite_b=1
-    _, x, info = _pbsv(ab, b, 0, ab.shape[0], 1, 1)
-    if info < 0:
-        raise _factor_error(info, "pbsv")
-    return x, info
+    """Solve A x = b for a band in _band_factor's form with one ptsv call,
+    bitwise _band_solve(_band_factor(ab), b) and scipy's solveh_banded,
+    overwriting ab and b; (x, info), x unsolved if info > 0 (a minor)."""
+    return _ptsv(*_diagonals(ab), b, 1, 1, 1)[2:]  # overwrite d, e, b
+
+
+def _solved_alone(b0, x):
+    """The rows of x, solved on their block-diagonal band, that its zero
+    coupling can change (see above): all, or those where b0, the first
+    entry of the right-hand side, or x's last is 0."""
+    if x.shape[1] == 1 or not np.isfinite(x).all():
+        return range(len(x))
+    nonzero = np.logical_and(b0, x[:, -1])
+    return () if nonzero.all() else np.flatnonzero(~nonzero)
 
 
 def _source_profile(kind, x, seed):
@@ -289,11 +298,10 @@ class LinearDiffusionProblem(_FieldProblem):
         self._factor_cache = {}
 
     def _band(self, dts, spatial_level):
-        """The banded Cholesky factors of M / dt + K on the grid for each of
-        the step sizes dts, memoized read-only per (dts, grid) as their
-        block-diagonal band, (2, k n) Fortran-ordered, +0.0 coupling each
-        row to the one before: one pbtrf call factors the band of the
-        distinct dts, whose blocks are gathered to the rows."""
+        """_band_factor's (d, l) of M / dt + K on the grid for the step sizes
+        dts, memoized read-only per (dts, grid), block-diagonal with +0.0
+        coupling each row to the one before: one pttrf call factors the
+        distinct dts' band, whose blocks are gathered to the rows."""
         key = (dts, spatial_level)
         band = self._factor_cache.get(key)
         if band is None:
@@ -304,17 +312,17 @@ class LinearDiffusionProblem(_FieldProblem):
             ab[0, :, 1:] = -self.diffusivity / dx2
             ab[1] = (2.0 * self.diffusivity / dx2
                      + self.mass_coeff / distinct[:, None])
-            factor = _band_factor(ab.reshape(2, -1)).reshape(ab.shape)
-            band = np.asfortranarray(factor[:, rows].reshape(2, -1))
-            band.flags.writeable = False
-            self._factor_cache[key] = band
+            _band_factor(ab.reshape(2, -1))
+            ab = ab[:, rows].reshape(2, -1)
+            ab.flags.writeable = False
+            band = self._factor_cache[key] = _diagonals(ab)
         return band
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
                  smooth, guess):
-        """One banded solve for the only row (1-d fields) or on _band's band
-        for all rows, after which a row ending in a zero, or every row of a
-        non-finite result, is solved alone; no guess, no scalars to step."""
+        """One pttrs solve for the only row (1-d fields) or on _band's band
+        for all rows, after which the rows that _solved_alone names are
+        solved alone; no guess, no scalars to step."""
         if fields.ndim == 1:
             dt = t_next[0] - t_prev[0]
             rhs = (self.mass_coeff / dt) * fields
@@ -324,10 +332,10 @@ class LinearDiffusionProblem(_FieldProblem):
         dts = np.subtract(t_next, t_prev)
         rhs = (self.mass_coeff / dts[:, None]) * fields
         rhs += self._forcings(t_next, spatial_level, smooth)
+        b0 = rhs[:, 0].copy()
         out = _band_solve(self._band(tuple(dts.tolist()), spatial_level),
                           rhs.reshape(-1)).reshape(fields.shape)
-        for r in (np.flatnonzero(~out[:, [0, -1]].all(1))
-                  if np.isfinite(out).all() else range(len(out))):
+        for r in _solved_alone(b0, out):
             out[r] = self._advance(fields[r], scalars[r], t_prev[r:r + 1],
                                    t_next[r:r + 1], spatial_level, smooth,
                                    None)[0]
@@ -392,13 +400,14 @@ class NonlinearSaturationProblem(_FieldProblem):
 
     def _jacobian_band(self, s2, e, nu, sig_dt, dx):
         """sig_dt I + N'(u) in _band_factor's form from _divergence's
-        arrays at u, Fortran-ordered as LAPACK takes it; for k rows (sig_dt
-        a column) their block-diagonal band, shape (2, k n), coupled by 0 in
-        the superdiagonal at each row's first point."""
+        arrays at u, its diagonal and superdiagonal rows contiguous as
+        LAPACK takes them; for k rows (sig_dt a column) their block-diagonal
+        band, shape (2, k n), coupled by 0 in the superdiagonal at each
+        row's first point."""
         dphi = self.curve.flux_derivative_from(s2, e, nu)
         dphi /= dx ** 2
         lower = dphi[_HEAD]
-        ab = np.empty((lower.size, 2)).T
+        ab = np.empty((2, lower.size))
         upper, diagonal = ab.reshape(2, *lower.shape)
         np.negative(lower, out=upper)
         upper[..., 0] = 0.0  # outside the band, or between two rows
@@ -409,31 +418,22 @@ class NonlinearSaturationProblem(_FieldProblem):
     def _newton_step(self, r, s2, e, nu, sig_dt, dx):
         """Newton's step -J(u)^-1 r for each row of the residual r at u, and
         {q: LinAlgError}, row q's single-step error, for the rows whose
-        Jacobian is not positive definite (steps unsolved).  One pbsv call
-        solves all rows on their block-diagonal band, bitwise row by row
-        but for the sign of a zero ending a row's step: with kd = 1 pbtrf
-        is dpbtf2, and the zero coupling adds signed zeros, and NaN where
-        the stack is not finite.  So a row with a non-finite band, or with
-        a step ending in a zero, is solved alone; info > 0 fails row (info
-        - 1) // n, and the rest is rebuilt (pbsv overwrote it) and solved
-        again.  One row takes no scan."""
+        Jacobian is not positive definite (steps unsolved), from one ptsv
+        call on their band, then each row _solved_alone names alone; info >
+        0 fails row (info - 1) // n, and the rest is rebuilt (ptsv overwrote
+        it) and solved again.  One row takes no scan."""
         ab, delta = self._jacobian_band(s2, e, nu, sig_dt, dx), -r
         k, n = r.shape if r.ndim == 2 else (1, len(r))
-        singular = {}
-        if k > 1 and not np.isfinite(ab).all():
-            bad = ~np.isfinite(ab.reshape(2, k, n)).all(axis=(0, 2))
-            parts = [np.flatnonzero(~bad).tolist(), *np.argwhere(bad).tolist()]
+        x, info = _band_factor_solve(ab, delta.reshape(-1))
+        delta, singular = x.reshape(r.shape), {}
+        if info:
+            pos = (info - 1) // n
+            singular[pos] = _factor_error(info - pos * n)
+            parts = [[q for q in range(k) if q != pos]]
+        elif k == 1:
+            return delta, singular
         else:
-            x, info = _band_factor_solve(ab, delta.reshape(-1))
-            delta = x.reshape(r.shape)
-            if info:
-                pos = (info - 1) // n
-                singular[pos] = _factor_error(info - pos * n, "pbsv")
-                parts = [[q for q in range(k) if q != pos]]
-            elif k == 1 or delta[:, ::n - 1 or 1].all():  # no zero ends
-                return delta, singular
-            else:  # each row whose step ends in a zero is solved alone
-                parts = np.argwhere(~delta[:, ::n - 1 or 1].all(1)).tolist()
+            parts = [[q] for q in _solved_alone(r[:, 0], delta)]
         for rows in filter(None, parts):
             delta[rows], part = self._newton_step(
                 *(a[rows] for a in (r, s2, e, nu, sig_dt)), dx)
@@ -446,7 +446,7 @@ class NonlinearSaturationProblem(_FieldProblem):
         array u_prev (a 1-d array is one row) from the rows of guess (None:
         from u_prev).  Each row keeps its own scale and line search and
         does its single step's arithmetic; the rows still iterating share
-        the array calls, one stacked ddot and one pbsv (_newton_step) per
+        the array calls, one stacked ddot and one ptsv (_newton_step) per
         iterate.  Returns a new array shaped as u_prev, the scalars and the
         per-row iteration counts, or raises the first failing row's error."""
         k = len(t_prev)

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from pintmg.errors import NewtonConvergenceError
-from pintmg.problems import StepDiagnostics, _band_factor, _band_solve
+from pintmg.problems import StepDiagnostics
 from pintmg.state import BlockState, SpaceTimeVector
 
 
@@ -170,11 +171,12 @@ class UnfusedNewton:
     """A NonlinearSaturationProblem or SurrogateMachineProblem whose step
     is damped Newton written out plainly: the residual and the Jacobian
     each compute the gradients and exp(k2 s^2) afresh from the Brauer
-    formulas, and each Jacobian is factored (pbtrf) and then solved
-    (pbtrs).  A trial whose residual norm is not below the current one,
-    NaN included, is damped.  Everything but ``step`` is the wrapped
-    problem's.  ``halvings`` counts the damped trials evaluated and
-    ``non_finite_trials`` the full Newton trials with a non-finite norm.
+    formulas, and each Jacobian is solved with scipy's solveh_banded
+    (LAPACK's ptsv for a tridiagonal band).  A trial whose residual norm
+    is not below the current one, NaN included, is damped.  Everything
+    but ``step`` is the wrapped problem's.  ``halvings`` counts the damped
+    trials evaluated and ``non_finite_trials`` the full Newton trials with
+    a non-finite norm.
     """
 
     def __init__(self, problem):
@@ -227,8 +229,8 @@ class UnfusedNewton:
                     return u, it
                 if it == opt.max_iters:
                     break
-                factor = _band_factor(self._jacobian(u, sig_dt, dx))
-                delta = _band_solve(factor, -r)
+                delta = solveh_banded(self._jacobian(u, sig_dt, dx), -r,
+                                      check_finite=False)
                 trial = u + delta
                 r_trial = self._residual(trial, sig_dt, rhs, dx)
                 t_norm = math.sqrt(r_trial @ r_trial)

@@ -4,6 +4,9 @@ import pytest
 
 from pintmg.config import (ExperimentConfig, load_config, parse_config,
                            save_config, serialize_config, with_overrides)
+from pintmg.errors import TransportError
+from pintmg.harness import execute
+from pintmg.runtime import DEFAULT_TIMEOUT
 
 
 def test_defaults_valid():
@@ -122,6 +125,29 @@ def test_negative_seed_rejected_by_name_for_every_source(source):
     with pytest.raises(ValueError,
                        match=r"^run\.seed must be non-negative, got -1$"):
         parse_config(f"problem.source = {source}\nrun.seed = -1\n")
+
+
+@pytest.mark.parametrize("text", ["0", "-1.5", "0.0", "nan", "inf"])
+def test_bad_timeout_rejected_by_name_at_parse_time(text):
+    with pytest.raises(ValueError, match=r"^run\.timeout must be a positive "
+                                         r"number of seconds, got "):
+        parse_config(f"run.timeout = {text}\n")
+
+
+def test_timeout_reaches_the_workers(monkeypatch):
+    """execute hands run.timeout to run_spmd in place of its default."""
+    seen = []
+
+    def run_spmd(p, fn, payload, backend, timeout):
+        seen.append(timeout)
+        raise TransportError("no workers started")
+
+    monkeypatch.setattr("pintmg.harness.run_spmd", run_spmd)
+    config = parse_config("run.timeout = 7.5\n")
+    assert config.run_timeout == 7.5
+    assert parse_config("").run_timeout == DEFAULT_TIMEOUT
+    assert execute(config).failure == "no workers started"
+    assert seen == [7.5]
 
 
 def test_zero_workers_rejected_by_name_at_parse_time():

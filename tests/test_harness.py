@@ -190,7 +190,7 @@ def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
 
 class _KickedProblem(NonlinearSaturationProblem):
     """Starts from a rough random field, whose first Jacobian breaks
-    the Cholesky factorization."""
+    its LDL^T factorization."""
 
     def initial_state(self, spatial_level=0):
         n = self.spatial.size(spatial_level)

@@ -8,7 +8,7 @@ count.  The p = 2 solves run on the thread and on the process transport.
 
 The pins are valid only for the numpy/SciPy build (and, through their
 BLAS/LAPACK, the CPU) they were recorded on: the dot products and the
-banded Cholesky solves may take other kernels elsewhere, rounding the
+tridiagonal LDL^T solves may take other kernels elsewhere, rounding the
 last bits differently while every tolerance check still passes.  On a
 new build, re-record them at an unchanged commit with
 ``python tests/test_pins.py``, which prints the current values.
@@ -33,76 +33,75 @@ CASES = {
     "machine": ("two-level", 66, [4, 4], "none", True),  # a 2-step F-tail
 }
 
-# recorded with numpy 2.4.6, SciPy 1.17.1, Python 3.11.7 on x86-64, at the
-# engine before its passes shared one owned-range walk; the machine case's
-# third p = 2 norm took p = 1's last bit when the norm stopped adding
-# per-rank partial sums
+# recorded with numpy 2.4.6, SciPy 1.17.1, Python 3.11.7 on x86-64, when
+# the tridiagonal solves moved from banded Cholesky (pbtrf/pbtrs) to LDL^T
+# (pttrf/pttrs/ptsv), which rounds differently; iteration counts held
 PINS = {
     ("linear", 1): {
         "iterations": 5,
         "initial_residual": "0x1.7043243993518p-7",
         "residual_norms": [
-            "0x1.105d31e40e887p-8", "0x1.6cab881340f41p-11",
-            "0x1.51a81a8c9e5fcp-17", "0x1.d129715089a9fp-27",
-            "0x1.dce85d6a9556bp-34",
+            "0x1.105d31e40e889p-8", "0x1.6cab881340f5bp-11",
+            "0x1.51a81a8c9e6cap-17", "0x1.d129715004c64p-27",
+            "0x1.dce85d111cbf4p-34",
         ],
-        "trajectory": ("e378721e9b42782d5172678b6e8df388"
-                       "3af5abef5692fa89095c6757f332ae7d"),
+        "trajectory": ("2a81d6d4cebaf65749815f97e0cc207e"
+                       "79b2cf3ecc81e542bae8f2f2f72f67f9"),
     },
     ("linear", 2): {
         "iterations": 5,
         "initial_residual": "0x1.7043243993518p-7",
         "residual_norms": [
-            "0x1.105d31e40e887p-8", "0x1.6cab881340f41p-11",
-            "0x1.51a81a8c9e5fcp-17", "0x1.d129715089a9fp-27",
-            "0x1.dce85d6a9556bp-34",
+            "0x1.105d31e40e889p-8", "0x1.6cab881340f5bp-11",
+            "0x1.51a81a8c9e6cap-17", "0x1.d129715004c64p-27",
+            "0x1.dce85d111cbf4p-34",
         ],
-        "trajectory": ("e378721e9b42782d5172678b6e8df388"
-                       "3af5abef5692fa89095c6757f332ae7d"),
+        "trajectory": ("2a81d6d4cebaf65749815f97e0cc207e"
+                       "79b2cf3ecc81e542bae8f2f2f72f67f9"),
     },
     ("machine", 1): {
         "iterations": 5,
         "initial_residual": "0x1.182954091867fp-7",
         "residual_norms": [
-            "0x1.6f8f78d82f8eap-13", "0x1.dfeacdcfa02b7p-18",
-            "0x1.ad3d1a5c2ffe9p-22", "0x1.7b3dbd4d7a85fp-26",
-            "0x1.08760c9bdf3efp-30",
+            "0x1.6f8f78d82f8d0p-13", "0x1.dfeacdcfa0645p-18",
+            "0x1.ad3d1a5c309afp-22", "0x1.7b3dbd4d8e4e8p-26",
+            "0x1.08760c9eee01ap-30",
         ],
-        "trajectory": ("dd7a10f84ab086090b2e52cdaabb5f70"
-                       "31b5df776f72145360078d0925f70c8c"),
+        "trajectory": ("010dd52135970e343a285e88d3ed6845"
+                       "de63aa6531abb08dd8e268d5810293ce"),
     },
     ("machine", 2): {
         "iterations": 5,
         "initial_residual": "0x1.182954091867fp-7",
         "residual_norms": [
-            "0x1.6f8f78d82f8eap-13", "0x1.dfeacdcfa02b7p-18",
-            "0x1.ad3d1a5c2ffe9p-22", "0x1.7b3dbd4d7a85fp-26",
-            "0x1.08760c9bdf3efp-30",
+            "0x1.6f8f78d82f8d0p-13", "0x1.dfeacdcfa0645p-18",
+            "0x1.ad3d1a5c309afp-22", "0x1.7b3dbd4d8e4e8p-26",
+            "0x1.08760c9eee01ap-30",
         ],
-        "trajectory": ("dd7a10f84ab086090b2e52cdaabb5f70"
-                       "31b5df776f72145360078d0925f70c8c"),
+        "trajectory": ("010dd52135970e343a285e88d3ed6845"
+                       "de63aa6531abb08dd8e268d5810293ce"),
     },
     ("nonlinear", 1): {
         "iterations": 5,
-        "initial_residual": "0x1.169d1a422192cp-8",
+        "initial_residual": "0x1.169d1a422192dp-8",
         "residual_norms": [
-            "0x1.0f0b1b5387e30p-12", "0x1.edbdc8bf176ddp-17",
-            "0x1.80eb95771e84fp-21", "0x1.f292cc3e5fb47p-26",
-            "0x1.e68d2614b69edp-31",
+            "0x1.0f0b1b5387e26p-12", "0x1.edbdc8bf1767fp-17",
+            "0x1.80eb95771f310p-21", "0x1.f292cc3eadadfp-26",
+            "0x1.e68d261103d2fp-31",
         ],
-        "trajectory": ("900e48b3c4767b762ed2cfb0688de97a"
-                       "31394987eeff3fa33ceeb7d39eaaa741"),
+        "trajectory": ("530da62cb6156516fc23dfdb74427e99"
+                       "6b6c9cb199613e8506b8e875ea85b471"),
     },
     ("nonlinear", 2): {
         "iterations": 5,
-        "initial_residual": "0x1.169d1a422192cp-8",
+        "initial_residual": "0x1.169d1a422192dp-8",
         "residual_norms": [
-            "0x1.0f0b1b5387e30p-12", "0x1.edbdc8bf176ddp-17",
-            "0x1.80eb95771e84fp-21", "0x1.f292cc3e5fb47p-26",
-            "0x1.e68d2614b69edp-31",
+            "0x1.0f0b1b5387e26p-12", "0x1.edbdc8bf1767fp-17",
+            "0x1.80eb95771f310p-21", "0x1.f292cc3eadadfp-26",
+            "0x1.e68d261103d2fp-31",
         ],
-        "trajectory": ("900e48b3c4767b762ed2cfb0688de97a"
-                       "31394987eeff3fa33ceeb7d39eaaa741"),
+        "trajectory": ("530da62cb6156516fc23dfdb74427e99"
+                       "6b6c9cb199613e8506b8e875ea85b471"),
     },
 }
 

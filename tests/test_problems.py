@@ -4,7 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded,
+                          solveh_banded)
+from scipy.linalg.lapack import dpttrf
 
 from pintmg.errors import NewtonConvergenceError
 from pintmg.excitation import PwmSource
@@ -439,18 +441,70 @@ def test_lapack_band_helpers_match_scipy_bitwise(n):
     ab[0, 1:] = -rng.uniform(0.5, 2.0, n - 1) * n * n
     ab[1] = 4.0 * n * n + rng.uniform(10.0, 1e4, n)
     b = rng.normal(size=n)
-    ref = cholesky_banded(ab)
+    d, l, info = dpttrf(ab[1], ab[0, 1:])
     factor = _band_factor(ab.copy())
-    assert np.array_equal(factor, ref)
-    assert np.array_equal(_band_solve(factor, b.copy()),
-                          cho_solve_banded((ref, False), b))
-    # Newton's one-call pbsv: bitwise pbtrf then pbtrs
+    assert info == 0
+    assert np.array_equal(factor[0], d) and np.array_equal(factor[1], l)
+    want = solveh_banded(ab, b)
+    assert np.array_equal(_band_solve(factor, b.copy()), want)
+    # Newton's one-call ptsv: bitwise pttrf then pttrs
     x, info = _band_factor_solve(ab.copy(), b.copy())
-    assert info == 0 and np.array_equal(x, _band_solve(factor, b.copy()))
+    assert info == 0 and np.array_equal(x, want)
+    # one point: pttrs scales by 1 / d
+    x, info = _band_factor_solve(ab[:, :1].copy(), b[:1].copy())
+    assert info == 0 and x.tolist() == [b[0] * (1.0 / ab[1, 0])]
     ab[1, n // 2] = -1.0
     with pytest.raises(LinAlgError):
         _band_factor(ab.copy())
+    with pytest.raises(LinAlgError):
+        solveh_banded(ab, b)
     assert _band_factor_solve(ab, b)[1] == n // 2 + 1
+
+
+def _assert_near_cholesky(ab, b, x):
+    """x, an LDL^T solve of the band ab, is within rounding of banded
+    Cholesky's solve y: |x - y| <= 2 n eps cond(A) |y| in 2-norms, the sum
+    of the first-order forward error bounds n eps cond(A) |y| of the two
+    backward-stable solves."""
+    y = cho_solve_banded((cholesky_banded(ab), False), b)
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+    n, eps = len(b), np.finfo(float).eps
+    bound = 2.0 * n * eps * np.linalg.cond(dense) * np.linalg.norm(y)
+    assert np.linalg.norm(x - y) <= bound
+
+
+@pytest.mark.parametrize("n", [15, 31, 63, 127])
+def test_ldlt_solves_agree_with_banded_cholesky(n):
+    """Random diagonally dominant bands, from a margin of 1e-6 (cond up to
+    about 1e7) to one of 10."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -rng.uniform(0.5, 2.0, n - 1)
+        ab[1] = (-ab[0] - np.append(ab[0, 1:], 0.0)
+                 + 10.0 ** rng.uniform(-6.0, 1.0, n))
+        b = rng.normal(size=n)
+        x, info = _band_factor_solve(ab.copy(), b.copy())
+        assert info == 0
+        _assert_near_cholesky(ab, b, x)
+
+
+def test_ldlt_agrees_with_banded_cholesky_on_steep_jacobians():
+    """The steep _nine_rows Jacobians: LDL^T agrees with banded Cholesky
+    within rounding on the eight positive-definite rows, and both reject
+    row 4's at the same leading minor."""
+    prob = NonlinearSaturationProblem(15)
+    _, _, (r, s2, e, nu, dx) = _nine_rows(prob, steep=True)
+    for q in range(9):
+        ab = prob._jacobian_band(s2[q], e[q], nu[q], 1000.0, dx)
+        x, info = _band_factor_solve(ab.copy(), -r[q])
+        if q != 4:
+            assert info == 0
+            _assert_near_cholesky(ab, -r[q], x)
+            continue
+        with pytest.raises(LinAlgError) as err:
+            cholesky_banded(ab)
+        assert str(err.value).startswith(f"{info}-th leading minor")
 
 
 def test_newton_helpers_match_padded_differences_bitwise():
@@ -732,7 +786,7 @@ def test_step_many_raises_the_first_failing_rows_own_error():
                                                       single[3].iterations)
 
 
-# --- Newton at array speed: one stacked ddot and one pbsv per iterate -------------
+# --- Newton at array speed: one stacked ddot and one ptsv per iterate -------------
 
 def test_row_norms_are_each_rows_norm_bitwise():
     rng = np.random.default_rng(14)
@@ -788,23 +842,27 @@ def test_the_stacked_solve_is_each_rows_solve_bitwise(n):
         _assert_rows_equal(step, [x for x, _ in want], range(k))
     # row 4 is +-0 at its three first and last points, its residual at two;
     # from a tiny field at a huge sig_dt its step underflows to zeros
-    # there, whose signs must not come from row 3 or row 5
-    for tiny in (False, True):
+    # there, and from a zero field it is zero throughout (-0 from +0):
+    # signs that must not come from rows 3 and 5, each of one sign
+    for row4 in ("padded", "tiny", "zero"):
         for sign4 in (1.0, -1.0):
-            for sign5 in (1.0, -1.0):
+            for sign35 in (1.0, -1.0):
                 fields = (0.5 / n) * rng.normal(size=(9, n)).cumsum(axis=1)
                 sig_dt = rng.uniform(10.0, 1e4, (9, 1))
+                fields[[3, 5]] = sign35 * np.abs(fields[[3, 5]])
                 fields[4] = sign4 * np.pad(rng.uniform(0.5, 1.0, n - 6) / n, 3)
-                fields[5] *= sign5
-                if tiny:
+                if row4 == "tiny":
                     fields[4] *= 1e-300
                     sig_dt[4] = 1e150
+                elif row4 == "zero":
+                    fields[4] *= 0.0
                 rows = _newton_rows(prob, fields, sig_dt)
                 assert not rows[0][4, [0, 1, -2, -1]].any()
                 step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
                 want = _each_rows_step(prob, rows, sig_dt)
                 assert not singular and all(info == 0 for _, info in want)
-                assert (want[4][0][[0, -1]] == 0).all() == tiny
+                assert ((want[4][0][[0, -1]] == 0).all()
+                        == (row4 != "padded"))
                 _assert_rows_equal(step, [x for x, _ in want], range(9))
 
 
@@ -836,7 +894,7 @@ def test_a_failing_or_non_finite_row_leaves_the_others_bitwise(finite_band):
     prob = NonlinearSaturationProblem(15)
     _, sig_dt, rows = _nine_rows(prob, steep=finite_band)
     if not finite_band:
-        rows[3][4, 7] = np.nan  # a NaN band, which pbsv solves to NaN
+        rows[3][4, 7] = np.nan  # a NaN band, which ptsv solves to NaN
     want = _each_rows_step(prob, rows, sig_dt)
     with np.errstate(over="ignore", invalid="ignore"):
         step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
@@ -869,18 +927,18 @@ def test_a_row_with_a_singular_jacobian_raises_its_own_error():
     assert isinstance(err.value.__cause__, LinAlgError)
 
 
-def test_a_layer_makes_one_pbsv_call_per_newton_iterate(monkeypatch):
+def test_a_layer_makes_one_ptsv_call_per_newton_iterate(monkeypatch):
     prob = _problem("nonlinear")
     fields, scalars, t_prev, t_next = _rows_of_a_run(prob, 0, False, 32)
     fields[16:] *= 100.0  # steeper: some rows take another iterate
     calls = []
-    pbsv = problems._pbsv
+    ptsv = problems._ptsv
 
-    def counting(ab, b, *args):
+    def counting(d, e, b, *args):
         calls.append(b.size)
-        return pbsv(ab, b, *args)
+        return ptsv(d, e, b, *args)
 
-    monkeypatch.setattr(problems, "_pbsv", counting)
+    monkeypatch.setattr(problems, "_ptsv", counting)
     _, _, its = prob.step_many(fields, scalars, t_prev, t_next)
     assert min(its) >= 2 and min(its) < max(its)
     # one call per iterate, on every row still iterating
@@ -901,14 +959,14 @@ def test_a_layers_forcing_stack_is_memoized_read_only():
 
 # --- one banded solve per linear layer, one source call per forcing stack ----
 
-def _counting(monkeypatch, routine="_pbtrs"):
-    """The band widths (points) of the calls of a LAPACK band routine, as
-    they are made: a _pbtrs call's right-hand-side size."""
+def _counting(monkeypatch, routine="_pttrs"):
+    """The band widths (points) of the calls of a LAPACK tridiagonal
+    routine, as they are made: a _pttrs call's right-hand-side size."""
     calls, lapack = [], getattr(problems, routine)
 
-    def counting(ab, *args, **kwargs):
-        calls.append(ab.shape[1])
-        return lapack(ab, *args, **kwargs)
+    def counting(d, *args):
+        calls.append(d.size)
+        return lapack(d, *args)
 
     monkeypatch.setattr(problems, routine, counting)
     return calls
@@ -933,35 +991,41 @@ def _assert_each_rows_step(prob, got, fields, t_prev, t_next, level):
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
-def test_a_linear_layer_makes_one_pbtrs_call(monkeypatch, level):
-    """One pbtrs call per layer, on a band memoized per (dts, grid) from one
-    pbtrf call on the distinct dts' band, and none on a memo hit; each
-    row's block is its dt's factor, as scipy computes it."""
+def test_a_linear_layer_makes_one_pttrs_call(monkeypatch, level):
+    """One pttrs call per layer, on a band memoized per (dts, grid) from one
+    pttrf call on the distinct dts' band, and none on a memo hit; each
+    row's block is its dt's factor, as scipy's dpttrf computes it."""
     prob = _problem("linear")
     t_prev, t_next = _linspace_steps(48, level)
     dts = tuple(np.subtract(t_next, t_prev).tolist())
     n = prob.spatial.size(level)
     fields = np.random.default_rng(level).normal(size=(48, n))
-    calls, factored = _counting(monkeypatch), _counting(monkeypatch, "_pbtrf")
+    calls, factored = _counting(monkeypatch), _counting(monkeypatch, "_pttrf")
     for _ in range(2):
         got, scalars, its = prob.step_many(fields, np.zeros((48, 0)), t_prev,
                                            t_next, level)
     assert calls == [48 * n] * 2
     assert factored == [len(set(dts)) * n]
-    band = prob._band(dts, level)
-    assert prob._factor_cache == {(dts, level): band}
+    d_all, l_all = band = prob._band(dts, level)
+    assert list(prob._factor_cache) == [(dts, level)]
+    assert prob._factor_cache[dts, level] is band
     assert scalars.shape == (48, 0) and its == [1] * 48
-    assert band.flags.f_contiguous and not band.flags.writeable
-    assert np.array_equal(band[0, ::n], np.zeros(48))
-    assert not np.signbit(band[0, ::n]).any()
+    for a in band:
+        assert a.flags.c_contiguous and not a.flags.writeable
+    # both views of one (2, 48 n) array
+    assert d_all.base is l_all.base and d_all.base.nbytes == 2 * 48 * n * 8
+    assert np.array_equal(l_all[n - 1::n], np.zeros(47))
+    assert not np.signbit(l_all[n - 1::n]).any()
     dx2 = prob.spatial.spacing(level) ** 2
     for q, dt in enumerate(dts):
         ab = np.zeros((2, n))
         ab[0, 1:] = -prob.diffusivity / dx2
         ab[1] = 2.0 * prob.diffusivity / dx2 + prob.mass_coeff / dt
-        assert np.array_equal(band[:, q * n:(q + 1) * n], cholesky_banded(ab))
+        d, l, _ = dpttrf(ab[1], ab[0, 1:])
+        assert np.array_equal(d_all[q * n:(q + 1) * n], d)
+        assert np.array_equal(l_all[q * n:(q + 1) * n - 1], l)
     _assert_each_rows_step(prob, got, fields, t_prev, t_next, level)
-    # the rows' one-row steps: one band, from one pbtrf call, per new dt
+    # the rows' one-row steps: one band, from one pttrf call, per new dt
     assert len(prob._factor_cache) == len(factored) == 1 + len(set(dts))
 
 
@@ -978,8 +1042,10 @@ class _NegativeZeroSource:
 def test_linear_rows_ending_in_a_zero_are_solved_alone(monkeypatch):
     """Rows stepping to +-0 (zero fields, and 1e-300 fields over a dt of
     1e150, which underflow) sit next to rows of either sign, where the
-    stack's zero coupling could flip the sign of a zero; each is solved
-    alone, and every row is bitwise its own step, sign bits included."""
+    stack's zero coupling could flip the sign of a zero; so does a row
+    whose right-hand side starts and ends in -0 but whose step does not.
+    Each is solved alone, and every row is bitwise its own step, sign bits
+    included."""
     prob = LinearDiffusionProblem(15, n_spatial_grids=3, source="sine",
                                   excitation=_NegativeZeroSource())
     rng = np.random.default_rng(17)
@@ -988,17 +1054,41 @@ def test_linear_rows_ending_in_a_zero_are_solved_alone(monkeypatch):
     fields[0] *= -1.0
     fields[1] = fields[8] = -0.0
     fields[3] = 0.0
+    fields[5] = -0.0
+    fields[5, 0] = -1e-300  # steps to a tail that underflows to -0
     fields[6] = np.pad(rng.uniform(0.5, 1.0, 9), 3) * -1.0
     for r, sign in ((4, -1.0), (7, 1.0)):
         fields[r] = sign * 1e-300 * rng.uniform(0.5, 1.0, 15)
         t_next[r] = t_prev[r] + 1e150
     calls = _counting(monkeypatch)
     got, _, _ = prob.step_many(fields, np.zeros((10, 0)), t_prev, t_next)
-    assert calls == [150] + [15] * 5
+    made = calls.copy()
     want = _assert_each_rows_step(prob, got, fields, t_prev, t_next, 0)
-    assert np.flatnonzero(~want[:, ::14].all(1)).tolist() == [1, 3, 4, 7, 8]
-    assert np.signbit(want[[1, 4, 8]]).all()
+    assert made == [150] + [15] * 7
+    rhs = (prob.mass_coeff / np.subtract(t_next, t_prev)) * fields[:, 0]
+    assert np.flatnonzero(rhs == 0).tolist() == [1, 3, 4, 6, 7, 8]
+    assert np.flatnonzero(~want[:, ::14].all(1)).tolist() == [1, 3, 4, 5, 7,
+                                                             8]
+    assert np.signbit(want[[1, 4, 8]]).all() and np.signbit(want[5, -1])
     assert not np.signbit(want[[3, 7]]).any()
+
+
+def test_one_point_rows_are_solved_alone():
+    """pttrs scales a one-point system by 1 / d, where a stack of such rows
+    divides by d; so such rows are solved alone."""
+    prob = LinearDiffusionProblem(1, excitation=PwmSource(**PWM))
+    rng = np.random.default_rng(3)
+    t_prev, t_next = _linspace_steps(32, 3)
+    fields = rng.normal(size=(32, 1))
+    got, _, _ = prob.step_many(fields, np.zeros((32, 0)), t_prev, t_next)
+    _assert_each_rows_step(prob, got, fields, t_prev, t_next, 0)
+    prob = NonlinearSaturationProblem(1)
+    sig_dt = rng.uniform(10.0, 1e4, (32, 1))
+    rows = _newton_rows(prob, 0.1 * fields, sig_dt)
+    step, singular = prob._newton_step(*rows[:4], sig_dt, rows[4])
+    want = _each_rows_step(prob, rows, sig_dt)
+    assert not singular and all(info == 0 for _, info in want)
+    _assert_rows_equal(step, [x for x, _ in want], range(32))
 
 
 @pytest.mark.parametrize("level", [0, 2])
@@ -1014,9 +1104,10 @@ def test_a_non_finite_linear_layer_solves_every_row_alone(monkeypatch,
     with np.errstate(invalid="ignore"):
         got, _, _ = prob.step_many(fields, np.zeros((9, 0)), t_prev, t_next,
                                    level)
-        assert calls == [9 * n] + [n] * 9
+        made = calls.copy()
         want = _assert_each_rows_step(prob, got, fields, t_prev, t_next,
                                       level)
+    assert made == [9 * n] + [n] * 9
     assert np.isfinite(want[[0, 1, 3, 4, 5, 7, 8]]).all()
     assert not np.isfinite(want[[2, 6]]).all(1).any()
 
