@@ -51,6 +51,19 @@ C-updates back.  Only when the stopping test fails does the cycle go on
 to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
 that stops returns exactly the iterate it measured: the rows that
 sweep walked, and the F-tail stepped on from them.
+
+Newton (a problem with ``newton``) starts a step where the stores say it
+lands: the stored C-value, or u_keep on a coarse F-layer, less the FAS
+right-hand side; fine F-steps start from the state they step.  Steps a
+later sweep overwrites run at the relative tolerance LOOSE_TOL: nested
+iterations, the initial measuring sweep, and every sweep while the last
+fine residual norm exceeds LOOSE_MARGIN times the stopping tolerance and
+a loose step's error (LOOSE_TOL times the initial fine C-updates' norm).
+No run stops on, or returns, a loose sweep: one that passes the test is
+walked again at newton.tol from the same C-values.  The last sweep at
+max_iters, the answer's F-tail, 1-level and seeded runs, and problems
+stepped row by row (that loop passes no tolerance) run at newton.tol.
+Only globally reduced norms decide, alike at every worker count.
 """
 
 from __future__ import annotations
@@ -76,6 +89,9 @@ from .time_hierarchy import level_factor
 CYCLE_KINDS = ("two-level", "V", "F")
 STOPPING_KINDS = ("residual-norm", "qoi-change")
 QOI_FLOOR = 1e-30
+# Newton's loose relative tolerance and its margin (see the module doc)
+LOOSE_TOL = 1e-6
+LOOSE_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -184,6 +200,11 @@ class SolverRun:
     solve_seconds: float = 0.0
     level_seconds: list = field(default_factory=list)  # compute, per level
     wait_seconds: list = field(default_factory=list)   # blocked in recv
+    # per level, since the solver was built: step_many calls, rows stepped,
+    # and layer iterates (each call's largest row iteration count, summed)
+    kernel_calls: list = field(default_factory=list)
+    kernel_rows: list = field(default_factory=list)
+    layer_iterates: list = field(default_factory=list)
     storage: StorageReport | None = None
     n_workers: int = 1
     failure: str | None = None
@@ -261,6 +282,7 @@ class _Level:
         self.use_rhs = False  # plain initial-value level until a descent fills it
         self.seconds = 0.0
         self.wait = 0.0
+        self.calls = self.rows = self.layer_iterates = 0
 
 
 class MgritSolver:
@@ -285,6 +307,11 @@ class MgritSolver:
 
         self._counts = [0] * n_levels
         self._kernel = batched_step(problem)
+        # Newton takes guesses and tolerances; the per-row loop takes none
+        self._newton = hasattr(problem, "newton")
+        self._loose = self._newton and (
+            self._kernel == getattr(problem, "step_many", None))
+        self._tol = None  # None: newton.tol
         self.levels = [
             _Level(self, l, hierarchy[l], hierarchy.splittings[l],
                    self.assignment[l])
@@ -341,17 +368,35 @@ class MgritSolver:
 
     # --- sweeps ---
 
-    def _step(self, lvl, rows, first, stride=1):
+    def _step(self, lvl, rows, first, stride=1, guess=None):
         """Row r of ``rows`` stepped from point first + r stride - 1 into
-        first + r stride, all rows in one kernel call."""
+        first + r stride, all rows in one kernel call, Newton starting from
+        the rows of ``guess`` (None: from ``rows``) at the solver's
+        current tolerance; counted on lvl."""
         if not len(rows):
             return rows
         stop = first + len(rows) * stride
-        fields, scalars, _ = self._kernel(
-            rows[:, :lvl.nf], rows[:, lvl.nf:],
-            lvl.t[first - 1:stop - 1:stride], lvl.t[first:stop:stride],
-            lvl.spatial_level, self._smooth)
+        args = (rows[:, :lvl.nf], rows[:, lvl.nf:],
+                lvl.t[first - 1:stop - 1:stride], lvl.t[first:stop:stride],
+                lvl.spatial_level, self._smooth)
+        if self._newton:
+            args += (None if guess is None else guess[:, :lvl.nf], self._tol)
+        fields, scalars, its = self._kernel(*args)
+        lvl.calls += 1
+        lvl.rows += len(rows)
+        lvl.layer_iterates += max(its)
         return np.concatenate((fields, scalars), axis=1)
+
+    def _guess(self, lvl, j, k):
+        """Newton's start for layer j of a walk over k intervals: the
+        stored value where its rows land (the C-store, or u_keep on a
+        coarse F-layer) less the FAS right-hand side; None, each row from
+        its own state, on a fine F-layer or a coarse one without rhs."""
+        if not self._newton or not (j == lvl.m or lvl.use_rhs):
+            return None
+        at = lvl.c_rows if j == lvl.m else slice(j - 1, k * lvl.m, lvl.m)
+        kept = lvl.c_store if j == lvl.m else lvl.u_keep[at]
+        return kept - lvl.rhs[at] if lvl.use_rhs else kept
 
     def _walk(self, lvl, sweep=False):
         """Walk the owned range in layers; returns (walked, updates).
@@ -377,7 +422,8 @@ class MgritSolver:
         walked[m::m] = lvl.c_store
         cur = walked[:-1:m]  # each interval's left end
         for j in range(1, m + sweep):
-            cur = self._step(lvl, cur, lvl.left_index + j, m)
+            cur = self._step(lvl, cur, lvl.left_index + j, m,
+                             self._guess(lvl, j, k))
             if j < m:
                 if lvl.use_rhs:
                     cur += lvl.rhs[j - 1:k * m:m]
@@ -581,8 +627,11 @@ class MgritSolver:
         """
         run = SolverRun(n_workers=self.transport.size)
         t_setup, t_solve, answer = time.perf_counter(), None, None
-        fine = self.levels[0]
+        fine, stop = self.levels[0], self.stopping
         self._initialize_guess()
+        loose = (LOOSE_TOL if self._loose and self.n_levels > 1
+                 and initial_guess is None else None)
+        self._tol = loose
         try:
             if initial_guess is not None:
                 self.seed(initial_guess)
@@ -590,19 +639,29 @@ class MgritSolver:
                 self._nested_iterations()
             t_solve = time.perf_counter()
             run.initial_residual, _, losses, held = self._measure(fine)
+            norm, bar = run.initial_residual, LOOSE_MARGIN * stop.tolerance
+            if loose is not None:  # a loose step errs by about loose |u|
+                bar = max(bar, LOOSE_MARGIN * loose * reduce_norm(
+                    self.transport, _squares(held[1], fine.nf)))
             for it in range(1, self.cycle.max_iters + 1):
                 if self.n_levels == 1:
                     norm, change, losses, answer = self._coarsest_solve(
                         fine, prev_losses=losses)
                 else:
+                    self._tol = loose if norm > bar else None
                     self._cycle(0, held, self.cycle.kind == "F")
-                    norm, change, losses, held = self._measure(fine, losses)
+                    if it == self.cycle.max_iters:
+                        self._tol = None
+                    measured = self._measure(fine, losses)
+                    if self._tol is not None and self._stops(*measured):
+                        self._tol = None  # stop only on a tight sweep
+                        measured = self._measure(fine, losses)
+                    norm, change, losses, held = measured
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
                 run.iteration_seconds.append(time.perf_counter() - t_solve)
-                value = norm if self.stopping.kind == "residual-norm" else change
-                if self.n_levels == 1 or value < self.stopping.tolerance:
+                if self.n_levels == 1 or self._stops(norm, change):
                     run.converged = True
                     break  # the held C-updates are dropped, never committed
         except (NewtonConvergenceError, NonFiniteError) as e:
@@ -613,6 +672,7 @@ class MgritSolver:
                     e, NewtonConvergenceError):
                 raise
             run.failure = str(e)
+        self._tol = None  # the F-tail of the answer runs tight
         if t_solve is None:  # failed before the first cycle
             t_solve = time.perf_counter()
         run.setup_seconds = self.setup_seconds + (t_solve - t_setup)
@@ -628,7 +688,15 @@ class MgritSolver:
             if rows is not None:  # rank 0
                 solution = SpaceTimeVector(
                     BlockState(r[:fine.nf], r[fine.nf:]) for r in rows)
+        run.kernel_calls = [lvl.calls for lvl in self.levels]
+        run.kernel_rows = [lvl.rows for lvl in self.levels]
+        run.layer_iterates = [lvl.layer_iterates for lvl in self.levels]
         return run, solution
+
+    def _stops(self, norm, change, *_):
+        """Whether a measured sweep passes the stopping test."""
+        value = norm if self.stopping.kind == "residual-norm" else change
+        return value < self.stopping.tolerance
 
     def _materialize(self, walked):
         """Step the F-tail on from the last measuring walk and gather the

@@ -10,15 +10,18 @@ requested spatial grid.  ``smooth`` swaps the pulsed voltage source for
 its carrier-period-average surrogate; coarse setup sweeps use that.
 The field problems also step many independent rows in one call:
 
-    step_many(fields, scalars, t_prev, t_next, spatial_level=0, smooth=False)
-        -> (fields, scalars, iterations)
+    step_many(fields, scalars, t_prev, t_next, spatial_level=0, smooth=False,
+              guess=None, tol=None) -> (fields, scalars, iterations)
 
 with (k, n_field) and (k, n_scalars) arrays and k-long time sequences.
-Row r is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
-t_next[r], spatial_level, guess=<that state>, smooth): each row does its
-single step's arithmetic, only grouped into whole-array calls (np.exp
-and the elementwise operations give each row's bits whatever the
-batch).  The linear step makes one pttrs call for all rows, whatever
+``guess`` is None or (k, n_field) field rows to start Newton from (None:
+each row from its own state), and ``tol`` None or a relative Newton
+tolerance in place of newton.tol; the linear step ignores both.  Row r
+is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
+t_next[r], spatial_level, guess=<row r's guess>, smooth) of a problem
+whose newton.tol is ``tol``: each row does its single step's arithmetic,
+only grouped into whole-array calls (np.exp and the elementwise
+operations give each row's bits whatever the batch).  The linear step makes one pttrs call for all rows, whatever
 their dts; Newton iterates the rows still active together, with one
 stacked ddot for their norms and one ptsv call per iterate, and each row
 keeps its own scale and line search.  A failing row raises exactly its
@@ -29,7 +32,7 @@ row count), so a one-row call costs what ``step`` does.  batched_step
 picks step_many for a problem whose class defines it next to ``step``,
 and a per-row loop over ``step`` otherwise, so a wrapper that forwards
 attributes, or a subclass that overrides only ``step``, still sees
-every step.
+every step (with its guess, at newton.tol).
 
 Steppers are deterministic.  Their only state is two memos, each entry
 computed from its own key alone, in one call, and read-only: the linear
@@ -204,10 +207,11 @@ class _FieldProblem:
     step and step_many over a subclass's one kernel,
 
         _advance(fields, scalars, t_prev, t_next, spatial_level, smooth,
-                 guess) -> (fields, scalars, iterations)
+                 guess, tol=None) -> (fields, scalars, iterations)
 
     which steps every row of (k, n) arrays, or one state given as its 1-d
-    arrays, from the rows of guess (None: from the fields)."""
+    arrays, from the rows of guess (None: from the fields), to the
+    relative Newton tolerance tol (None: newton.tol)."""
 
     n_scalars = 0
 
@@ -273,17 +277,20 @@ class _FieldProblem:
         return BlockState(fields, scalars), _diagnostics(its[0])
 
     def step_many(self, fields, scalars, t_prev, t_next, spatial_level=0,
-                  smooth=False):
+                  smooth=False, guess=None, tol=None):
         """Row r of the result is step(BlockState(fields[r], scalars[r]),
-        t_prev[r], t_next[r], spatial_level, guess=<that state>, smooth)
-        bit for bit, as (fields, scalars, iterations).  A single row takes
-        step's path, on its 1-d arrays, without the rows' bookkeeping."""
+        t_prev[r], t_next[r], spatial_level, guess, smooth) bit for bit,
+        guess the state of row r of ``guess`` (None: row r's own), at the
+        relative Newton tolerance ``tol`` (None: newton.tol), as (fields,
+        scalars, iterations).  A single row takes step's path, on its 1-d
+        arrays, without the rows' bookkeeping."""
         if len(t_prev) == 1:
             f, s, its = self._advance(fields[0], scalars[0], t_prev, t_next,
-                                      spatial_level, smooth, None)
+                                      spatial_level, smooth,
+                                      None if guess is None else guess[0], tol)
             return f[None], s[None], its
         return self._advance(fields, scalars, t_prev, t_next, spatial_level,
-                             smooth, None)
+                             smooth, guess, tol)
 
 
 class LinearDiffusionProblem(_FieldProblem):
@@ -319,10 +326,10 @@ class LinearDiffusionProblem(_FieldProblem):
         return band
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
-                 smooth, guess):
+                 smooth, guess, tol=None):
         """One pttrs solve for the only row (1-d fields) or on _band's band
         for all rows, after which the rows that _solved_alone names are
-        solved alone; no guess, no scalars to step."""
+        solved alone; no guess, no tolerance, no scalars to step."""
         if fields.ndim == 1:
             dt = t_next[0] - t_prev[0]
             rhs = (self.mass_coeff / dt) * fields
@@ -441,14 +448,15 @@ class NonlinearSaturationProblem(_FieldProblem):
         return delta, singular
 
     def _advance(self, u_prev, scalars, t_prev, t_next, spatial_level,
-                 smooth, guess):
+                 smooth, guess, tol=None):
         """Damped Newton for the step's field, for every row of the (k, n)
         array u_prev (a 1-d array is one row) from the rows of guess (None:
-        from u_prev).  Each row keeps its own scale and line search and
-        does its single step's arithmetic; the rows still iterating share
-        the array calls, one stacked ddot and one ptsv (_newton_step) per
-        iterate.  Returns a new array shaped as u_prev, the scalars and the
-        per-row iteration counts, or raises the first failing row's error."""
+        from u_prev), until |F| <= tol |rhs| (None: newton.tol).  Each row
+        keeps its own scale and line search and does its single step's
+        arithmetic; the rows still iterating share the array calls, one
+        stacked ddot and one ptsv (_newton_step) per iterate.  Returns a
+        new array shaped as u_prev, the scalars and the per-row iteration
+        counts, or raises the first failing row's error."""
         k = len(t_prev)
         if not k:
             return u_prev.copy(), scalars, []
@@ -462,7 +470,8 @@ class NonlinearSaturationProblem(_FieldProblem):
         rhs += self._forcings(t_next, spatial_level, smooth)
         scale = [max(b, 1e-300) for b in _norms(rhs)]
         opt = self.newton
-        tols = [opt.tol * s for s in scale]  # of the rows still iterating
+        tol = opt.tol if tol is None else tol
+        tols = [tol * s for s in scale]  # of the rows still iterating
         out, its, failed = None, [0] * k, {}
         rows = range(k)  # the row of u_prev each row still iterating steps
 
@@ -514,7 +523,7 @@ class NonlinearSaturationProblem(_FieldProblem):
                         elif it == opt.max_iters:
                             fail(row, it, f"stalled at t={t_next[row]:.6g} "
                                  f"on grid {spatial_level}: "
-                                 f"|F|={rnorm[q]:.3e} > {opt.tol:.1e} * "
+                                 f"|F|={rnorm[q]:.3e} > {tol:.1e} * "
                                  f"{scale[row]:.3e} after {opt.max_iters} "
                                  f"iterations")
                         else:
@@ -588,11 +597,11 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
         return float(self._couplings[spatial_level] @ field)
 
     def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
-                 smooth, guess):
+                 smooth, guess, tol=None):
         """Newton, then the rotor: one row on floats, more elementwise with
         torques from one stacked dot, in the same operations, bitwise."""
         out, _, its = super()._advance(fields, scalars, t_prev, t_next,
-                                       spatial_level, smooth, guess)
+                                       spatial_level, smooth, guess, tol)
         one, c = out.ndim == 1, self._couplings[spatial_level]
         theta, omega = scalars.tolist() if one else scalars.T
         dt = t_next[0] - t_prev[0] if one else np.subtract(t_next, t_prev)
@@ -639,7 +648,7 @@ def batched_step(problem):
     class, looked up on the type so that a wrapper forwarding attributes
     is not mistaken for its target; otherwise a loop over ``step``, row by
     row, so that a wrapper or a subclass overriding only ``step`` sees
-    every step.
+    every step, with the row's guess, never ``tol``, which ``step`` lacks.
     """
     mro = type(problem).__mro__
 
@@ -650,12 +659,13 @@ def batched_step(problem):
         return problem.step_many
 
     def step_rows(fields, scalars, t_prev, t_next, spatial_level=0,
-                  smooth=False):
+                  smooth=False, guess=None, tol=None):
         out_f, out_s = np.empty(fields.shape), np.empty(scalars.shape)
         its = []
         for r, (a, b) in enumerate(zip(t_prev, t_next)):
             u = BlockState(fields[r], scalars[r])
-            v, diag = problem.step(u, a, b, spatial_level, guess=u,
+            g = u if guess is None else BlockState(guess[r], scalars[r])
+            v, diag = problem.step(u, a, b, spatial_level, guess=g,
                                    smooth=smooth)
             out_f[r], out_s[r] = v.field, v.scalars
             its.append(diag.iterations)

@@ -8,6 +8,8 @@ unfused damped-Newton step is the reference the package's nonlinear and
 machine steps must equal bit for bit.
 """
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -80,27 +82,40 @@ class LevelContext:
 
     grid: object
     splitting: object
-    step: object  # step(u_prev, t_prev, t_next) -> BlockState
+    step: object  # step(u_prev, t_prev, t_next, guess=None) -> BlockState
 
     def times(self):
         return self.grid.points
 
 
-def level_context(problem, grid, splitting, spatial_level=0, smooth=False):
-    def step(u_prev, t_prev, t_next):
+def level_context(problem, grid, splitting, spatial_level=0, smooth=False,
+                  tol=None):
+    """Steps start Newton from the guess (None: from u_prev) and stop at
+    the relative tolerance tol (None: the problem's newton.tol)."""
+    if tol is not None:
+        problem = copy.copy(problem)
+        problem.newton = dataclasses.replace(problem.newton, tol=tol)
+
+    def step(u_prev, t_prev, t_next, guess=None):
         out, _ = problem.step(u_prev, t_prev, t_next, spatial_level,
-                              guess=u_prev, smooth=smooth)
+                              guess=u_prev if guess is None else guess,
+                              smooth=smooth)
         return out
     return LevelContext(grid=grid, splitting=splitting, step=step)
 
 
-def _relax(ctx, u, g, indices):
+def _relax(ctx, u, g, indices, guess_current=False):
+    """Re-solve the blocks at indices in order; with guess_current, a
+    step starts Newton from the value it replaces, less g there."""
     t = ctx.times()
     out = u.clone()
     targets = set(int(i) for i in indices)
     for i in range(1, len(t)):
         if i in targets:
-            upd = ctx.step(out[i - 1], float(t[i - 1]), float(t[i]))
+            guess = None
+            if guess_current:
+                guess = out[i] if g is None else out[i] - g[i]
+            upd = ctx.step(out[i - 1], float(t[i - 1]), float(t[i]), guess)
             if g is not None:
                 upd.add_scaled(g[i], 1.0)
             out[i] = upd
@@ -113,17 +128,21 @@ def f_relaxation(ctx, u, g=None):
 
 
 def c_relaxation(ctx, u, g=None):
-    """Solve all C-point blocks (index 0 stays: it is the initial value)."""
+    """Solve all C-point blocks (index 0 stays: it is the initial value),
+    each step starting Newton from the C-value it replaces less g."""
     c = [i for i in ctx.splitting.c_indices if i > 0]
-    return _relax(ctx, u, g, c)
+    return _relax(ctx, u, g, c, guess_current=True)
 
 
-def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
+def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
     """One full-approximation two-grid pass over a materialized iterate.
 
     ``spatial`` is None or (hierarchy, fine_grid_index): when given, the
     restricted iterate and residual move one spatial grid down and the
-    correction is interpolated back up.
+    correction is interpolated back up.  ``closing`` is the fine context
+    of the closing F-relaxation (None: ``fine``).  Steps guess as the
+    engine's do: a step into a C-point from the C-value it replaces, any
+    other from the state it steps.
     """
     u = f_relaxation(fine, u, g)
     for _ in range(gamma):
@@ -138,7 +157,7 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
         if c == 0:
             res.append(g[0] - u[0])
         else:
-            prop = fine.step(u[c - 1], float(t[c - 1]), float(t[c]))
+            prop = fine.step(u[c - 1], float(t[c - 1]), float(t[c]), u[c])
             res.append(g[c] - (u[c] - prop))
     if spatial is not None:
         hier, _ = spatial
@@ -162,7 +181,7 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None):
         if spatial is not None:
             e = spatial[0].prolong_error(e)
         out[c] = out[c] + e
-    return f_relaxation(fine, out, g)
+    return f_relaxation(fine if closing is None else closing, out, g)
 
 
 # --- the unfused damped-Newton step -------------------------------------------------
@@ -173,10 +192,12 @@ class UnfusedNewton:
     each compute the gradients and exp(k2 s^2) afresh from the Brauer
     formulas, and each Jacobian is solved with scipy's solveh_banded
     (LAPACK's ptsv for a tridiagonal band).  A trial whose residual norm
-    is not below the current one, NaN included, is damped.  Everything
-    but ``step`` is the wrapped problem's.  ``halvings`` counts the damped
-    trials evaluated and ``non_finite_trials`` the full Newton trials with
-    a non-finite norm.
+    is not below the current one, NaN included, is damped.  ``step_many``
+    loops ``step`` over the rows, each from its guess row and at the given
+    tolerance, as the package's step_many does.  Everything else is the
+    wrapped problem's.  ``halvings`` counts the damped trials evaluated
+    and ``non_finite_trials`` the full Newton trials with a non-finite
+    norm.
     """
 
     def __init__(self, problem):
@@ -209,8 +230,9 @@ class UnfusedNewton:
         ab[1, :] = sig_dt + dphi[:-1] + dphi[1:]
         return ab
 
-    def _newton(self, u_prev, t_prev, t_next, level, guess, smooth):
+    def _newton(self, u_prev, t_prev, t_next, level, guess, smooth, tol):
         p, opt = self.problem, self.problem.newton
+        tol = opt.tol if tol is None else tol
         dt = t_next - t_prev
         sig_dt = p.mass_coeff / dt
         dx = p.spatial.spacing(level)
@@ -225,7 +247,7 @@ class UnfusedNewton:
                     raise NewtonConvergenceError(
                         "Newton residual not finite", time=t_next,
                         iterations=it)
-                if rnorm <= opt.tol * scale:
+                if rnorm <= tol * scale:
                     return u, it
                 if it == opt.max_iters:
                     break
@@ -249,12 +271,23 @@ class UnfusedNewton:
         raise NewtonConvergenceError("Newton stalled", time=t_next,
                                      iterations=opt.max_iters)
 
+    def step_many(self, fields, scalars, t_prev, t_next, spatial_level=0,
+                  smooth=False, guess=None, tol=None):
+        out = [self.step(BlockState(f, s), a, b, spatial_level,
+                         None if guess is None else BlockState(guess[r]),
+                         smooth, tol)
+               for r, (f, s, a, b) in enumerate(zip(fields, scalars, t_prev,
+                                                    t_next))]
+        return (np.array([v.field for v, _ in out]),
+                np.array([v.scalars for v, _ in out]).reshape(scalars.shape),
+                [d.iterations for _, d in out])
+
     def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
-             smooth=False):
+             smooth=False, tol=None):
         p = self.problem
         field, it = self._newton(u_prev.field, t_prev, t_next, spatial_level,
                                  None if guess is None else guess.field,
-                                 smooth)
+                                 smooth, tol)
         if not p.n_scalars:
             return BlockState(field), StepDiagnostics(iterations=it)
         dt = t_next - t_prev

@@ -238,6 +238,50 @@ def test_the_engine_steps_a_layer_in_one_step_many_call():
     assert problem.batches < sum(steps) / 4
 
 
+class _NewtonCounting(SurrogateMachineProblem):
+    """A machine problem whose step_many calls, rows and layer iterates
+    (each call's largest row count) are counted per time level."""
+
+    def __init__(self, level_dts):
+        super().__init__(7, excitation=PwmSource(), source="sine")
+        self._dts = np.asarray(level_dts)
+        self.calls, self.rows, self.layers = ([0] * len(level_dts)
+                                              for _ in range(3))
+
+    def step(self, *args, **kwargs):
+        return super().step(*args, **kwargs)
+
+    def step_many(self, fields, scalars, t_prev, t_next, *args):
+        out = super().step_many(fields, scalars, t_prev, t_next, *args)
+        level = int(np.argmin(np.abs(self._dts - (t_next[0] - t_prev[0]))))
+        self.calls[level] += 1
+        self.rows[level] += len(t_prev)
+        self.layers[level] += max(out[2])
+        return out
+
+
+@pytest.mark.parametrize("counter", ["wrapper", "batched", "newton"])
+@pytest.mark.parametrize("kind", ["V", "F"])
+def test_kernel_counters_per_level_match_a_counting_problem(kind, counter):
+    hier = _hierarchy(TAIL_STEPS)
+    dts = [hier[l].dt for l in range(hier.n_levels)]
+    problem = (_NewtonCounting(dts) if counter == "newton"
+               else COUNTERS[counter](dts))
+    run, _ = MgritSolver(problem, hier,
+                         CycleSpec(kind=kind, nested_iterations=True),
+                         StoppingCriterion(tolerance=1e-10)).solve()
+    assert run.converged
+    if counter == "newton":
+        assert run.kernel_calls == problem.calls
+        assert run.kernel_rows == problem.rows
+        assert run.layer_iterates == problem.layers
+        return
+    assert run.kernel_rows == problem.calls  # a linear call is one iterate
+    assert run.layer_iterates == run.kernel_calls
+    if counter == "batched":
+        assert sum(run.kernel_calls) == problem.batches
+
+
 # (cycle kind, nested iterations, fine steps, factors): the three cycles,
 # nested iterations, an F-tail and a 1-level hierarchy
 GUARD_CASES = [("V", False, N_STEPS, FACTORS), ("F", False, N_STEPS, FACTORS),

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from pintmg import mgrit
 from pintmg.excitation import PwmSource
-from pintmg.mgrit import (CycleSpec, MgritSolver, StoppingCriterion,
-                          _squares, mgrit_solve, qoi_change,
-                          storage_estimate)
+from pintmg.mgrit import (LOOSE_TOL, CycleSpec, MgritSolver,
+                          StoppingCriterion, _squares, mgrit_solve,
+                          qoi_change, storage_estimate)
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
                              sequential_solve)
@@ -96,11 +97,15 @@ def test_engine_matches_reference_with_spatial_coarsening():
     grid = build_uniform_grid(0.0, 0.02, 16)
     hier = TimeHierarchy.build(grid, [4])
 
-    fine = level_context(problem, hier[0], hier.splittings[0], 0)
-    coarse = level_context(problem, hier[1], hier.splittings[1], 1)
+    # the cycle runs loose (the initial norm is far above the loose bar);
+    # the measuring sweep that ends the run at max_iters, whose walk is
+    # the answer, runs at newton.tol
+    fine, coarse = (level_context(problem, hier[l], hier.splittings[l], l,
+                                  tol=LOOSE_TOL) for l in (0, 1))
+    closing = level_context(problem, hier[0], hier.splittings[0], 0)
     ref = two_level_cycle(fine, coarse, _flat_vector(problem, 17),
                           _system_rhs(problem, 17), gamma=1,
-                          spatial=(problem.spatial, 0))
+                          spatial=(problem.spatial, 0), closing=closing)
 
     run, sol = mgrit_solve(problem, hier,
                            CycleSpec(kind="two-level", gamma=1, max_iters=1,
@@ -491,3 +496,133 @@ def test_residual_squares_are_each_rows_squares_bitwise():
                     want = [float(x[:n] @ x[:n]) + float(x[n:] @ x[n:])
                             for x in r]
                     assert _squares(r, n).tolist() == want
+
+
+# --- Newton's tolerance by cycle ----------------------------------------------------
+
+class _TolRecorder(NonlinearSaturationProblem):
+    """The pins' nonlinear problem, recording each step_many call's
+    tolerance; defines step next to step_many, so the solver batches."""
+
+    def __init__(self):
+        super().__init__(15, n_spatial_grids=2, excitation=PwmSource(),
+                         source="random", seed=5)
+        self.tols = []
+
+    def step(self, *args, **kwargs):
+        return super().step(*args, **kwargs)
+
+    def step_many(self, fields, scalars, t_prev, t_next, spatial_level=0,
+                  smooth=False, guess=None, tol=None):
+        self.tols.append(tol)
+        return super().step_many(fields, scalars, t_prev, t_next,
+                                 spatial_level, smooth, guess, tol)
+
+
+class _MeasureRecorder(MgritSolver):
+    """Records each fine measuring sweep's Newton tolerance and result."""
+
+    def _measure(self, lvl, prev_losses=None):
+        out = super()._measure(lvl, prev_losses)
+        self.measured.append((self._tol, *out[:2]))
+        return out
+
+
+def _recorded_solve(stopping, max_iters=20, n_steps=66, nested=True,
+                    initial_guess=None, factors=(4, 4)):
+    problem = _TolRecorder()
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               list(factors))
+    solver = _MeasureRecorder(problem, hier,
+                              CycleSpec(kind="V", max_iters=max_iters,
+                                        nested_iterations=nested),
+                              stopping)
+    solver.measured = []
+    run, sol = solver.solve(initial_guess=initial_guess)
+    return solver, problem, run, sol
+
+
+@pytest.mark.parametrize("stopping,max_iters", [
+    (StoppingCriterion(tolerance=1e-7), 20),
+    (StoppingCriterion(tolerance=1e-300), 2),
+    (StoppingCriterion(kind="qoi-change", tolerance=1e-3), 20),
+])
+def test_a_run_stops_on_and_returns_only_a_tight_sweep(monkeypatch, stopping,
+                                                       max_iters):
+    # with no margin every cycle runs loose, so the loose measuring sweep
+    # that passes the test (or ends the run at max_iters) must be re-run,
+    # or run, at newton.tol
+    monkeypatch.setattr(mgrit, "LOOSE_MARGIN", 0.0)
+    solver, problem, run, sol = _recorded_solve(stopping, max_iters)
+    tols = [tol for tol, *_ in solver.measured]
+    assert tols[-1] is None and set(tols[:-1]) == {LOOSE_TOL}
+    assert problem.tols[-2:] == [None, None]  # the fine F-tail
+    last = solver.measured[-1]
+    assert run.residual_norms[-1] == last[1] and run.qoi_changes[-1] == last[2]
+    if max_iters == 2:
+        assert not run.converged and run.iterations == 2
+        assert len(tols) == 3  # the initial sweep and one per iteration
+    else:
+        assert run.converged and solver._stops(*solver.measured[-2][1:])
+        assert len(tols) == run.iterations + 2  # the passing one re-run
+    # the answer is the walk of the tight sweep, from the same C-values
+    walked, _ = solver._walk(solver.levels[0], sweep=True)
+    got = np.array([s.field for s in sol.states[:len(walked)]])
+    assert np.array_equal(got, walked)
+
+
+def test_loose_steps_stop_near_the_stopping_tolerance():
+    solver, problem, run, sol = _recorded_solve(StoppingCriterion(
+        tolerance=1e-9))
+    assert run.converged and run.iterations == 5
+    # loose from the start, tight from some cycle on, once the norm nears
+    # the stopping tolerance or the error a loose step leaves
+    tols = [tol for tol, *_ in solver.measured]
+    loose = tols.count(LOOSE_TOL)
+    assert loose >= 2 and tols == [LOOSE_TOL] * loose + [None] * (
+        len(tols) - loose) and tols[-1] is None
+    assert problem.tols[-1] is None
+    seq = sequential_solve(problem, build_uniform_grid(0.0, 0.02, 66).points)
+    assert max_abs_diff(sol, seq) < 1e-7
+
+
+@pytest.mark.parametrize("case", ["seeded", "one level"])
+def test_seeded_and_one_level_runs_stay_tight(case):
+    problem = _TolRecorder()
+    grid = build_uniform_grid(0.0, 0.02, 66)
+    seq = sequential_solve(problem, grid.points)
+    solver, problem, run, _ = _recorded_solve(
+        StoppingCriterion(tolerance=1e-9), initial_guess=(
+            seq if case == "seeded" else None),
+        factors=(4, 4) if case == "seeded" else ())
+    assert run.converged and problem.tols
+    assert set(problem.tols) == {None}
+
+
+class _ForwardingStep:
+    """Forwards every attribute and defines only the six-argument step,
+    as a tracing proxy does: the solver steps it row by row."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.guessed = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
+             smooth=False):
+        self.guessed += guess is not None and guess.field is not u_prev.field
+        return self.problem.step(u_prev, t_prev, t_next, spatial_level,
+                                 guess=guess, smooth=smooth)
+
+
+def test_a_forwarding_six_argument_step_still_converges():
+    wrapper = _ForwardingStep(_TolRecorder())
+    grid = build_uniform_grid(0.0, 0.02, 66)
+    run, sol = mgrit_solve(wrapper, TimeHierarchy.build(grid, [4, 4]),
+                           CycleSpec(kind="F", nested_iterations=True),
+                           StoppingCriterion(tolerance=1e-9))
+    assert run.converged and wrapper.guessed
+    seq = sequential_solve(wrapper.problem, grid.points)
+    assert max_abs_diff(sol, seq) < 1e-7

@@ -35,7 +35,10 @@ CASES = {
 
 # recorded with numpy 2.4.6, SciPy 1.17.1, Python 3.11.7 on x86-64, when
 # the tridiagonal solves moved from banded Cholesky (pbtrf/pbtrs) to LDL^T
-# (pttrf/pttrs/ptsv), which rounds differently; iteration counts held
+# (pttrf/pttrs/ptsv), which rounds differently; iteration counts held.  The
+# nonlinear and machine cases were re-recorded when Newton began to start
+# from warm guesses and to run loose early (mgrit.LOOSE_TOL); their
+# iteration counts held too
 PINS = {
     ("linear", 1): {
         "iterations": 5,
@@ -61,47 +64,47 @@ PINS = {
     },
     ("machine", 1): {
         "iterations": 5,
-        "initial_residual": "0x1.182954091867fp-7",
+        "initial_residual": "0x1.18295ef7e8cd1p-7",
         "residual_norms": [
-            "0x1.6f8f78d82f8d0p-13", "0x1.dfeacdcfa0645p-18",
-            "0x1.ad3d1a5c309afp-22", "0x1.7b3dbd4d8e4e8p-26",
-            "0x1.08760c9eee01ap-30",
+            "0x1.6f8f29e805a98p-13", "0x1.dfedde5e4c721p-18",
+            "0x1.ad3fc86e97933p-22", "0x1.7b7ab6b74fe57p-26",
+            "0x1.0e18fd7faf5bfp-30",
         ],
-        "trajectory": ("010dd52135970e343a285e88d3ed6845"
-                       "de63aa6531abb08dd8e268d5810293ce"),
+        "trajectory": ("91df327d141330b27067fb822e90f824"
+                       "81aaa35aed8899efc80994d82d92e12a"),
     },
     ("machine", 2): {
         "iterations": 5,
-        "initial_residual": "0x1.182954091867fp-7",
+        "initial_residual": "0x1.18295ef7e8cd1p-7",
         "residual_norms": [
-            "0x1.6f8f78d82f8d0p-13", "0x1.dfeacdcfa0645p-18",
-            "0x1.ad3d1a5c309afp-22", "0x1.7b3dbd4d8e4e8p-26",
-            "0x1.08760c9eee01ap-30",
+            "0x1.6f8f29e805a98p-13", "0x1.dfedde5e4c721p-18",
+            "0x1.ad3fc86e97933p-22", "0x1.7b7ab6b74fe57p-26",
+            "0x1.0e18fd7faf5bfp-30",
         ],
-        "trajectory": ("010dd52135970e343a285e88d3ed6845"
-                       "de63aa6531abb08dd8e268d5810293ce"),
+        "trajectory": ("91df327d141330b27067fb822e90f824"
+                       "81aaa35aed8899efc80994d82d92e12a"),
     },
     ("nonlinear", 1): {
         "iterations": 5,
-        "initial_residual": "0x1.169d1a422192dp-8",
+        "initial_residual": "0x1.169d28c0732e1p-8",
         "residual_norms": [
-            "0x1.0f0b1b5387e26p-12", "0x1.edbdc8bf1767fp-17",
-            "0x1.80eb95771f310p-21", "0x1.f292cc3eadadfp-26",
-            "0x1.e68d261103d2fp-31",
+            "0x1.0f0c6a03680e3p-12", "0x1.edc6322582359p-17",
+            "0x1.80e81a5de582ap-21", "0x1.e661c2b0f9512p-26",
+            "0x1.e19228090fe35p-31",
         ],
-        "trajectory": ("530da62cb6156516fc23dfdb74427e99"
-                       "6b6c9cb199613e8506b8e875ea85b471"),
+        "trajectory": ("816cb7d224be72deb4ddd1cad2cf441c"
+                       "23d9de1bd9da98a938da8a17d4005f8d"),
     },
     ("nonlinear", 2): {
         "iterations": 5,
-        "initial_residual": "0x1.169d1a422192dp-8",
+        "initial_residual": "0x1.169d28c0732e1p-8",
         "residual_norms": [
-            "0x1.0f0b1b5387e26p-12", "0x1.edbdc8bf1767fp-17",
-            "0x1.80eb95771f310p-21", "0x1.f292cc3eadadfp-26",
-            "0x1.e68d261103d2fp-31",
+            "0x1.0f0c6a03680e3p-12", "0x1.edc6322582359p-17",
+            "0x1.80e81a5de582ap-21", "0x1.e661c2b0f9512p-26",
+            "0x1.e19228090fe35p-31",
         ],
-        "trajectory": ("530da62cb6156516fc23dfdb74427e99"
-                       "6b6c9cb199613e8506b8e875ea85b471"),
+        "trajectory": ("816cb7d224be72deb4ddd1cad2cf441c"
+                       "23d9de1bd9da98a938da8a17d4005f8d"),
     },
 }
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (
     BrauerCurve, DahlquistProblem, LinearDiffusionProblem, NewtonOptions,
     NonlinearSaturationProblem, SurrogateMachineProblem, _band_factor,
-    _band_factor_solve, _band_solve, _norms, joule_loss,
+    _band_factor_solve, _band_solve, _norms, batched_step, joule_loss,
     sequential_solve,
 )
 from pintmg import problems
@@ -736,6 +737,71 @@ def test_step_many_is_each_rows_step_bitwise(kind, n_rows, level, smooth):
                           .reshape(scalars.shape))
     assert list(got[2]) == [d.iterations for _, d in want]
     assert not np.shares_memory(got[0], fields)
+
+
+def _guessed_rows(prob, n_rows):
+    """_rows_of_a_run's rows and, as guesses, the states one step on, each
+    moved off by a little noise so that Newton still has work to do."""
+    fields, scalars, t_prev, t_next = _rows_of_a_run(prob, 0, False, n_rows)
+    ahead = _rows_of_a_run(prob, 0, False, n_rows, first=6)[0]
+    noise = np.random.default_rng(3).normal(size=ahead.shape)
+    return fields, scalars, t_prev, t_next, ahead + 1e-7 * noise
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("n_rows", [1, 8, 33])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_step_many_from_guess_rows_is_each_rows_step_bitwise(kind, n_rows,
+                                                             tol):
+    """Row r starts Newton from guess row r and stops at tol: bitwise
+    step(..., guess=<guess row r>) of a problem whose newton.tol is tol."""
+    prob = _problem(kind)
+    fields, scalars, t_prev, t_next, guess = _guessed_rows(prob, n_rows)
+    got = prob.step_many(fields, scalars, t_prev, t_next, 0, False, guess,
+                         tol)
+    stepper = prob
+    if tol is not None and kind != "linear":
+        stepper = copy.copy(prob)
+        stepper.newton = NewtonOptions(tol=tol)
+    want = [stepper.step(BlockState(f, s), a, b, 0, guess=BlockState(g))
+            for f, s, a, b, g in zip(fields, scalars, t_prev, t_next, guess)]
+    assert np.array_equal(got[0], np.array([u.field for u, _ in want]))
+    assert np.array_equal(np.signbit(got[0]),
+                          np.signbit([u.field for u, _ in want]))
+    assert np.array_equal(got[1], np.array([u.scalars for u, _ in want])
+                          .reshape(scalars.shape))
+    assert list(got[2]) == [d.iterations for _, d in want]
+    assert not np.shares_memory(got[0], guess)
+    if kind != "linear":  # the guesses save Newton iterates
+        cold = prob.step_many(fields, scalars, t_prev, t_next)[2]
+        assert sum(got[2]) < sum(cold)
+
+
+class _StepOnly:
+    """A wrapper that forwards every attribute and defines only the
+    six-argument step, as a tracing proxy might."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
+             smooth=False):
+        return self.problem.step(u_prev, t_prev, t_next, spatial_level,
+                                 guess=guess, smooth=smooth)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_per_row_loop_forwards_guesses_and_never_a_tolerance(kind):
+    prob = _problem(kind)
+    fields, scalars, t_prev, t_next, guess = _guessed_rows(prob, 8)
+    kernel = batched_step(_StepOnly(prob))
+    got = kernel(fields, scalars, t_prev, t_next, 0, False, guess, 1e-6)
+    want = prob.step_many(fields, scalars, t_prev, t_next, 0, False, guess)
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
+    assert list(got[2]) == list(want[2])
 
 
 @pytest.mark.parametrize("level", [0, 1])

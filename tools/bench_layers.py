@@ -24,7 +24,11 @@ measures, as thread CPU time:
   which the warm rows above do not show;
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
   first STEPS steps of the workload's time grid, on a problem whose
-  forcing memo one untimed solve has filled.
+  forcing memo one untimed solve has filled;
+- layer it/call: per time level, the Newton iterates of a kernel call's
+  slowest row (``SolverRun.layer_iterates``) over the kernel calls
+  (``SolverRun.kernel_calls``) of that solver's first solve: a count,
+  the same in every round, so printed once.
 
 The problems take the random source profile drawn with SEED.  A row
 that reads an attribute a tree lacks (``_Level.t`` before the levels kept
@@ -89,7 +93,10 @@ class Layers:
                          spatial_strategy=w.strategy,
                          nested_iterations=w.nested),
             pm.StoppingCriterion(tolerance=TOLERANCE))
-        self.solver.solve()
+        run, _ = self.solver.solve()
+        self.per_call = (
+            [a / c for a, c in zip(run.layer_iterates, run.kernel_calls)]
+            if getattr(run, "layer_iterates", None) else None)
         self.points = w.n_steps
         self.stepper = problem(pm, w)
         self.times = grid.points[:STEPS + 1]
@@ -179,6 +186,10 @@ def main(argv=None):
                         a / b for a, b in zip(ts, times[0])))
                 cells.append(cell)
             print(f"{name:12s} {label:18s} " + "  ".join(cells))
+        cells = [f"{label} " + ("n/a" if l.per_call is None else
+                                "/".join(f"{v:.2f}" for v in l.per_call))
+                 for label, l in zip(labels, layers)]
+        print(f"{name:12s} {'layer it/call':18s} " + "  ".join(cells))
     return 0
 
 
