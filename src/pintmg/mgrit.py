@@ -50,7 +50,9 @@ per-C-point losses are measured inside that sweep while it holds its
 C-updates back.  Only when the stopping test fails does the cycle go on
 to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
 that stops returns exactly the iterate it measured: the rows that
-sweep walked, and the F-tail stepped on from them.
+sweep walked, and the F-tail stepped on from them.  The walked rows, a
+worker's share of fine states, are let go before a cycle with gamma >= 1,
+which reads only the C-updates.
 
 Newton (a problem with ``newton``) starts a step where the stores say it
 lands: the stored C-value, or u_keep on a coarse F-layer, less the FAS
@@ -83,7 +85,7 @@ from .runtime import (
     scatter_from_root,
 )
 from .spatial import assign_spatial_levels
-from .state import BlockState, SpaceTimeVector
+from .state import SpaceTimeVector
 from .time_hierarchy import level_factor
 
 CYCLE_KINDS = ("two-level", "V", "F")
@@ -199,7 +201,7 @@ class SolverRun:
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     level_seconds: list = field(default_factory=list)  # compute, per level
-    wait_seconds: list = field(default_factory=list)   # blocked in recv
+    wait_seconds: list = field(default_factory=list)  # blocked in send or recv
     # per level, since the solver was built: step_many calls, rows stepped,
     # and layer iterates (each call's largest row iteration count, summed)
     kernel_calls: list = field(default_factory=list)
@@ -217,23 +219,27 @@ class SolverRun:
 # --- the distributed engine --------------------------------------------------------
 
 class _TimedTransport:
-    """The solver's transport, totalling the seconds blocked in recv."""
+    """The solver's transport, totalling the seconds blocked in send and
+    recv."""
 
     def __init__(self, inner):
-        self.send, self._recv = inner.send, inner.recv
         self.rank, self.size, self.waited = inner.rank, inner.size, 0.0
+        self.send, self.recv = self._timed(inner.send), self._timed(inner.recv)
 
-    def recv(self, src):
-        t0 = time.perf_counter()
-        try:
-            return self._recv(src)
-        finally:
-            self.waited += time.perf_counter() - t0
+    def _timed(self, call):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                self.waited += time.perf_counter() - t0
+        return timed
 
 
 def _charged(method):
     """Charge a sweep to the level passed as its first argument: time
-    blocked in recv to the level's wait, the rest to its seconds."""
+    blocked in send or recv to the level's wait, the rest to its
+    seconds."""
     @functools.wraps(method)
     def timed(self, lvl, *args, **kwargs):
         t0, w0 = time.perf_counter(), self.transport.waited
@@ -613,9 +619,8 @@ class MgritSolver:
         """Load the fine-level C-store from a full trajectory (every rank
         passes the same global SpaceTimeVector)."""
         lvl = self.levels[0]
-        for row, c in zip(lvl.c_store, lvl.c_idx):
-            u = trajectory[c]
-            row[:lvl.nf], row[lvl.nf:] = u.field, u.scalars
+        lvl.c_store[:, :lvl.nf], lvl.c_store[:, lvl.nf:] = (
+            trajectory.fields[lvl.c_idx], trajectory.scalars[lvl.c_idx])
 
     def solve(self, gather_solution=True, initial_guess=None):
         """Run cycles until the stopping test passes or max_iters is hit.
@@ -649,14 +654,16 @@ class MgritSolver:
                         fine, prev_losses=losses)
                 else:
                     self._tol = loose if norm > bar else None
+                    if self.cycle.gamma:  # the cycle reads the C-updates only
+                        held = (None, held[1])
                     self._cycle(0, held, self.cycle.kind == "F")
                     if it == self.cycle.max_iters:
                         self._tol = None
-                    measured = self._measure(fine, losses)
-                    if self._tol is not None and self._stops(*measured):
+                    prev = losses
+                    norm, change, losses, held = self._measure(fine, prev)
+                    if self._tol is not None and self._stops(norm, change):
                         self._tol = None  # stop only on a tight sweep
-                        measured = self._measure(fine, losses)
-                    norm, change, losses, held = measured
+                        norm, change, losses, held = self._measure(fine, prev)
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
@@ -686,14 +693,14 @@ class MgritSolver:
             rows = answer if self.n_levels == 1 else self._materialize(
                 held[0])
             if rows is not None:  # rank 0
-                solution = SpaceTimeVector(
-                    BlockState(r[:fine.nf], r[fine.nf:]) for r in rows)
+                solution = SpaceTimeVector(rows[:, :fine.nf],
+                                           rows[:, fine.nf:])
         run.kernel_calls = [lvl.calls for lvl in self.levels]
         run.kernel_rows = [lvl.rows for lvl in self.levels]
         run.layer_iterates = [lvl.layer_iterates for lvl in self.levels]
         return run, solution
 
-    def _stops(self, norm, change, *_):
+    def _stops(self, norm, change):
         """Whether a measured sweep passes the stopping test."""
         value = norm if self.stopping.kind == "residual-norm" else change
         return value < self.stopping.tolerance

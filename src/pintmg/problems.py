@@ -21,18 +21,18 @@ is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
 t_next[r], spatial_level, guess=<row r's guess>, smooth) of a problem
 whose newton.tol is ``tol``: each row does its single step's arithmetic,
 only grouped into whole-array calls (np.exp and the elementwise
-operations give each row's bits whatever the batch).  The linear step makes one pttrs call for all rows, whatever
-their dts; Newton iterates the rows still active together, with one
-stacked ddot for their norms and one ptsv call per iterate, and each row
-keeps its own scale and line search.  A failing row raises exactly its
-single step's error, the first failing row in row order when several
-fail.  ``step`` is the same kernel on one row, so no kernel exists
-twice, and step_many takes that path for a single row (chosen by the
-row count), so a one-row call costs what ``step`` does.  batched_step
-picks step_many for a problem whose class defines it next to ``step``,
-and a per-row loop over ``step`` otherwise, so a wrapper that forwards
-attributes, or a subclass that overrides only ``step``, still sees
-every step (with its guess, at newton.tol).
+operations give each row's bits whatever the batch).  The linear step
+makes one pttrs call for all rows, whatever their dts; Newton iterates
+the rows still active together, with one stacked ddot for their norms
+and one ptsv call per iterate, and each row keeps its own scale and line
+search.  A failing row raises exactly its single step's error, the first
+failing row in row order when several fail.  ``step`` is the same kernel
+on one row, so no kernel exists twice, and step_many takes that path for
+a single row (chosen by the row count), so a one-row call costs what
+``step`` does.  batched_step picks step_many for a problem whose class
+defines it next to ``step``, and a per-row loop over ``step`` otherwise,
+so a wrapper that forwards attributes, or a subclass that overrides only
+``step``, still sees every step (with its guess, at newton.tol).
 
 Steppers are deterministic.  Their only state is two memos, each entry
 computed from its own key alone, in one call, and read-only: the linear
@@ -681,4 +681,5 @@ def sequential_solve(problem, times, spatial_level=0, smooth=False):
         u, _ = problem.step(states[-1], float(times[i - 1]), float(times[i]),
                             spatial_level, guess=states[-1], smooth=smooth)
         states.append(u)
-    return SpaceTimeVector(states)
+    return SpaceTimeVector(np.array([u.field for u in states]),
+                           np.array([u.scalars for u in states]))

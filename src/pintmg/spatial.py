@@ -9,15 +9,13 @@ injection (down) and linear interpolation (up); lumped scalars ride
 along unchanged in both directions.  Injection of an interpolated vector
 gives back exactly what went up, which keeps repeated transfer cycles
 stable.  The transfers are row functions along the last axis, which the
-MGRIT engine applies to a level's (k, n) field rows; restrict_state and
-prolong_error call them on one state.
+MGRIT engine applies to a level's (k, n) field rows (one field is one
+row); carrying the scalars along is the engine's part.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .state import BlockState
 
 STRATEGIES = ("none", "direct", "delayed")
 
@@ -85,16 +83,6 @@ class SpatialHierarchy:
         fine[..., 1::2] = fields
         fine[..., 0::2] = 0.5 * (padded[..., :-1] + padded[..., 1:])
         return fine
-
-    def restrict_state(self, state):
-        """restrict_fields of the state's field, scalars copied along."""
-        return BlockState(self.restrict_fields(state.field),
-                          state.scalars.copy())
-
-    def prolong_error(self, state):
-        """prolong_fields of the state's field, scalars copied along."""
-        return BlockState(self.prolong_fields(state.field),
-                          state.scalars.copy())
 
 
 def assign_spatial_levels(strategy, n_time_levels, n_spatial_grids):

@@ -53,18 +53,14 @@ class CFSplitting:
     n_points: int
     factor: int
     c_indices: np.ndarray = field(init=False)
-    f_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.factor < 2:
             raise ValueError(f"splitting factor must be >= 2, got {self.factor}")
         if self.n_points < 2:
             raise ValueError("cannot split fewer than 2 points")
-        c = np.arange(0, self.n_points, self.factor)
-        mask = np.zeros(self.n_points, dtype=bool)
-        mask[c] = True
-        object.__setattr__(self, "c_indices", c)
-        object.__setattr__(self, "f_indices", np.nonzero(~mask)[0])
+        object.__setattr__(self, "c_indices",
+                           np.arange(0, self.n_points, self.factor))
 
     @property
     def n_intervals(self):

@@ -1,11 +1,12 @@
 """Reference operations the tests check the package against.
 
 Relaxation and the two-grid cycle are stated here on materialized
-space-time vectors in the plainest possible form; the distributed engine
-in ``pintmg.mgrit`` is cross-checked against them.  The vector helpers
-and the broadcast collective are only ever needed by tests as well.  The
-unfused damped-Newton step is the reference the package's nonlinear and
-machine steps must equal bit for bit.
+space-time vectors, one row (field, then scalars) per point, in the
+plainest possible form; the distributed engine in ``pintmg.mgrit`` is
+cross-checked against them, and against the Parareal iteration.  The
+vector helpers and the broadcast collective are only ever needed by
+tests as well.  The unfused damped-Newton step is the reference the
+package's nonlinear and machine steps must equal bit for bit.
 """
 
 import copy
@@ -28,40 +29,51 @@ def _check_aligned(u, v):
         raise ValueError(f"lengths differ: {len(u)} vs {len(v)}")
 
 
+def _rows(u):
+    """A vector's points as one array of rows, field then scalars (a
+    new array)."""
+    return np.concatenate((u.fields, u.scalars), axis=1)
+
+
+def _vector(rows, nf):
+    return SpaceTimeVector(rows[:, :nf], rows[:, nf:])
+
+
 def axpy(alpha, x, y):
     """Componentwise y + alpha * x as a new vector."""
     _check_aligned(y, x)
-    out = y.clone()
-    for s, xs in zip(out.states, x.states):
-        s.add_scaled(xs, alpha)
-    return out
+    return SpaceTimeVector(y.fields + alpha * x.fields,
+                           y.scalars + alpha * x.scalars)
 
 
 def discrete_l2_norm(u):
     """Root of the plain sum of squares over all points and entries."""
-    return math.sqrt(sum(s.norm_sq() for s in u.states))
+    return math.sqrt(float(np.sum(u.fields ** 2))
+                     + float(np.sum(u.scalars ** 2)))
 
 
 def max_abs_diff(u, v):
     _check_aligned(u, v)
-    return max((a - b).max_abs() for a, b in zip(u.states, v.states))
+    return float(np.max(np.abs(_rows(u) - _rows(v))))
 
 
 def space_time_residual(step, times, u, g):
     """Residual of the all-at-once system defined by one-step propagation.
 
     The block at index 0 is the initial-value identity, so r_0 = g_0 - u_0;
-    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)).  ``u`` and
-    ``g`` cover the same first points of the grid.
+    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)), with step
+    mapping a row (field, then scalars) to a row.  ``u`` and ``g`` cover
+    the same first points of the grid.
     """
     _check_aligned(u, g)
     if len(u) > len(times):
         raise ValueError(f"{len(u)} states on a {len(times)}-point grid")
-    res = [g[0] - u[0]]
+    rows, res = _rows(u), _rows(g)
+    res[0] -= rows[0]
     for i in range(1, len(u)):
-        prop = step(u[i - 1], float(times[i - 1]), float(times[i]))
-        res.append(g[i] - (u[i] - prop))
-    return SpaceTimeVector(res)
+        prop = step(rows[i - 1], float(times[i - 1]), float(times[i]))
+        res[i] -= rows[i] - prop
+    return _vector(res, u.fields.shape[1])
 
 
 def broadcast_from_root(transport, payload=None):
@@ -82,7 +94,7 @@ class LevelContext:
 
     grid: object
     splitting: object
-    step: object  # step(u_prev, t_prev, t_next, guess=None) -> BlockState
+    step: object  # step(u_prev, t_prev, t_next, guess=None) -> row
 
     def times(self):
         return self.grid.points
@@ -90,17 +102,21 @@ class LevelContext:
 
 def level_context(problem, grid, splitting, spatial_level=0, smooth=False,
                   tol=None):
-    """Steps start Newton from the guess (None: from u_prev) and stop at
-    the relative tolerance tol (None: the problem's newton.tol)."""
+    """Steps map a row (field, then scalars) to a row, starting Newton
+    from the guess row (None: from u_prev) and stopping at the relative
+    tolerance tol (None: the problem's newton.tol)."""
     if tol is not None:
         problem = copy.copy(problem)
         problem.newton = dataclasses.replace(problem.newton, tol=tol)
+    nf = problem.spatial.size(spatial_level)
 
     def step(u_prev, t_prev, t_next, guess=None):
-        out, _ = problem.step(u_prev, t_prev, t_next, spatial_level,
-                              guess=u_prev if guess is None else guess,
+        u = BlockState(u_prev[:nf], u_prev[nf:])
+        out, _ = problem.step(u, t_prev, t_next, spatial_level,
+                              guess=u if guess is None
+                              else BlockState(guess[:nf], guess[nf:]),
                               smooth=smooth)
-        return out
+        return np.concatenate((out.field, out.scalars))
     return LevelContext(grid=grid, splitting=splitting, step=step)
 
 
@@ -108,23 +124,24 @@ def _relax(ctx, u, g, indices, guess_current=False):
     """Re-solve the blocks at indices in order; with guess_current, a
     step starts Newton from the value it replaces, less g there."""
     t = ctx.times()
-    out = u.clone()
+    out, g = _rows(u), None if g is None else _rows(g)
     targets = set(int(i) for i in indices)
     for i in range(1, len(t)):
         if i in targets:
             guess = None
             if guess_current:
                 guess = out[i] if g is None else out[i] - g[i]
-            upd = ctx.step(out[i - 1], float(t[i - 1]), float(t[i]), guess)
+            out[i] = ctx.step(out[i - 1], float(t[i - 1]), float(t[i]), guess)
             if g is not None:
-                upd.add_scaled(g[i], 1.0)
-            out[i] = upd
-    return out
+                out[i] += g[i]
+    return _vector(out, u.fields.shape[1])
 
 
 def f_relaxation(ctx, u, g=None):
     """Solve all F-point blocks given current C-values."""
-    return _relax(ctx, u, g, ctx.splitting.f_indices)
+    s = ctx.splitting
+    return _relax(ctx, u, g,
+                  set(range(s.n_points)).difference(s.c_indices.tolist()))
 
 
 def c_relaxation(ctx, u, g=None):
@@ -149,39 +166,62 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
         u = c_relaxation(fine, u, g)
         u = f_relaxation(fine, u, g)
 
-    t = fine.times()
+    t, (nf, ns) = fine.times(), (u.fields.shape[1], u.scalars.shape[1])
     c_idx = [int(i) for i in fine.splitting.c_indices]
-    u2, res = [], []
-    for j, c in enumerate(c_idx):
-        u2.append(u[c].clone())
-        if c == 0:
-            res.append(g[0] - u[0])
-        else:
-            prop = fine.step(u[c - 1], float(t[c - 1]), float(t[c]), u[c])
-            res.append(g[c] - (u[c] - prop))
+    rows, g_rows = _rows(u), _rows(g)
+    u2, res = rows[c_idx], np.empty((len(c_idx), nf + ns))
+    res[0] = g_rows[0] - rows[0]
+    for j, c in enumerate(c_idx[1:], 1):
+        prop = fine.step(rows[c - 1], float(t[c - 1]), float(t[c]), rows[c])
+        res[j] = g_rows[c] - (rows[c] - prop)
+
+    def transfer(fn, block):
+        """fn on the block's fields, the scalars carried along."""
+        n = block.shape[1] - ns
+        return np.concatenate((fn(block[:, :n]), block[:, n:]), axis=1)
+
     if spatial is not None:
-        hier, _ = spatial
-        u2 = [hier.restrict_state(s) for s in u2]
-        res = [hier.restrict_state(s) for s in res]
+        u2 = transfer(spatial[0].restrict_fields, u2)
+        res = transfer(spatial[0].restrict_fields, res)
 
     tc = coarse.times()
-    rhs = [u2[0] + res[0]]
+    v = np.empty_like(u2)
+    v[0] = u2[0] + res[0]
     for j in range(1, len(c_idx)):
-        prop = coarse.step(u2[j - 1], float(tc[j - 1]), float(tc[j]))
-        rhs.append(u2[j] - prop + res[j])
-    v = [rhs[0]]
-    for j in range(1, len(c_idx)):
-        v.append(coarse.step(v[j - 1], float(tc[j - 1]), float(tc[j])) + rhs[j])
+        a, b = float(tc[j - 1]), float(tc[j])
+        rhs = u2[j] - coarse.step(u2[j - 1], a, b) + res[j]
+        v[j] = coarse.step(v[j - 1], a, b) + rhs
+    e = v - u2
+    if spatial is not None:
+        e = transfer(spatial[0].prolong_fields, e)
+    rows[c_idx[1:]] += e[1:]  # index 0 is the initial value
+    return f_relaxation(fine if closing is None else closing,
+                        _vector(rows, nf), g)
 
-    out = u.clone()
-    for j, c in enumerate(c_idx):
-        if c == 0:
-            continue
-        e = v[j] - u2[j]
-        if spatial is not None:
-            e = spatial[0].prolong_error(e)
-        out[c] = out[c] + e
-    return f_relaxation(fine if closing is None else closing, out, g)
+
+def parareal_iterates(problem, grid, m, n_sweeps):
+    """The C-point values of a one-field problem after each of n_sweeps
+    Parareal sweeps, U_{j+1} = G(U_j new) + F(U_j) - G(U_j), with F m
+    fine steps and G one step of m dt, from the anchor at every C-point
+    (the solver's initial guess)."""
+    t, tc = grid.points, grid.points[::m]
+
+    def prop(u, times):
+        v = BlockState([u])
+        for a, b in zip(times[:-1], times[1:]):
+            v, _ = problem.step(v, float(a), float(b), guess=v)
+        return v.field[0]
+
+    anchor, units = problem.initial_state().field[0], range(len(tc) - 1)
+    u, sweeps = [anchor] * len(tc), []
+    for _ in range(n_sweeps):
+        fu = [prop(u[j], t[j * m:(j + 1) * m + 1]) for j in units]
+        gu = [prop(u[j], tc[j:j + 2]) for j in units]
+        u = [anchor]
+        for j in units:
+            u.append(prop(u[j], tc[j:j + 2]) + fu[j] - gu[j])
+        sweeps.append(u)
+    return sweeps
 
 
 # --- the unfused damped-Newton step -------------------------------------------------

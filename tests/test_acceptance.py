@@ -28,12 +28,13 @@ from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
 from pintmg.runtime import NullTransport, run_spmd
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
+from oracles import parareal_iterates
+
 T_PERIOD = 0.02
 
 
 def _max_diff(a, b):
-    return max(float(np.max(np.abs(x.field - y.field)))
-               for x, y in zip(a, b))
+    return float(np.max(np.abs(a.fields - b.fields)))
 
 
 def _report(number, label, t0, budget=None):
@@ -69,33 +70,9 @@ def test_2_f_relaxation_iterates_match_parareal():
     m, n_sweeps = 8, 5
     hier = TimeHierarchy.build(grid, [m])
 
-    tf_ = grid.points
-    tc = tf_[::m]
-    n_units = len(tc) - 1
-
-    def fine_prop(u, j):
-        v = u
-        for i in range(j * m + 1, (j + 1) * m + 1):
-            v, _ = problem.step(v, float(tf_[i - 1]), float(tf_[i]), guess=v)
-        return v
-
-    def coarse_prop(u, j):
-        v, _ = problem.step(u, float(tc[j]), float(tc[j + 1]), guess=u)
-        return v
-
     # predictor-corrector sweeps over the C-points, anchor-seeded like
     # the solver's initial guess
-    anchor = problem.initial_state()
-    big_u = [anchor.clone() for _ in range(n_units + 1)]
-    iterates = []
-    for _ in range(n_sweeps):
-        fu = [fine_prop(big_u[j], j) for j in range(n_units)]
-        gu = [coarse_prop(big_u[j], j) for j in range(n_units)]
-        new_u = [anchor.clone()]
-        for j in range(n_units):
-            new_u.append(coarse_prop(new_u[j], j) + fu[j] - gu[j])
-        big_u = new_u
-        iterates.append([u.field[0] for u in big_u])
+    iterates = parareal_iterates(problem, grid, m, n_sweeps)
 
     for k in range(1, n_sweeps + 1):
         run, sol = mgrit_solve(problem, hier,
@@ -103,8 +80,7 @@ def test_2_f_relaxation_iterates_match_parareal():
                                          max_iters=k),
                                StoppingCriterion(tolerance=1e-300))
         assert run.iterations == k
-        worst = max(abs(sol[j * m].field[0] - iterates[k - 1][j])
-                    for j in range(n_units + 1))
+        worst = np.max(np.abs(sol.fields[::m, 0] - iterates[k - 1]))
         assert worst <= 1e-12, f"sweep {k}: deviation {worst:.2e}"
     _report(2, "two-level F-relaxation matches Parareal per sweep", t0,
             budget=1.0)
@@ -258,7 +234,7 @@ def test_7_solution_independent_of_worker_count():
             run, sol = results[0]
             outcomes[p] = (run.iterations, sol)
         ref_iters, ref_sol = outcomes[1]
-        scale = max(float(np.max(np.abs(s.field))) for s in ref_sol)
+        scale = float(np.max(np.abs(ref_sol.fields)))
         for p in (2, 4):
             iters, sol = outcomes[p]
             assert iters == ref_iters, f"{case} p={p}: {iters} != {ref_iters}"

@@ -12,6 +12,9 @@ rank 0, whose trajectory is the answer.  The engine reaches the problem
 only through step_many, never through step.
 """
 
+import time
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (LinearDiffusionProblem, SurrogateMachineProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
+from pintmg.state import BlockState
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 from oracles import max_abs_diff
@@ -175,16 +179,10 @@ def _residual_norm(trajectory):
     for i in range(1, len(trajectory)):
         prop, _ = problem.step(trajectory[i - 1], float(times[i - 1]),
                                float(times[i]), 0, guess=trajectory[i - 1])
-        total += (prop - trajectory[i]).norm_sq()
+        df = prop.field - trajectory.fields[i]
+        ds = prop.scalars - trajectory.scalars[i]
+        total += float(df @ df) + float(ds @ ds)
     return total ** 0.5
-
-
-def _fields(trajectory):
-    return np.array([s.field for s in trajectory.states])
-
-
-def _scalars(trajectory):
-    return np.array([s.scalars for s in trajectory.states])
 
 
 @pytest.mark.parametrize("kind,gamma,p", CASES)
@@ -225,7 +223,7 @@ def test_batched_and_step_only_subclasses_step_what_the_wrapper_steps(
     assert calls == calls_w == _expected_steps(hier, kind, gamma,
                                                run.iterations)
     assert run.residual_norms == run_w.residual_norms
-    assert np.array_equal(_fields(traj), _fields(traj_w))
+    assert np.array_equal(traj.fields, traj_w.fields)
 
 
 def test_the_engine_steps_a_layer_in_one_step_many_call():
@@ -344,7 +342,7 @@ def test_a_stopped_run_returns_the_iterate_it_measured(kind, gamma, p,
     assert rest.initial_residual == run.residual_norms[k - 1]
     assert rest.residual_norms == run.residual_norms[k:]
     assert rest.qoi_changes == run.qoi_changes[k:]
-    assert np.array_equal(_fields(traj_rest), _fields(traj))
+    assert np.array_equal(traj_rest.fields, traj.fields)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -361,6 +359,76 @@ def test_recv_waits_are_charged_apart_from_level_work(p):
         else:
             assert all(w >= 0.0 for w in run.wait_seconds)
             assert run.wait_seconds[0] > 0.0
+
+
+SEND_DELAY = 0.01
+
+
+def _slow_send_worker(transport, _):
+    sends, send = [], transport.send
+
+    def slow_send(*args):  # as a write blocked on the pipe would
+        sends.append(time.sleep(SEND_DELAY))
+        send(*args)
+
+    transport.send = slow_send
+    run, _ = MgritSolver(_problem(), _hierarchy(), CycleSpec(),
+                         StoppingCriterion(tolerance=1e-10), transport).solve(
+                             gather_solution=False)
+    return run, len(sends)
+
+
+def test_blocked_sends_are_charged_as_waits():
+    # every send of a solve without a gather is made by a charged sweep
+    for run, sends in run_spmd(2, _slow_send_worker, None, backend="thread"):
+        slept = sends * SEND_DELAY
+        assert sends and sum(run.wait_seconds) >= slept
+        assert sum(run.level_seconds) < 0.5 * slept
+
+
+def _held_worker(transport, gamma):
+    """Solve, recording before each FC-sweep whether the rows the last
+    measuring sweep walked are still alive."""
+    solver = MgritSolver(_problem(), _hierarchy(), CycleSpec(gamma=gamma),
+                         StoppingCriterion(tolerance=1e-10), transport)
+    walks, alive = [], []
+    measure, fc_sweep = solver._measure, solver._fc_sweep
+
+    def measuring(*args):
+        out = measure(*args)
+        walks.append(weakref.ref(out[-1][0]))
+        return out
+
+    def sweeping(*args):
+        alive.append(walks[-1]() is not None)
+        return fc_sweep(*args)
+
+    solver._measure, solver._fc_sweep = measuring, sweeping
+    run, _ = solver.solve()
+    return run, alive
+
+
+@pytest.mark.parametrize("gamma,p", [(1, 1), (2, 1), (2, 2)])
+def test_a_cycle_lets_the_measured_walk_go(gamma, p):
+    # with gamma >= 1 the cycle reads only the held C-updates
+    for run, alive in run_spmd(p, _held_worker, gamma, backend="thread"):
+        assert run.converged and run.iterations >= 2
+        assert alive and not any(alive)
+
+
+def test_solve_builds_no_block_state(monkeypatch):
+    solver = MgritSolver(_problem(), _hierarchy(), CycleSpec(),
+                         StoppingCriterion(tolerance=1e-10))
+    built, init = [], BlockState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockState, "__init__", counting)
+    run, solution = solver.solve(gather_solution=True)
+    assert run.converged and len(solution) == N_STEPS + 1
+    assert not built
 
 
 def _machine_solver(transport):
@@ -388,7 +456,8 @@ def _overwriting_worker(transport, _):
 
     solver._measure = keeping
     run, traj = solver.solve()
-    copied = None if traj is None else (_fields(traj), _scalars(traj))
+    copied = None if traj is None else (traj.fields.copy(),
+                                        traj.scalars.copy())
     solver.levels[0].c_store[:] = np.nan
     walks[-1][:] = np.nan  # an idle rank walks no rows
     return run, traj, copied
@@ -400,8 +469,8 @@ def test_the_answer_shares_no_memory_with_the_solver(p):
     run, traj, (fields, scalars) = results[0]
     assert run.converged and len(traj) == TAIL_STEPS + 1
     assert np.isfinite(fields).all() and np.isfinite(scalars).all()
-    assert np.array_equal(_fields(traj), fields)
-    assert np.array_equal(_scalars(traj), scalars)
+    assert np.array_equal(traj.fields, fields)
+    assert np.array_equal(traj.scalars, scalars)
 
 
 @pytest.mark.parametrize("p,backend", [(3, "thread"), (2, "process")])
@@ -412,9 +481,9 @@ def test_a_machine_answer_does_not_depend_on_the_workers(p, backend):
     run, traj = run_spmd(p, _machine_worker, None, backend=backend)[0]
     assert run.converged and run.iterations == run_1.iterations >= 2
     assert run.residual_norms == run_1.residual_norms
-    assert _scalars(traj).shape == (TAIL_STEPS + 1, 2)
-    assert np.array_equal(_fields(traj), _fields(traj_1))
-    assert np.array_equal(_scalars(traj), _scalars(traj_1))
+    assert traj.scalars.shape == (TAIL_STEPS + 1, 2)
+    assert np.array_equal(traj.fields, traj_1.fields)
+    assert np.array_equal(traj.scalars, traj_1.scalars)
 
 
 def _one_level_worker(transport, _):
@@ -432,7 +501,7 @@ def test_one_level_hierarchy_is_the_sequential_solve(p):
     seq = sequential_solve(_problem(), _hierarchy()[0].points)
     assert run.converged and run.iterations == 1
     assert run.residual_norms == [0.0]
-    assert np.array_equal(_fields(traj), _fields(seq))
+    assert np.array_equal(traj.fields, seq.fields)
     # the initial measure and the solve on rank 0, whose trajectory is the
     # answer: no closing sweep and no materializing walk
     assert sum(c[0] for _, _, c in results) == 2 * N_STEPS

@@ -12,23 +12,24 @@ from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
-from pintmg.state import BlockState, SpaceTimeVector
+from pintmg.state import SpaceTimeVector
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid, cf_split
 
 from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
-                     two_level_cycle)
+                     parareal_iterates, two_level_cycle)
 
 
 def _flat_vector(problem, n_points, level=0):
-    return SpaceTimeVector(
-        [problem.initial_state(level) for _ in range(n_points)])
+    anchor = problem.initial_state(level)
+    return SpaceTimeVector(np.tile(anchor.field, (n_points, 1)),
+                           np.tile(anchor.scalars, (n_points, 1)))
 
 
 def _system_rhs(problem, n_points, level=0):
     """g for the initial-value system: the anchor at index 0, zeros after."""
-    anchor = problem.initial_state(level)
-    zeros = [anchor.clone() * 0.0 for _ in range(n_points - 1)]
-    return SpaceTimeVector([anchor] + zeros)
+    g = _flat_vector(problem, n_points, level)
+    g.fields[1:], g.scalars[1:] = 0.0, 0.0
+    return g
 
 
 def _linear_problem(nx=15, grids=1):
@@ -47,11 +48,11 @@ def test_relaxations_touch_only_their_points():
     g = _system_rhs(problem, 7)
 
     after_f = f_relaxation(ctx, u, g)
-    assert [s.field[0] for s in after_f.states] == [
+    assert after_f.fields[:, 0].tolist() == [
         1.0, 0.5, 0.25, 1.0, 0.5, 0.25, 1.0]
 
     after_c = c_relaxation(ctx, u, g)
-    assert [s.field[0] for s in after_c.states] == [
+    assert after_c.fields[:, 0].tolist() == [
         1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.5]
 
 
@@ -159,41 +160,13 @@ def test_parareal_equivalence_on_dahlquist():
     problem = DahlquistProblem(rate=-1.0, initial=1.0)
     grid = build_uniform_grid(0.0, 4.0, 64)
     m, k_iters = 8, 4
-    hier = TimeHierarchy.build(grid, [m])
-
-    # direct predictor-corrector iteration on the C-points
-    tf_ = grid.points
-    tc = tf_[::m]
-    n_units = len(tc) - 1
-
-    def fine_prop(u, j):
-        v = u
-        for i in range(j * m + 1, (j + 1) * m + 1):
-            v, _ = problem.step(v, float(tf_[i - 1]), float(tf_[i]), guess=v)
-        return v
-
-    def coarse_prop(u, j):
-        v, _ = problem.step(u, float(tc[j]), float(tc[j + 1]), guess=u)
-        return v
-
-    anchor = problem.initial_state()
-    big_u = [anchor.clone() for _ in range(n_units + 1)]
-    for _ in range(k_iters):
-        fu = [fine_prop(big_u[j], j) for j in range(n_units)]
-        gu = [coarse_prop(big_u[j], j) for j in range(n_units)]
-        new_u = [anchor.clone()]
-        for j in range(n_units):
-            new_u.append(coarse_prop(new_u[j], j) + fu[j] - gu[j])
-        big_u = new_u
-
-    run, sol = mgrit_solve(problem, hier,
+    run, sol = mgrit_solve(problem, TimeHierarchy.build(grid, [m]),
                            CycleSpec(kind="two-level", gamma=0,
                                      max_iters=k_iters),
                            StoppingCriterion(tolerance=1e-300))
     assert run.iterations == k_iters
-    worst = max(abs(sol[j * m].field[0] - big_u[j].field[0])
-                for j in range(n_units + 1))
-    assert worst < 1e-12
+    big_u = parareal_iterates(problem, grid, m, k_iters)[-1]
+    assert np.max(np.abs(sol.fields[::m, 0] - big_u)) < 1e-12
 
 
 def test_exact_solution_is_a_fixed_point():
@@ -340,8 +313,7 @@ def _bitwise_worker(transport, case):
                                      nested_iterations=nested),
                            StoppingCriterion(tolerance=1e-10),
                            transport=transport)
-    fields = None if sol is None else np.array([s.field for s in sol.states])
-    return run.iterations, run.converged, fields
+    return run.iterations, run.converged, None if sol is None else sol.fields
 
 
 @pytest.mark.parametrize("case", BITWISE_CASES)
@@ -567,8 +539,7 @@ def test_a_run_stops_on_and_returns_only_a_tight_sweep(monkeypatch, stopping,
         assert len(tols) == run.iterations + 2  # the passing one re-run
     # the answer is the walk of the tight sweep, from the same C-values
     walked, _ = solver._walk(solver.levels[0], sweep=True)
-    got = np.array([s.field for s in sol.states[:len(walked)]])
-    assert np.array_equal(got, walked)
+    assert np.array_equal(sol.fields[:len(walked)], walked)
 
 
 def test_loose_steps_stop_near_the_stopping_tolerance():

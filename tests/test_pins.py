@@ -133,9 +133,9 @@ def _solve_worker(transport, kind):
 def _pin(kind, p, backend="thread"):
     run, solution = run_spmd(p, _solve_worker, kind, backend=backend)[0]
     digest = hashlib.sha256()
-    for state in solution.states:
-        digest.update(state.field.tobytes())
-        digest.update(state.scalars.tobytes())
+    for field, scalars in zip(solution.fields, solution.scalars):
+        digest.update(field.tobytes())
+        digest.update(scalars.tobytes())
     return {"iterations": run.iterations,
             "initial_residual": run.initial_residual.hex(),
             "residual_norms": [v.hex() for v in run.residual_norms],

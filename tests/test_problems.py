@@ -402,8 +402,7 @@ def _three_level_solve(problem, transport=None):
 
 
 def _arrays(trajectory):
-    return (np.array([s.field for s in trajectory.states]),
-            np.array([s.scalars for s in trajectory.states]))
+    return trajectory.fields, trajectory.scalars
 
 
 def test_forcing_is_memoized_read_only():
@@ -709,11 +708,10 @@ def _rows_of_a_run(prob, level, smooth, n_rows, first=5):
     """States a sequential run passes through on a 64-step grid, as rows,
     with the consecutive step each row takes next: several distinct dt."""
     times = build_uniform_grid(0.0, 0.02, 64).points.tolist()
-    states = sequential_solve(prob, times, level, smooth).states
-    rows = range(first, first + n_rows)
-    return (np.array([states[i].field for i in rows]),
-            np.array([states[i].scalars for i in rows]).reshape(n_rows, -1),
-            [times[i] for i in rows], [times[i + 1] for i in rows])
+    run = sequential_solve(prob, times, level, smooth)
+    stop = first + n_rows
+    return (run.fields[first:stop], run.scalars[first:stop],
+            times[first:stop], times[first + 1:stop + 1])
 
 
 @pytest.mark.parametrize("smooth", [False, True])

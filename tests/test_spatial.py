@@ -5,7 +5,6 @@ import pytest
 
 from pintmg.mgrit import MgritSolver
 from pintmg.spatial import SpatialHierarchy, assign_spatial_levels, coarse_size
-from pintmg.state import BlockState
 
 
 def test_nesting_sizes():
@@ -26,50 +25,57 @@ def test_coordinates_interleave():
     assert h.spacing(1) == pytest.approx(2 * h.spacing(0))
 
 
+def _transfer(fn, src, dst, rows):
+    """The engine's transfer of (k, width) rows from grid src to grid
+    dst: fn on the fields, the scalars carried along."""
+    h = fn.__self__
+    return MgritSolver._transfer(
+        None, fn, SimpleNamespace(spatial_level=src, nf=h.size(src)),
+        SimpleNamespace(spatial_level=dst), rows)
+
+
 def test_restriction_injects_odd_indices():
     h = SpatialHierarchy(7, 2)
-    s = BlockState(np.arange(1.0, 8.0), [42.0])
-    c = h.restrict_state(s)
-    assert c.field.tolist() == [2.0, 4.0, 6.0]
-    assert c.scalars.tolist() == [42.0]
+    row = np.append(np.arange(1.0, 8.0), 42.0)  # a field, then a scalar
+    c = _transfer(h.restrict_fields, 0, 1, row[None])
+    assert c.tolist() == [[2.0, 4.0, 6.0, 42.0]]
 
 
 def test_prolongation_linear_interpolation():
     h = SpatialHierarchy(7, 2)
-    e = BlockState([1.0, 2.0, 1.0])
-    f = h.prolong_error(e)
-    assert f.field.tolist() == [0.5, 1.0, 1.5, 2.0, 1.5, 1.0, 0.5]
+    f = h.prolong_fields(np.array([1.0, 2.0, 1.0]))
+    assert f.tolist() == [0.5, 1.0, 1.5, 2.0, 1.5, 1.0, 0.5]
 
 
 def test_restrict_after_prolong_is_identity():
     h = SpatialHierarchy(31, 3)
     rng = np.random.default_rng(5)
-    e = BlockState(rng.normal(size=7), rng.normal(size=2))
-    back = h.restrict_state(h.prolong_error(e))
-    assert np.array_equal(back.field, e.field)
-    assert np.array_equal(back.scalars, e.scalars)
+    e = rng.normal(size=(4, 7 + 2))
+    back = _transfer(h.restrict_fields, 1, 2,
+                     _transfer(h.prolong_fields, 2, 1, e))
+    assert np.array_equal(back, e)
 
 
 def test_scalars_pass_through_bitwise():
     h = SpatialHierarchy(15, 2)
     sc = np.array([1.2345678901234567, -9.87e-13])
-    s = BlockState(np.ones(15), sc)
-    down = h.restrict_state(s)
-    assert np.array_equal(down.scalars, sc)
-    up = h.prolong_error(BlockState(np.ones(7), sc))
-    assert np.array_equal(up.scalars, sc)
+    down = _transfer(h.restrict_fields, 0, 1, np.append(np.ones(15), sc)[None])
+    assert np.array_equal(down[0, 7:], sc)
+    up = _transfer(h.prolong_fields, 1, 0, np.append(np.ones(7), sc)[None])
+    assert np.array_equal(up[0, 15:], sc)
 
 
 def test_field_size_without_a_grid_rejected():
+    # one field is one row: the same checks as on a block of rows
     h = SpatialHierarchy(15, 2)
-    for transfer in (h.restrict_state, h.prolong_error):
+    for transfer in (h.restrict_fields, h.prolong_fields):
         with pytest.raises(ValueError, match=r"no grid has 8 points; "
                            r"sizes are \(15, 7\)"):
-            transfer(BlockState(np.ones(8)))
+            transfer(np.ones(8))
     with pytest.raises(ValueError, match="no grid below 1"):
-        h.restrict_state(BlockState(np.ones(7)))
+        h.restrict_fields(np.ones(7))
     with pytest.raises(ValueError, match="already on the finest grid"):
-        h.prolong_error(BlockState(np.ones(15)))
+        h.prolong_fields(np.ones(15))
 
 
 def _old_restrict(field):
@@ -94,29 +100,22 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
 def test_row_transfers_are_each_states_transfer_bitwise(k, n_scalars):
     """The engine's _transfer of a (k, width) block through the row
-    functions, against each row through the state transfers and through
-    the per-state arithmetic they replaced, for n = 7 to 127."""
+    functions, against each row's field through the same function alone
+    and through the per-state arithmetic it replaced, for n = 7 to 127."""
     h = SpatialHierarchy(127, 6)  # 127, 63, 31, 15, 7, 3
     rng = np.random.default_rng(k + n_scalars)
-    level = [SimpleNamespace(spatial_level=g, nf=n)
-             for g, n in enumerate(h.sizes)]
     for g in range(1, h.n_grids):
-        for src, dst, fn, state_fn, old in (
-                (g - 1, g, h.restrict_fields, h.restrict_state, _old_restrict),
-                (g, g - 1, h.prolong_fields, h.prolong_error, _old_prolong)):
+        for src, dst, fn, old in ((g - 1, g, h.restrict_fields, _old_restrict),
+                                  (g, g - 1, h.prolong_fields, _old_prolong)):
             n = h.sizes[src]
             rows = rng.normal(size=(k, n + n_scalars))
             rows[rng.random(rows.shape) < 0.1] = -0.0
-            got = MgritSolver._transfer(None, fn, level[src], level[dst],
-                                        rows)
+            got = _transfer(fn, src, dst, rows)
             assert not np.shares_memory(got, rows)
             for row, out in zip(rows, got):
-                state = state_fn(BlockState(row[:n], row[n:]))
-                want = np.concatenate((state.field, state.scalars))
-                assert _same_bits(out, want)
-                assert _same_bits(state.field, old(row[:n]))
-                assert _same_bits(state.scalars, row[n:])
-            assert _same_bits(fn(rows[0, :n]), fn(rows[:, :n])[0])
+                assert _same_bits(out[:h.sizes[dst]], fn(row[:n]))
+                assert _same_bits(out[:h.sizes[dst]], old(row[:n]))
+                assert _same_bits(out[h.sizes[dst]:], row[n:])
 
 
 def test_row_transfers_reject_a_field_size_without_a_grid():
