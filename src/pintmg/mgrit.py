@@ -62,9 +62,10 @@ iterations, the initial measuring sweep, and every sweep while the last
 fine residual norm exceeds LOOSE_MARGIN times the stopping tolerance and
 a loose step's error (LOOSE_TOL times the initial fine C-updates' norm).
 No run stops on, or returns, a loose sweep: one that passes the test is
-walked again at newton.tol from the same C-values.  The last sweep at
-max_iters, the answer's F-tail, 1-level and seeded runs, and problems
-stepped row by row (that loop passes no tolerance) run at newton.tol.
+dropped, then walked again at newton.tol from the same C-values.  The
+last sweep at max_iters, the answer's F-tail, 1-level and seeded runs,
+and problems stepped row by row (that loop passes no tolerance) run at
+newton.tol.
 Only globally reduced norms decide, alike at every worker count.
 """
 
@@ -662,7 +663,7 @@ class MgritSolver:
                     prev = losses
                     norm, change, losses, held = self._measure(fine, prev)
                     if self._tol is not None and self._stops(norm, change):
-                        self._tol = None  # stop only on a tight sweep
+                        self._tol = held = None  # stop only on a tight one
                         norm, change, losses, held = self._measure(fine, prev)
                 run.iterations = it
                 run.residual_norms.append(norm)

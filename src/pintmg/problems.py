@@ -8,7 +8,7 @@ Every problem exposes the same one-step contract:
 which solves (M / dt + K(u)) u = f(t_next) + (M / dt) u_prev on the
 requested spatial grid.  ``smooth`` swaps the pulsed voltage source for
 its carrier-period-average surrogate; coarse setup sweeps use that.
-The field problems also step many independent rows in one call:
+All four problems (Dahlquist's on one point) also step many rows at once:
 
     step_many(fields, scalars, t_prev, t_next, spatial_level=0, smooth=False,
               guess=None, tol=None) -> (fields, scalars, iterations)
@@ -16,7 +16,7 @@ The field problems also step many independent rows in one call:
 with (k, n_field) and (k, n_scalars) arrays and k-long time sequences.
 ``guess`` is None or (k, n_field) field rows to start Newton from (None:
 each row from its own state), and ``tol`` None or a relative Newton
-tolerance in place of newton.tol; the linear step ignores both.  Row r
+tolerance in place of newton.tol; linear steps ignore both.  Row r
 is bit for bit step(BlockState(fields[r], scalars[r]), t_prev[r],
 t_next[r], spatial_level, guess=<row r's guess>, smooth) of a problem
 whose newton.tol is ``tol``: each row does its single step's arithmetic,
@@ -24,15 +24,17 @@ only grouped into whole-array calls (np.exp and the elementwise
 operations give each row's bits whatever the batch).  The linear step
 makes one pttrs call for all rows, whatever their dts; Newton iterates
 the rows still active together, with one stacked ddot for their norms
-and one ptsv call per iterate, and each row keeps its own scale and line
-search.  A failing row raises exactly its single step's error, the first
-failing row in row order when several fail.  ``step`` is the same kernel
-on one row, so no kernel exists twice, and step_many takes that path for
-a single row (chosen by the row count), so a one-row call costs what
-``step`` does.  batched_step picks step_many for a problem whose class
-defines it next to ``step``, and a per-row loop over ``step`` otherwise,
-so a wrapper that forwards attributes, or a subclass that overrides only
-``step``, still sees every step (with its guess, at newton.tol).
+and one ptsv call per iterate, and damps the rows whose trial is not
+better together, one residual per halving, each row keeping its own
+scale and norms.  A failing row raises exactly its single step's error,
+the first failing row in row order when several fail.  ``step`` is the
+same kernel on one row, so no kernel exists twice, and step_many takes
+that path for a single row (chosen by the row count), so a one-row call
+costs what ``step`` does.  batched_step picks step_many for a problem
+whose class defines it next to ``step``, and a per-row loop over
+``step`` otherwise, so a wrapper that forwards attributes, or a subclass
+that overrides only ``step``, still sees every step (with its guess, at
+newton.tol).
 
 Steppers are deterministic.  Their only state is two memos, each entry
 computed from its own key alone, in one call, and read-only: the linear
@@ -452,11 +454,12 @@ class NonlinearSaturationProblem(_FieldProblem):
         """Damped Newton for the step's field, for every row of the (k, n)
         array u_prev (a 1-d array is one row) from the rows of guess (None:
         from u_prev), until |F| <= tol |rhs| (None: newton.tol).  Each row
-        keeps its own scale and line search and does its single step's
+        keeps its own scale and norms and does its single step's
         arithmetic; the rows still iterating share the array calls, one
-        stacked ddot and one ptsv (_newton_step) per iterate.  Returns a
-        new array shaped as u_prev, the scalars and the per-row iteration
-        counts, or raises the first failing row's error."""
+        stacked ddot and one ptsv (_newton_step) per iterate, and the rows
+        being damped one residual per halving.  Returns a new array shaped
+        as u_prev, the scalars and the per-row iteration counts, or raises
+        the first failing row's error."""
         k = len(t_prev)
         if not k:
             return u_prev.copy(), scalars, []
@@ -543,26 +546,21 @@ class NonlinearSaturationProblem(_FieldProblem):
                 trial = u + delta
                 trial_res = res(trial, sig, rhs)
                 t_norm = _norms(trial_res[0])
-                if not all(map(operator.lt, t_norm, rnorm)):
-                    for q, row in enumerate(rows):
-                        if t_norm[q] < rnorm[q]:
-                            continue
-                        # a NaN norm is damped as well
-                        views = ((trial, u, delta, sig, rhs, *trial_res)
-                                 if one else
-                                 (trial[q], u[q], delta[q], sig[q], rhs[q],
-                                  *(a[q] for a in trial_res)))
-                        tq, uq, dq, sq, bq = views[:5]
-                        alpha = opt.damping
-                        for _ in range(opt.max_halvings):
-                            tq[...] = uq + alpha * dq
-                            damped = res(tq, sq, bq)
-                            for a, b in zip(views[5:], damped):
-                                a[...] = b
-                            t_norm[q], = _norms(damped[0])
-                            if t_norm[q] < rnorm[q]:
-                                break
-                            alpha *= 0.5
+                alpha = opt.damping  # every damped row's, halved each round
+                for _ in range(opt.max_halvings):
+                    if all(map(operator.lt, t_norm, rnorm)):
+                        break
+                    # the rows not better, a NaN norm too; all of them (the
+                    # only one included) taken whole, without a gather
+                    q = [j for j, n in enumerate(t_norm) if not n < rnorm[j]]
+                    at = ... if len(q) == len(t_norm) else q
+                    trial[at] = v = u[at] + alpha * delta[at]
+                    damped = res(v, sig if one else sig[at], rhs[at])
+                    for a, b in zip(trial_res, damped):
+                        a[at] = b
+                    for j, n in zip(q, _norms(damped[0])):
+                        t_norm[j] = n
+                    alpha *= 0.5
                 u, rnorm = trial, t_norm
                 r, s2, e, nu = trial_res
         if failed:
@@ -613,16 +611,15 @@ class SurrogateMachineProblem(NonlinearSaturationProblem):
         return out, rotor.T.reshape(scalars.shape), its
 
 
-class DahlquistProblem:
-    """Scalar test equation u' = rate * u (+ optional source voltage)."""
-
-    n_scalars = 0
+class DahlquistProblem(_FieldProblem):
+    """Scalar test equation u' = rate * u (+ optional source voltage): a
+    field problem on one point, whose source shape sin(pi / 2) is exactly
+    1.0, so its forcing is the source value itself."""
 
     def __init__(self, rate=-1.0, initial=1.0, excitation=None):
+        super().__init__(1, excitation=excitation)
         self.rate = float(rate)
         self.initial = float(initial)
-        self.excitation = excitation
-        self.spatial = SpatialHierarchy(1, 1)
 
     def initial_state(self, spatial_level=0):
         return BlockState([self.initial])
@@ -630,15 +627,14 @@ class DahlquistProblem:
     def loss_weights(self, spatial_level=0):
         return np.ones(1)
 
-    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
-             smooth=False):
-        dt = t_next - t_prev
-        f = 0.0
-        if self.excitation is not None:
-            f = (self.excitation.smooth_value(t_next) if smooth
-                 else self.excitation.value(t_next))
-        val = (u_prev.field[0] + dt * f) / (1.0 - dt * self.rate)
-        return BlockState([val]), _diagnostics(1)
+    def _advance(self, fields, scalars, t_prev, t_next, spatial_level,
+                 smooth, guess, tol=None):
+        """(u + dt f) / (1 - dt rate) for every row, or for the only one
+        (1-d fields); no guess, no tolerance, no scalars to step."""
+        dt = np.subtract(t_next, t_prev)[:, None]
+        f = self._forcings(t_next, spatial_level, smooth)
+        out = (fields + dt * f) / (1.0 - dt * self.rate)
+        return out.reshape(fields.shape), scalars, [1] * len(dt)
 
 
 def batched_step(problem):

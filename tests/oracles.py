@@ -4,7 +4,7 @@ Relaxation and the two-grid cycle are stated here on materialized
 space-time vectors, one row (field, then scalars) per point, in the
 plainest possible form; the distributed engine in ``pintmg.mgrit`` is
 cross-checked against them, and against the Parareal iteration.  The
-vector helpers and the broadcast collective are only ever needed by
+vector comparison and the broadcast collective are only ever needed by
 tests as well.  The unfused damped-Newton step is the reference the
 package's nonlinear and machine steps must equal bit for bit.
 """
@@ -24,11 +24,6 @@ from pintmg.state import BlockState, SpaceTimeVector
 
 # --- vector helpers -----------------------------------------------------------------
 
-def _check_aligned(u, v):
-    if len(u) != len(v):
-        raise ValueError(f"lengths differ: {len(u)} vs {len(v)}")
-
-
 def _rows(u):
     """A vector's points as one array of rows, field then scalars (a
     new array)."""
@@ -39,41 +34,10 @@ def _vector(rows, nf):
     return SpaceTimeVector(rows[:, :nf], rows[:, nf:])
 
 
-def axpy(alpha, x, y):
-    """Componentwise y + alpha * x as a new vector."""
-    _check_aligned(y, x)
-    return SpaceTimeVector(y.fields + alpha * x.fields,
-                           y.scalars + alpha * x.scalars)
-
-
-def discrete_l2_norm(u):
-    """Root of the plain sum of squares over all points and entries."""
-    return math.sqrt(float(np.sum(u.fields ** 2))
-                     + float(np.sum(u.scalars ** 2)))
-
-
 def max_abs_diff(u, v):
-    _check_aligned(u, v)
+    if len(u) != len(v):
+        raise ValueError(f"lengths differ: {len(u)} vs {len(v)}")
     return float(np.max(np.abs(_rows(u) - _rows(v))))
-
-
-def space_time_residual(step, times, u, g):
-    """Residual of the all-at-once system defined by one-step propagation.
-
-    The block at index 0 is the initial-value identity, so r_0 = g_0 - u_0;
-    for i >= 1, r_i = g_i - (u_i - step(u_{i-1}, t_{i-1}, t_i)), with step
-    mapping a row (field, then scalars) to a row.  ``u`` and ``g`` cover
-    the same first points of the grid.
-    """
-    _check_aligned(u, g)
-    if len(u) > len(times):
-        raise ValueError(f"{len(u)} states on a {len(times)}-point grid")
-    rows, res = _rows(u), _rows(g)
-    res[0] -= rows[0]
-    for i in range(1, len(u)):
-        prop = step(rows[i - 1], float(times[i - 1]), float(times[i]))
-        res[i] -= rows[i] - prop
-    return _vector(res, u.fields.shape[1])
 
 
 def broadcast_from_root(transport, payload=None):
@@ -154,8 +118,8 @@ def c_relaxation(ctx, u, g=None):
 def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
     """One full-approximation two-grid pass over a materialized iterate.
 
-    ``spatial`` is None or (hierarchy, fine_grid_index): when given, the
-    restricted iterate and residual move one spatial grid down and the
+    ``spatial`` is None or the problem's spatial hierarchy: when given,
+    the restricted iterate and residual move one spatial grid down and the
     correction is interpolated back up.  ``closing`` is the fine context
     of the closing F-relaxation (None: ``fine``).  Steps guess as the
     engine's do: a step into a C-point from the C-value it replaces, any
@@ -181,8 +145,8 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
         return np.concatenate((fn(block[:, :n]), block[:, n:]), axis=1)
 
     if spatial is not None:
-        u2 = transfer(spatial[0].restrict_fields, u2)
-        res = transfer(spatial[0].restrict_fields, res)
+        u2 = transfer(spatial.restrict_fields, u2)
+        res = transfer(spatial.restrict_fields, res)
 
     tc = coarse.times()
     v = np.empty_like(u2)
@@ -193,7 +157,7 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
         v[j] = coarse.step(v[j - 1], a, b) + rhs
     e = v - u2
     if spatial is not None:
-        e = transfer(spatial[0].prolong_fields, e)
+        e = transfer(spatial.prolong_fields, e)
     rows[c_idx[1:]] += e[1:]  # index 0 is the initial value
     return f_relaxation(fine if closing is None else closing,
                         _vector(rows, nf), g)

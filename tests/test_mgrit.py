@@ -1,5 +1,7 @@
 """Relaxation, cycle, and engine checks against independent references."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_engine_matches_reference_with_spatial_coarsening():
     closing = level_context(problem, hier[0], hier.splittings[0], 0)
     ref = two_level_cycle(fine, coarse, _flat_vector(problem, 17),
                           _system_rhs(problem, 17), gamma=1,
-                          spatial=(problem.spatial, 0), closing=closing)
+                          spatial=problem.spatial, closing=closing)
 
     run, sol = mgrit_solve(problem, hier,
                            CycleSpec(kind="two-level", gamma=1, max_iters=1,
@@ -540,6 +542,34 @@ def test_a_run_stops_on_and_returns_only_a_tight_sweep(monkeypatch, stopping,
     # the answer is the walk of the tight sweep, from the same C-values
     walked, _ = solver._walk(solver.levels[0], sweep=True)
     assert np.array_equal(sol.fields[:len(walked)], walked)
+
+
+def test_a_passing_loose_sweep_lets_its_walk_go_before_the_tight_one(
+        monkeypatch):
+    # the tight re-run walks the fine level again; the loose walk it
+    # replaces must be dead by then, or a worker holds two fine walks
+    monkeypatch.setattr(mgrit, "LOOSE_MARGIN", 0.0)
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 66), [4, 4])
+    solver = MgritSolver(_TolRecorder(), hier, CycleSpec(kind="V"),
+                         StoppingCriterion(tolerance=1e-7))
+    walks, alive = [], []
+    measure, walk = solver._measure, solver._walk
+
+    def measuring(*args):
+        out = measure(*args)
+        walks.append((solver._tol, weakref.ref(out[-1][0])))
+        return out
+
+    def walking(lvl, sweep=False):
+        if lvl.index == 0 and sweep and solver._tol is None and walks:
+            tol, walked = walks[-1]
+            alive.append((tol, walked() is not None))
+        return walk(lvl, sweep)
+
+    solver._measure, solver._walk = measuring, walking
+    run, _ = solver.solve()
+    assert run.converged
+    assert alive == [(LOOSE_TOL, False)]
 
 
 def test_loose_steps_stop_near_the_stopping_tolerance():

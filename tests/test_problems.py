@@ -14,9 +14,9 @@ from pintmg.excitation import PwmSource
 from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (
     BrauerCurve, DahlquistProblem, LinearDiffusionProblem, NewtonOptions,
-    NonlinearSaturationProblem, SurrogateMachineProblem, _band_factor,
-    _band_factor_solve, _band_solve, _norms, batched_step, joule_loss,
-    sequential_solve,
+    NonlinearSaturationProblem, StepDiagnostics, SurrogateMachineProblem,
+    _band_factor, _band_factor_solve, _band_solve, _norms, batched_step,
+    joule_loss, sequential_solve,
 )
 from pintmg import problems
 from pintmg.runtime import run_spmd
@@ -366,9 +366,11 @@ KINDS = {"linear": LinearDiffusionProblem,
 
 
 def _problem(kind, excitation=None):
+    excitation = PwmSource(**PWM) if excitation is None else excitation
+    if kind == "dahlquist":
+        return DahlquistProblem(rate=-50.0, excitation=excitation)
     return KINDS[kind](15, n_spatial_grids=3, source="random", seed=5,
-                       excitation=(PwmSource(**PWM) if excitation is None
-                                   else excitation))
+                       excitation=excitation)
 
 
 def _uncached_forcing(problem):
@@ -702,7 +704,45 @@ def test_a_newton_step_evaluates_exp_once_per_residual(kind):
     assert oracle.halvings == 0  # the PWM steps take full Newton steps
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_damped_rows_share_each_halvings_residual(kind, amplitude):
+    # the line search damps every row that needs it with one residual per
+    # halving: a damped row stacked 36 times evaluates exp as often as the
+    # row alone, and each row is bitwise its own step
+    prob, u_prev, guess = _damped_case(kind, amplitude)
+    want = prob.step(u_prev, 0.0, 1e-2, guess=guess)
+    prob.curve, calls = _CountingCurve(), []
+    for k in (1, 36):
+        del prob.curve.calls[:]
+        got = prob.step_many(np.tile(u_prev.field, (k, 1)),
+                             np.tile(u_prev.scalars, (k, 1)), [0.0] * k,
+                             [1e-2] * k, guess=np.tile(guess.field, (k, 1)))
+        calls.append(len(prob.curve.calls))
+        for f, s, it in zip(*got):
+            _assert_same_step((BlockState(f, s), StepDiagnostics(it)), want)
+    assert calls[0] == calls[1] > 1 + want[1].iterations
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_a_stack_of_rows_damped_differently_is_each_rows_step(kind):
+    cases = [_damped_case(kind, a) for a in (1.0, 10.0, 0.01) * 12]
+    prob = cases[0][0]
+    got = prob.step_many(np.array([u.field for _, u, _ in cases]),
+                         np.array([u.scalars for _, u, _ in cases]),
+                         [0.0] * 36, [1e-2] * 36,
+                         guess=np.array([g.field for *_, g in cases]))
+    for f, s, it, (_, u_prev, guess) in zip(*got, cases):
+        _assert_same_step((BlockState(f, s), StepDiagnostics(it)),
+                          prob.step(u_prev, 0.0, 1e-2, guess=guess))
+
+
 # --- step_many: many rows in one call, each bitwise its own step -----------------
+
+# every bundled problem steps rows with its own step_many; the one-point
+# Dahlquist problem has a single grid, so it is checked on level 0 only
+STEP_MANY_KINDS = (*sorted(KINDS), "dahlquist")
+
 
 def _rows_of_a_run(prob, level, smooth, n_rows, first=5):
     """States a sequential run passes through on a 64-step grid, as rows,
@@ -737,6 +777,27 @@ def test_step_many_is_each_rows_step_bitwise(kind, n_rows, level, smooth):
     assert not np.shares_memory(got[0], fields)
 
 
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 8, 33])
+def test_dahlquist_steps_rows_with_its_own_step_many(n_rows, smooth):
+    prob = _problem("dahlquist")
+    assert batched_step(prob) == prob.step_many
+    fields, scalars, t_prev, t_next = _rows_of_a_run(prob, 0, smooth, n_rows)
+    if n_rows > 8:
+        assert len({b - a for a, b in zip(t_prev, t_next)}) > 1
+    got = batched_step(prob)(fields, scalars, t_prev, t_next, 0, smooth)
+    want = [prob.step(BlockState(f, s), a, b, 0, smooth=smooth)
+            for f, s, a, b in zip(fields, scalars, t_prev, t_next)]
+    assert np.array_equal(got[0], np.array([u.field for u, _ in want]))
+    assert got[1].shape == (n_rows, 0) and list(got[2]) == [1] * n_rows
+    # the one-point source shape is exactly 1.0: f is the source value
+    src = prob.excitation
+    value = src.smooth_value if smooth else src.value
+    for (u, _), f, a, b in zip(want, fields[:, 0], t_prev, t_next):
+        dt = b - a
+        assert u.field[0] == (f + dt * value(b)) / (1.0 - dt * prob.rate)
+
+
 def _guessed_rows(prob, n_rows):
     """_rows_of_a_run's rows and, as guesses, the states one step on, each
     moved off by a little noise so that Newton still has work to do."""
@@ -748,7 +809,7 @@ def _guessed_rows(prob, n_rows):
 
 @pytest.mark.parametrize("tol", [None, 1e-6])
 @pytest.mark.parametrize("n_rows", [1, 8, 33])
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", STEP_MANY_KINDS)
 def test_step_many_from_guess_rows_is_each_rows_step_bitwise(kind, n_rows,
                                                              tol):
     """Row r starts Newton from guess row r and stops at tol: bitwise
@@ -758,7 +819,7 @@ def test_step_many_from_guess_rows_is_each_rows_step_bitwise(kind, n_rows,
     got = prob.step_many(fields, scalars, t_prev, t_next, 0, False, guess,
                          tol)
     stepper = prob
-    if tol is not None and kind != "linear":
+    if tol is not None and kind in NEWTON_KINDS:
         stepper = copy.copy(prob)
         stepper.newton = NewtonOptions(tol=tol)
     want = [stepper.step(BlockState(f, s), a, b, 0, guess=BlockState(g))
@@ -770,7 +831,7 @@ def test_step_many_from_guess_rows_is_each_rows_step_bitwise(kind, n_rows,
                           .reshape(scalars.shape))
     assert list(got[2]) == [d.iterations for _, d in want]
     assert not np.shares_memory(got[0], guess)
-    if kind != "linear":  # the guesses save Newton iterates
+    if kind in NEWTON_KINDS:  # the guesses save Newton iterates
         cold = prob.step_many(fields, scalars, t_prev, t_next)[2]
         assert sum(got[2]) < sum(cold)
 
@@ -791,7 +852,7 @@ class _StepOnly:
                                  guess=guess, smooth=smooth)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", STEP_MANY_KINDS)
 def test_the_per_row_loop_forwards_guesses_and_never_a_tolerance(kind):
     prob = _problem(kind)
     fields, scalars, t_prev, t_next, guess = _guessed_rows(prob, 8)

@@ -25,6 +25,13 @@ measures, as thread CPU time:
 - L0: microseconds per ``step`` call of ``sequential_solve`` over the
   first STEPS steps of the workload's time grid, on a problem whose
   forcing memo one untimed solve has filled;
+- L0 damped: microseconds per row of one ``step_many`` call on a stack
+  of damped rows, the profile of ``_damped_case`` in
+  tests/test_problems.py: a step of 1e-2 from amplitude * sin on 15
+  points to a zero guess, whose full Newton step overshoots, amplitudes
+  DAMPED, on the workload's problem kind (the linear kind steps the same
+  rows without Newton).  The benchmark's own steps take full Newton
+  steps, so this row is where the line search's cost shows;
 - layer it/call: per time level, the Newton iterates of a kernel call's
   slowest row (``SolverRun.layer_iterates``) over the kernel calls
   (``SolverRun.kernel_calls``) of that solver's first solve: a count,
@@ -50,6 +57,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -57,6 +66,7 @@ from workloads import PWM, T_FINAL, TOLERANCE, WORKLOADS  # noqa: E402
 
 STEPS = 512  # sequential steps timed per L0 measurement
 SEED = 7  # of the random source profile
+DAMPED = (1.0, 10.0) * 18  # amplitudes of the damped stack's rows
 
 
 def load_tree(src, name):
@@ -70,15 +80,18 @@ def load_tree(src, name):
     return module
 
 
+def problem_class(pm, w):
+    return {"linear": pm.LinearDiffusionProblem,
+            "nonlinear": pm.NonlinearSaturationProblem,
+            "machine": pm.SurrogateMachineProblem}[w.kind]
+
+
 def problem(pm, w):
-    cls = {"linear": pm.LinearDiffusionProblem,
-           "nonlinear": pm.NonlinearSaturationProblem,
-           "machine": pm.SurrogateMachineProblem}[w.kind]
     source = pm.PwmSource(period=PWM["period"], pulses=PWM["pulses"],
                           modulation=PWM["modulation"], phase=PWM["phase"],
                           ramp_enabled=PWM["ramp"])
-    return cls(w.nx, n_spatial_grids=w.spatial_grids, excitation=source,
-               source="random", seed=SEED)
+    return problem_class(pm, w)(w.nx, n_spatial_grids=w.spatial_grids,
+                                excitation=source, source="random", seed=SEED)
 
 
 class Layers:
@@ -102,6 +115,12 @@ class Layers:
         self.times = grid.points[:STEPS + 1]
         self.sequential = pm.sequential_solve
         self.sequential(self.stepper, self.times)
+        self.damped = problem_class(pm, w)(15, source="sine")
+        k = len(DAMPED)
+        fields = np.outer(DAMPED, np.sin(np.linspace(0.1, 3.0, 15)))
+        scalars = np.tile([0.3, -0.2][:self.damped.n_scalars], (k, 1))
+        self.damped_rows = (fields, scalars, [0.0] * k, [1e-2] * k, 0, False,
+                            np.zeros_like(fields))
 
     def sweep_us(self):
         t0 = time.thread_time()
@@ -144,6 +163,11 @@ class Layers:
         self.sequential(self.stepper, self.times)
         return (time.thread_time() - t0) * 1e6 / (len(self.times) - 1)
 
+    def damped_us(self):
+        t0 = time.thread_time()
+        self.damped.step_many(*self.damped_rows)
+        return (time.thread_time() - t0) * 1e6 / len(DAMPED)
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -164,7 +188,8 @@ def main(argv=None):
                                ("L1 restrict us/cpt", Layers.restrict_us),
                                ("L1 ascend us/cpt", Layers.ascend_us),
                                ("L1 cold us/point", Layers.cold_us),
-                               ("L0 step us/call", Layers.step_us)):
+                               ("L0 step us/call", Layers.step_us),
+                               ("L0 damped us/row", Layers.damped_us)):
             times = [[] for _ in layers]  # None: the tree lacks the row
             for r in range(args.rounds):
                 order = range(len(layers)) if r % 2 == 0 else range(
