@@ -20,7 +20,7 @@ files; see ``pintmg --help``.
 """
 
 from .config import (ExperimentConfig, load_config, parse_config,
-                     save_config, serialize_config, with_overrides)
+                     save_config, serialize_config)
 from .errors import NewtonConvergenceError, NonFiniteError, TransportError
 from .excitation import PwmSource
 from .harness import (build_hierarchy, build_problem, compare_variants,
@@ -77,5 +77,4 @@ __all__ = [
     "sequential_solve",
     "serialize_config",
     "storage_estimate",
-    "with_overrides",
 ]

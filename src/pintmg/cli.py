@@ -13,12 +13,12 @@ stderr, as a bad flag does.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .config import load_config, with_overrides
-from .harness import (compare_variants, run_experiment, scale_experiment,
-                      worker_ladder)
+from .config import load_config
+from .harness import compare_variants, run_experiment, scale_experiment
 
 
 def _int_from(low, kind):
@@ -63,7 +63,7 @@ def _load(args):
         overrides["hierarchy_workers"] = args.workers
     if args.seed is not None:
         overrides["run_seed"] = args.seed
-    return with_overrides(config, **overrides) if overrides else config
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def main(argv=None):
@@ -94,8 +94,7 @@ def main(argv=None):
         print(f"wrote {out / 'compare.csv'}")
         return 0
 
-    t_seq, runs = scale_experiment(config, out,
-                                   worker_ladder(config.hierarchy_workers))
+    t_seq, runs = scale_experiment(config, out)
     print(f"sequential reference: {t_seq:.3f}s")
     for p, run in runs:
         speedup = t_seq / run.total_seconds if run.total_seconds > 0 else 0.0

@@ -13,7 +13,7 @@ config and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .harness import (build_cycle, build_hierarchy, build_problem,
                       build_stopping)
@@ -154,8 +154,3 @@ def load_config(path):
 def save_config(config, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_config(config))
-
-
-def with_overrides(config, **attrs):
-    """replace() passthrough so callers need not import dataclasses."""
-    return replace(config, **attrs)

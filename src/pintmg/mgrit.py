@@ -26,14 +26,16 @@ walks on through the F-tail one point at a time.  Each coarse level adds
 two full vectors (the kept restricted iterate and the right-hand side).
 A level keeps each store as one array of (field, scalars) rows.  Index 0
 never needs a slot: on every level the iterate there equals the
-restricted initial value, which the problem hands out per grid.  The
-measured peak in StorageReport counts exactly these workspace rows;
-running states inside a walk, Newton temporaries, the C-updates and
-walked states a measuring sweep holds back and the transient buffers of
-a rank-0 gather are not persistent and are not charged, mirroring how
+restricted initial value, which the problem hands out per grid.
+StorageReport counts exactly these workspace rows, read off the stores'
+lengths; running states inside a walk, Newton temporaries, the C-updates
+and walked states a measuring sweep holds back and the transient buffers
+of a rank-0 gather are not persistent and are not charged, mirroring how
 the serial baseline is charged a single running state.  The coarsest
 level's own C-store is allocated, because the model counts every level's
-C-points, but on two or more levels nothing reads it.
+C-points, but on two or more levels nothing reads it.  Nested
+iterations need no storage or mode of their own: the kept slots start at
+zero, so the coarsest solve's error v - kept is v itself.
 
 Rank 0 gathers a level's rows in point order for the coarsest solve
 (_tail steps the anchor on through the gathered right-hand side, owned
@@ -42,7 +44,9 @@ for the fine trajectory; so _step is the only way to the problem.
 Restriction and ascent move row blocks: the spatial transfers are the
 problem's row functions on a level's rows, and _route sends each peer
 one block of consecutive points, read off the two levels' decompositions.
-Residual squares and losses are stacked dots over the rows.
+Residual squares and losses are stacked dots over the rows, and the
+norm and the loss change are reduced over the ranks together, in one
+allreduce per measuring sweep.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -51,8 +55,9 @@ C-updates back.  Only when the stopping test fails does the cycle go on
 to commit them (gamma >= 1) or restrict from them (gamma = 0); a run
 that stops returns exactly the iterate it measured: the rows that
 sweep walked, and the F-tail stepped on from them.  The walked rows, a
-worker's share of fine states, are let go before a cycle with gamma >= 1,
-which reads only the C-updates.
+worker's share of fine states, are let go once the cycle has used them:
+before it with gamma >= 1, which reads only the C-updates, and after the
+fine restriction with gamma = 0, so no worker holds two fine walks.
 
 Newton (a problem with ``newton``) starts a step where the stores say it
 lands: the stored C-value, or u_keep on a coarse F-layer, less the FAS
@@ -81,10 +86,8 @@ import numpy as np
 
 from .errors import NewtonConvergenceError, NonFiniteError
 from .problems import batched_step, joule_loss
-from .runtime import (
-    Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
-    scatter_from_root,
-)
+from .runtime import (Decomposition, NullTransport, gather_to_root,
+                      reduce_norm, scatter_from_root)
 from .spatial import assign_spatial_levels
 from .state import SpaceTimeVector
 from .time_hierarchy import level_factor
@@ -278,15 +281,15 @@ class _Level:
         self.width = self.nf + solver.problem.n_scalars
         init = solver.problem.initial_state(spatial_level)
         self.anchor = np.concatenate((init.field, init.scalars))
-        alloc = functools.partial(solver._alloc_rows, index, self.width)
-        self.c_store = alloc(len(self.c_idx))
+        self.c_store = np.zeros((len(self.c_idx), self.width))
         self.u_keep = self.rhs = None
         if index > 0:
-            n_owned = self.own_hi - self.own_lo
-            self.u_keep, self.rhs = alloc(n_owned), alloc(n_owned)
+            self.u_keep, self.rhs = np.zeros(
+                (2, self.own_hi - self.own_lo, self.width))
         # the owned C-points among the owned points
         self.c_rows = slice(self.m - 1, len(self.c_idx) * self.m, self.m)
         self.use_rhs = False  # plain initial-value level until a descent fills it
+        self.held = None  # what a measuring sweep of this level held back
         self.seconds = 0.0
         self.wait = 0.0
         self.calls = self.rows = self.layer_iterates = 0
@@ -312,7 +315,6 @@ class MgritSolver:
         self.assignment = assign_spatial_levels(
             self.cycle.spatial_strategy, n_levels, problem.spatial.n_grids)
 
-        self._counts = [0] * n_levels
         self._kernel = batched_step(problem)
         # Newton takes guesses and tolerances; the per-row loop takes none
         self._newton = hasattr(problem, "newton")
@@ -329,20 +331,17 @@ class MgritSolver:
         self._smooth = False
         self.setup_seconds = time.perf_counter() - t_setup
 
-    # --- storage accounting ---
-
-    def _alloc_rows(self, level, width, n):
-        self._counts[level] += n
-        return np.zeros((n, width))
-
     def storage_report(self):
+        """Each level's stored rows: its C-store, u_keep and rhs."""
         est = storage_estimate(
             self.n_levels, self.hierarchy[0].n_steps,
             self.hierarchy.factors[:self.n_levels - 1],
             self.transport.size,
             coarsest_factor=self.levels[-1].splitting.factor)
-        return StorageReport(per_level=list(self._counts),
-                             total=sum(self._counts), estimate=est)
+        counts = [sum(len(a) for a in (lvl.c_store, lvl.u_keep, lvl.rhs)
+                      if a is not None) for lvl in self.levels]
+        return StorageReport(per_level=counts, total=sum(counts),
+                             estimate=est)
 
     # --- communication helpers ---
 
@@ -467,13 +466,11 @@ class MgritSolver:
 
     def _reduce(self, squares, losses, prev_losses):
         """Fine residual norm from the per-C-point squares and loss change
-        (None without prev_losses), reduced over all ranks; a non-finite
-        one raises NonFiniteError."""
-        norm = reduce_norm(self.transport, squares)
-        change = None
-        if prev_losses is not None:
-            change = reduce_max(self.transport, qoi_change(losses, prev_losses)
-                                if losses.size else 0.0)
+        (None without prev_losses), reduced over all ranks together; a
+        non-finite one raises NonFiniteError."""
+        change = None if prev_losses is None else qoi_change(losses,
+                                                             prev_losses)
+        norm, change = reduce_norm(self.transport, squares, change)
         for name, value in (("residual norm", norm), ("loss change", change)):
             if value is not None and not math.isfinite(value):
                 raise NonFiniteError(f"fine {name} is not finite: {value}")
@@ -531,14 +528,15 @@ class MgritSolver:
         nxt.c_store[:] = nxt.u_keep[nxt.c_rows]  # coarse seed
 
     @_charged
-    def _coarsest_solve(self, lvl, nested=False, prev_losses=None):
+    def _coarsest_solve(self, lvl, prev_losses=None):
         """Gather the right-hand side, step the anchor through the level
         with it on rank 0, scatter the owned ranges of those rows v.  On a
-        coarse level the kept slots then hold v - kept (the error), or v
-        itself during nested iterations.  On the fine level (a 1-level
-        hierarchy) v is the answer: this returns _measure's tuple with v
-        (rank 0) for the held sweep, residual 0 by construction, losses
-        from the scattered v."""
+        coarse level the kept slots then hold v - kept (the error), which
+        is v itself during nested iterations: _initialize_guess zeroes the
+        kept slots, and v - 0.0 is v bit for bit.  On the fine level (a
+        1-level hierarchy) v is the answer: this returns _measure's tuple
+        with v (rank 0) for the held sweep, residual 0 by construction,
+        losses from the scattered v."""
         parts = gather_to_root(self.transport,
                                lvl.rhs if lvl.use_rhs else None)
         v = chunks = None
@@ -552,7 +550,7 @@ class MgritSolver:
             losses = self._losses(mine[lvl.m - 2:end:lvl.m],
                                   mine[lvl.m - 1:end:lvl.m])
             return (*self._reduce([], losses, prev_losses), losses, v)
-        lvl.u_keep[:] = mine if nested else mine - lvl.u_keep
+        lvl.u_keep[:] = mine - lvl.u_keep
 
     @_charged
     def _ascend(self, coarse, fine, inject=False):
@@ -575,21 +573,22 @@ class MgritSolver:
 
     # --- cycles ---
 
-    def _cycle(self, l, held=None, f_cycle=False):
-        """One V- or F-cycle from level l down.  ``held`` is what the
-        driver's measuring sweep of level 0 held back: it stands in for
-        the first FC-sweep, or for the restriction's sweep when gamma = 0.
-        The coarsest level is solved sequentially."""
+    def _cycle(self, l, f_cycle=False):
+        """One V- or F-cycle from level l down.  What solve's measuring
+        sweep of the level held back (lvl.held) stands in for the first
+        FC-sweep, or for the restriction's sweep when gamma = 0, and is
+        let go once used.  The coarsest level is solved sequentially."""
         lvl, sweeps = self.levels[l], self.cycle.gamma
         if l == self.n_levels - 1:
             self._coarsest_solve(lvl)
             return
-        if held is not None and sweeps:
-            lvl.c_store[:] = held[1]
-            held, sweeps = None, sweeps - 1
+        if lvl.held is not None and sweeps:
+            lvl.c_store[:] = lvl.held[1]
+            lvl.held, sweeps = None, sweeps - 1
         for _ in range(sweeps):
             self._fc_sweep(lvl)
-        self._restrict_sweep(lvl, self.levels[l + 1], held)
+        self._restrict_sweep(lvl, self.levels[l + 1], lvl.held)
+        lvl.held = None
         self._cycle(l + 1, f_cycle=f_cycle)
         self._ascend(self.levels[l + 1], lvl)
         if f_cycle and l > 0:
@@ -601,7 +600,7 @@ class MgritSolver:
         self._smooth = True
         try:
             # use_rhs is False everywhere: _initialize_guess just ran
-            self._coarsest_solve(self.levels[-1], nested=True)
+            self._coarsest_solve(self.levels[-1])
             for l in range(self.n_levels - 2, -1, -1):
                 self._ascend(self.levels[l + 1], self.levels[l], inject=True)
                 if l > 0:
@@ -614,7 +613,9 @@ class MgritSolver:
     def _initialize_guess(self):
         for lvl in self.levels:
             lvl.c_store[:] = lvl.anchor
-            lvl.use_rhs = False
+            lvl.use_rhs, lvl.held = False, None
+            if lvl.index:
+                lvl.u_keep[:] = 0.0
 
     def seed(self, trajectory):
         """Load the fine-level C-store from a full trajectory (every rank
@@ -648,16 +649,15 @@ class MgritSolver:
             norm, bar = run.initial_residual, LOOSE_MARGIN * stop.tolerance
             if loose is not None:  # a loose step errs by about loose |u|
                 bar = max(bar, LOOSE_MARGIN * loose * reduce_norm(
-                    self.transport, _squares(held[1], fine.nf)))
+                    self.transport, _squares(held[1], fine.nf))[0])
             for it in range(1, self.cycle.max_iters + 1):
                 if self.n_levels == 1:
                     norm, change, losses, answer = self._coarsest_solve(
                         fine, prev_losses=losses)
                 else:
                     self._tol = loose if norm > bar else None
-                    if self.cycle.gamma:  # the cycle reads the C-updates only
-                        held = (None, held[1])
-                    self._cycle(0, held, self.cycle.kind == "F")
+                    fine.held, held = held, None  # the cycle lets it go
+                    self._cycle(0, self.cycle.kind == "F")
                     if it == self.cycle.max_iters:
                         self._tol = None
                     prev = losses

@@ -103,16 +103,18 @@ def _diagnostics(iterations):
     return StepDiagnostics(iterations=iterations)
 
 
+# Newton's line search: a trial no better than its start is retried at
+# DAMPING times the step, halved up to MAX_HALVINGS times
+DAMPING = 0.5
+MAX_HALVINGS = 8
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
     max_iters: int = 25
     tol: float = 1e-11
-    damping: float = 0.5
-    max_halvings: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iters < 1 or self.tol <= 0.0:
             raise ValueError("max_iters must be >= 1 and tol positive")
 
@@ -546,8 +548,8 @@ class NonlinearSaturationProblem(_FieldProblem):
                 trial = u + delta
                 trial_res = res(trial, sig, rhs)
                 t_norm = _norms(trial_res[0])
-                alpha = opt.damping  # every damped row's, halved each round
-                for _ in range(opt.max_halvings):
+                alpha = DAMPING  # every damped row's, halved each round
+                for _ in range(MAX_HALVINGS):
                     if all(map(operator.lt, t_norm, rnorm)):
                         break
                     # the rows not better, a NaN norm too; all of them (the

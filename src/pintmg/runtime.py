@@ -34,8 +34,11 @@ the writers unwind from the last active rank.  A route between levels
 the writes and reads in ascending first point, one order both ends of
 every message follow (a point has one sender and one receiver); writing
 all before reading could deadlock from p = 5 (a writes to b, b to c, c
-waits for a), although no pair sends both ways.  Gather and scatter only write
-to or only read from rank 0, which takes the ranks in order.
+waits for a), although no pair sends both ways.  Gather and scatter only
+write to or only read from rank 0, which takes the ranks in order;
+allreduce is one gather and one scatter, and reduce_norm carries the
+residual squares and the loss change in a single one, so a measuring
+sweep makes one gather and one scatter at p >= 2.
 """
 
 from __future__ import annotations
@@ -196,21 +199,17 @@ def allreduce(transport, value, fold):
         transport, None if parts is None else [fold(parts)] * transport.size)
 
 
-def reduce_norm(transport, squares):
-    """Root of every rank's squares added one by one from 0.0 in rank
-    order, as one worker adds them (sum() would compensate on 3.12+)."""
-    return allreduce(transport, [float(s) for s in squares], lambda parts:
-                     functools.reduce(operator.add, chain(*parts), 0.0)) ** 0.5
-
-
-def _max_keeping_nan(a, b):
-    """max(a, b), except that a NaN on either side wins."""
-    return b if b > a or b != b else a
-
-
-def reduce_max(transport, local_value):
-    return allreduce(transport, float(local_value),
-                     lambda parts: functools.reduce(_max_keeping_nan, parts))
+def reduce_norm(transport, squares, value=None):
+    """(norm, top) from one allreduce: the root of every rank's squares
+    added one by one from 0.0 in rank order, as one worker adds them
+    (sum() would compensate on 3.12+), and the max of every rank's value
+    (None without), a NaN from any rank winning."""
+    def fold(parts):
+        terms, values = zip(*parts)
+        return (functools.reduce(operator.add, chain(*terms), 0.0) ** 0.5,
+                None if value is None else functools.reduce(
+                    lambda a, b: b if b > a or b != b else a, values))
+    return allreduce(transport, ([float(s) for s in squares], value), fold)
 
 
 # --- SPMD driver ------------------------------------------------------------------

@@ -15,9 +15,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """A single level's time points, finest level is 0."""
+    """A single level's time points."""
 
-    level: int
     points: np.ndarray
 
     def __post_init__(self):
@@ -31,19 +30,6 @@ class TimeGrid:
     @property
     def n_steps(self):
         return int(self.points.size - 1)
-
-    @property
-    def t0(self):
-        return float(self.points[0])
-
-    @property
-    def tf(self):
-        return float(self.points[-1])
-
-    @property
-    def dt(self):
-        """Nominal uniform spacing."""
-        return (self.tf - self.t0) / self.n_steps
 
 
 @dataclass(frozen=True)
@@ -74,11 +60,7 @@ def build_uniform_grid(t0, tf, n_steps):
         raise ValueError(f"need tf > t0, got [{t0!r}, {tf!r}]")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return TimeGrid(level=0, points=np.linspace(t0, tf, n_steps + 1))
-
-
-def cf_split(n_points, factor):
-    return CFSplitting(n_points=n_points, factor=factor)
+    return TimeGrid(np.linspace(t0, tf, n_steps + 1))
 
 
 def level_factor(n_points, factor):
@@ -129,12 +111,13 @@ class TimeHierarchy:
             coarse_points = parent.points[::m]
             if coarse_points.size < 2:
                 raise ValueError(
-                    f"factor {m} leaves level {parent.level + 1} with "
+                    f"factor {m} leaves level {len(grids)} with "
                     f"{coarse_points.size} point(s); need at least 2")
-            grids.append(TimeGrid(level=parent.level + 1, points=coarse_points))
+            grids.append(TimeGrid(coarse_points))
         factors = tuple(int(m) for m in factors)
         level_factors = factors + (factors[-1] if factors else 2,)
-        splittings = tuple(cf_split(g.n_points, level_factor(g.n_points, m))
+        splittings = tuple(CFSplitting(g.n_points,
+                                       level_factor(g.n_points, m))
                            for g, m in zip(grids, level_factors))
         return cls(grids=tuple(grids), factors=factors, splittings=splittings)
 

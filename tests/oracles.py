@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from pintmg.errors import NewtonConvergenceError
-from pintmg.problems import StepDiagnostics
+from pintmg.problems import DAMPING, MAX_HALVINGS, StepDiagnostics
 from pintmg.state import BlockState, SpaceTimeVector
 
 
@@ -262,8 +262,8 @@ class UnfusedNewton:
                 t_norm = math.sqrt(r_trial @ r_trial)
                 self.non_finite_trials += not math.isfinite(t_norm)
                 if not t_norm < rnorm:
-                    alpha = opt.damping
-                    for _ in range(opt.max_halvings):
+                    alpha = DAMPING
+                    for _ in range(MAX_HALVINGS):
                         self.halvings += 1
                         trial = u + alpha * delta
                         r_trial = self._residual(trial, sig_dt, rhs, dx)

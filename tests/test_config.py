@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from pintmg.config import (ExperimentConfig, load_config, parse_config,
-                           save_config, serialize_config, with_overrides)
+                           save_config, serialize_config)
 from pintmg.errors import TransportError
 from pintmg.harness import execute
 from pintmg.runtime import DEFAULT_TIMEOUT
@@ -156,10 +156,12 @@ def test_zero_workers_rejected_by_name_at_parse_time():
         parse_config("hierarchy.workers = 0\n")
 
 
-def test_with_overrides():
+def test_replace_checks_overrides():
+    # the command line's flags override keys through dataclasses.replace,
+    # which checks the new config as parsing does
     c = ExperimentConfig()
-    c2 = with_overrides(c, hierarchy_workers=4, run_seed=17)
+    c2 = dataclasses.replace(c, hierarchy_workers=4, run_seed=17)
     assert c2.hierarchy_workers == 4 and c2.run_seed == 17
     assert c.hierarchy_workers == 1
     with pytest.raises(ValueError):
-        with_overrides(c, hierarchy_workers=0)
+        dataclasses.replace(c, hierarchy_workers=0)

@@ -22,6 +22,7 @@ from pintmg.excitation import PwmSource
 from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (LinearDiffusionProblem, SurrogateMachineProblem,
                              sequential_solve)
+from pintmg import runtime
 from pintmg.runtime import run_spmd
 from pintmg.state import BlockState
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
@@ -106,6 +107,11 @@ def _hierarchy(n_steps=N_STEPS):
     return TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps), FACTORS)
 
 
+def _level_dts(hier):
+    """Each level's nominal step, from its end points."""
+    return [(g.points[-1] - g.points[0]) / g.n_steps for g in hier.grids]
+
+
 def _problem():
     return LinearDiffusionProblem(7, diffusivity=0.2, excitation=PwmSource(),
                                   source="sine")
@@ -114,7 +120,7 @@ def _problem():
 def _solve_worker(transport, job):
     kind, gamma, stopping, max_iters, guess, n_steps, counter = job
     hier = _hierarchy(n_steps)
-    problem = COUNTERS[counter]([hier[l].dt for l in range(hier.n_levels)])
+    problem = COUNTERS[counter](_level_dts(hier))
     solver = MgritSolver(problem, hier,
                          CycleSpec(kind=kind, gamma=gamma, max_iters=max_iters),
                          StoppingCriterion(kind=stopping,
@@ -228,7 +234,7 @@ def test_batched_and_step_only_subclasses_step_what_the_wrapper_steps(
 
 def test_the_engine_steps_a_layer_in_one_step_many_call():
     hier = _hierarchy()
-    problem = BatchCountingProblem([hier[l].dt for l in range(hier.n_levels)])
+    problem = BatchCountingProblem(_level_dts(hier))
     run, _ = MgritSolver(problem, hier, CycleSpec(kind="V", gamma=1)).solve()
     steps = _expected_steps(hier, "V", 1, run.iterations)
     assert problem.calls == steps
@@ -262,7 +268,7 @@ class _NewtonCounting(SurrogateMachineProblem):
 @pytest.mark.parametrize("kind", ["V", "F"])
 def test_kernel_counters_per_level_match_a_counting_problem(kind, counter):
     hier = _hierarchy(TAIL_STEPS)
-    dts = [hier[l].dt for l in range(hier.n_levels)]
+    dts = _level_dts(hier)
     problem = (_NewtonCounting(dts) if counter == "newton"
                else COUNTERS[counter](dts))
     run, _ = MgritSolver(problem, hier,
@@ -387,33 +393,47 @@ def test_blocked_sends_are_charged_as_waits():
 
 
 def _held_worker(transport, gamma):
-    """Solve, recording before each FC-sweep whether the rows the last
-    measuring sweep walked are still alive."""
+    """Solve, recording whether the rows the last measuring sweep walked
+    are still alive before each FC-sweep, at each ascent into the fine
+    level and as the next measuring sweep starts its walk."""
     solver = MgritSolver(_problem(), _hierarchy(), CycleSpec(gamma=gamma),
                          StoppingCriterion(tolerance=1e-10), transport)
     walks, alive = [], []
-    measure, fc_sweep = solver._measure, solver._fc_sweep
+    measure, fc_sweep, ascend = (solver._measure, solver._fc_sweep,
+                                 solver._ascend)
 
     def measuring(*args):
+        if walks:
+            alive.append(("measure", walks[-1]() is not None))
         out = measure(*args)
         walks.append(weakref.ref(out[-1][0]))
         return out
 
     def sweeping(*args):
-        alive.append(walks[-1]() is not None)
+        alive.append(("sweep", walks[-1]() is not None))
         return fc_sweep(*args)
 
+    def ascending(coarse, fine, *args):
+        if fine.index == 0:
+            alive.append(("ascend", walks[-1]() is not None))
+        return ascend(coarse, fine, *args)
+
     solver._measure, solver._fc_sweep = measuring, sweeping
+    solver._ascend = ascending
     run, _ = solver.solve()
     return run, alive
 
 
-@pytest.mark.parametrize("gamma,p", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("gamma,p", [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2)])
 def test_a_cycle_lets_the_measured_walk_go(gamma, p):
-    # with gamma >= 1 the cycle reads only the held C-updates
+    # with gamma >= 1 the cycle reads only the held C-updates; with
+    # gamma = 0 the fine restriction reads the walk, and no more after it
     for run, alive in run_spmd(p, _held_worker, gamma, backend="thread"):
         assert run.converged and run.iterations >= 2
-        assert alive and not any(alive)
+        where = {w for w, _ in alive}
+        assert where == ({"measure", "ascend"} | ({"sweep"} if gamma else
+                                                  set()))
+        assert not any(a for _, a in alive)
 
 
 def test_solve_builds_no_block_state(monkeypatch):
@@ -441,6 +461,67 @@ def _machine_solver(transport):
 
 def _machine_worker(transport, _):
     return _machine_solver(transport).solve()
+
+
+class _CountingTransport:
+    """A transport that counts the messages its rank sends."""
+
+    def __init__(self, inner):
+        self.rank, self.size, self.recv = inner.rank, inner.size, inner.recv
+        self._send, self.sent = inner.send, 0
+
+    def send(self, dst, payload):
+        self.sent += 1
+        self._send(dst, payload)
+
+
+def _reduce_counting_worker(transport, allreduces):
+    """Solve, recording per fine residual reduction the allreduce calls
+    this rank made and the messages it sent."""
+    counting = _CountingTransport(transport)
+    solver = _machine_solver(counting)
+    reduced, reduce = [], solver._reduce
+
+    def reducing(*args):
+        calls, sent = allreduces[transport.rank], counting.sent
+        out = reduce(*args)
+        reduced.append((allreduces[transport.rank] - calls,
+                        counting.sent - sent))
+        return out
+
+    solver._reduce = reducing
+    run, _ = solver.solve()
+    return run, reduced
+
+
+# the machine solve's figures while the norm and the loss change took a
+# reduction each, as float.hex: initial residual, norms, loss changes
+TWO_REDUCTIONS = (
+    "0x1.13dd31cb18c6fp-7",
+    ["0x1.9a6ecbab94ef9p-17", "0x1.1673cfae77cd1p-29",
+     "0x1.5af792e6837d7p-35"],
+    ["0x1.cd5c805f49f1ep-1", "0x1.1db7dc23c628ep-5",
+     "0x1.ba8523d4c6b41p-18"])
+
+
+def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
+    allreduce, allreduces = runtime.allreduce, {0: 0, 1: 0}
+
+    def counting(transport, value, fold):
+        allreduces[transport.rank] += 1
+        return allreduce(transport, value, fold)
+
+    monkeypatch.setattr(runtime, "allreduce", counting)
+    for run, reduced in run_spmd(2, _reduce_counting_worker, allreduces,
+                                 backend="thread"):
+        # every measuring sweep reduces once; at p = 2 each rank sends
+        # one message per reduction (rank 1 its part, rank 0 the result),
+        # half of what a norm and a loss change reduced apart sent
+        assert run.converged and len(reduced) == run.iterations + 1
+        assert reduced == [(1, 1)] * len(reduced)
+        assert (run.initial_residual.hex(),
+                [x.hex() for x in run.residual_norms],
+                [x.hex() for x in run.qoi_changes]) == TWO_REDUCTIONS
 
 
 def _overwriting_worker(transport, _):
@@ -489,7 +570,7 @@ def test_a_machine_answer_does_not_depend_on_the_workers(p, backend):
 def _one_level_worker(transport, _):
     grid = build_uniform_grid(0.0, 0.02, N_STEPS)
     hier = TimeHierarchy.build(grid, [])
-    problem = CountingProblem(_problem(), [hier[0].dt])
+    problem = CountingProblem(_problem(), _level_dts(hier))
     run, solution = MgritSolver(problem, hier, transport=transport).solve()
     return run, solution, problem.calls
 

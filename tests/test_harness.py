@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pintmg.cli import main
-from pintmg.config import ExperimentConfig, save_config, with_overrides
+from pintmg.config import ExperimentConfig, save_config
 from pintmg.errors import NewtonConvergenceError
 from pintmg.excitation import PwmSource
 from pintmg.harness import (build_hierarchy, build_problem, compare_variants,

@@ -15,7 +15,8 @@ from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
 from pintmg.state import SpaceTimeVector
-from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid, cf_split
+from pintmg.time_hierarchy import (CFSplitting, TimeHierarchy,
+                                   build_uniform_grid)
 
 from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
                      parareal_iterates, two_level_cycle)
@@ -45,7 +46,7 @@ def test_relaxations_touch_only_their_points():
     # u' = -u, dt = 1, so one step exactly halves the value
     problem = DahlquistProblem(rate=-1.0, initial=1.0)
     grid = build_uniform_grid(0.0, 6.0, 6)
-    ctx = level_context(problem, grid, cf_split(7, 3))
+    ctx = level_context(problem, grid, CFSplitting(7, 3))
     u = _flat_vector(problem, 7)
     g = _system_rhs(problem, 7)
 

@@ -206,9 +206,9 @@ def test_a_cholesky_breakdown_is_a_newton_failure():
 
 def test_newton_options_validation():
     with pytest.raises(ValueError):
-        NewtonOptions(damping=0.0)
+        NewtonOptions(max_iters=0)
     with pytest.raises(ValueError):
-        NewtonOptions(damping=1.5)
+        NewtonOptions(tol=0.0)
     with pytest.raises(ValueError):
         BrauerCurve(k3=0.0)
 

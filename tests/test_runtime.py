@@ -8,11 +8,11 @@ import pytest
 from pintmg.errors import TransportError
 from pintmg.mgrit import MgritSolver
 from pintmg.runtime import (
-    Decomposition, NullTransport, gather_to_root, reduce_max, reduce_norm,
-    run_spmd, scatter_from_root,
+    Decomposition, NullTransport, gather_to_root, reduce_norm, run_spmd,
+    scatter_from_root,
 )
 from pintmg.state import BlockState
-from pintmg.time_hierarchy import cf_split
+from pintmg.time_hierarchy import CFSplitting
 
 from oracles import broadcast_from_root
 
@@ -20,7 +20,7 @@ from oracles import broadcast_from_root
 # --- decomposition -------------------------------------------------------------
 
 def test_two_workers_split_at_index_eight():
-    d = Decomposition(cf_split(17, 4), 2)
+    d = Decomposition(CFSplitting(17, 4), 2)
     assert d.owned_range(0) == (1, 9)
     assert d.owned_range(1) == (9, 17)
     assert d.left_boundary_index(1) == 8
@@ -34,7 +34,7 @@ def test_owned_ranges_partition_every_level():
         n = int(rng.integers(3, 200))
         m = int(rng.integers(2, 9))
         p = int(rng.integers(1, 9))
-        d = Decomposition(cf_split(n, m), p)
+        d = Decomposition(CFSplitting(n, m), p)
         covered = []
         for w in range(p):
             lo, hi = d.owned_range(w)
@@ -45,9 +45,9 @@ def test_owned_ranges_partition_every_level():
 
 
 def test_unit_balance_and_idle_workers():
-    d = Decomposition(cf_split(33, 4), 3)  # 8 units over 3 workers
+    d = Decomposition(CFSplitting(33, 4), 3)  # 8 units over 3 workers
     assert [d.n_units(w) for w in range(3)] == [3, 3, 2]
-    d2 = Decomposition(cf_split(9, 4), 4)  # 2 units over 4 workers
+    d2 = Decomposition(CFSplitting(9, 4), 4)  # 2 units over 4 workers
     assert [d2.n_units(w) for w in range(4)] == [1, 1, 0, 0]
     assert d2.is_empty(3) and d2.is_empty(2)
     assert d2.owned_range(2) == (0, 0)
@@ -60,7 +60,7 @@ def test_unit_balance_and_idle_workers():
     cases = 0
     for n in range(2, 50):
         for m in range(2, 15):
-            split = cf_split(n, m)
+            split = CFSplitting(n, m)
             for p in range(1, 17):
                 d = Decomposition(split, p)
                 active = [w for w in range(p) if d.n_units(w) > 0
@@ -80,13 +80,13 @@ def test_unit_balance_and_idle_workers():
 
 def test_trailing_f_points_belong_to_last_active_rank():
     # 11 points, factor 4: C-points 0,4,8 and an F-tail 9,10
-    d = Decomposition(cf_split(11, 4), 2)
+    d = Decomposition(CFSplitting(11, 4), 2)
     assert d.owned_range(0) == (1, 5)
     assert d.owned_range(1) == (5, 11)
 
 
 def test_degenerate_level_all_points_to_rank_zero():
-    d = Decomposition(cf_split(2, 2), 3)
+    d = Decomposition(CFSplitting(2, 2), 3)
     assert not d.is_empty(0)
     assert d.owned_range(0) == (1, 2)
     assert d.is_empty(1) and d.owned_range(1) == (0, 0)
@@ -145,9 +145,8 @@ def test_per_pair_fifo_order():
 
 
 def _reduce_probe(transport, payload):
-    parts = payload
-    return (reduce_norm(transport, parts[transport.rank]),
-            reduce_max(transport, float(transport.rank)))
+    return reduce_norm(transport, payload[transport.rank],
+                       float(transport.rank))
 
 
 def test_reduce_norm_rank_ordered():
@@ -156,6 +155,9 @@ def test_reduce_norm_rank_ordered():
     assert all(r[1] == 1.0 for r in results)
     single = run_spmd(1, _reduce_probe, [[49.0]], backend="thread")
     assert single[0][0] == 7.0
+    # without values, as for the loose tolerance's bar, no max is reduced
+    results = run_spmd(2, _max_probe, [None, None], backend="thread")
+    assert results == [(2.0 ** 0.5, None)] * 2
 
 
 def test_reduce_norm_is_the_one_worker_sum_for_any_split():
@@ -171,13 +173,15 @@ def test_reduce_norm_is_the_one_worker_sum_for_any_split():
 
 
 def _max_probe(transport, payload):
-    return reduce_max(transport, payload[transport.rank])
+    return reduce_norm(transport, [1.0], payload[transport.rank])
 
 
-def test_reduce_max_keeps_a_nan_from_any_rank():
+def test_reduce_norm_keeps_a_nan_from_any_rank():
+    # the loss change travels with the squares; its max keeps a NaN
     for parts in ([0.5, float("nan")], [float("nan"), 0.5]):
         results = run_spmd(2, _max_probe, parts, backend="thread")
-        assert all(r != r for r in results)
+        assert all(r[0] == 2.0 ** 0.5 and r[1] != r[1] for r in results)
+
 
 
 def _gather_scatter_probe(transport, payload):

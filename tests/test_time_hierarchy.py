@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pintmg.time_hierarchy import (
-    TimeGrid, TimeHierarchy, build_uniform_grid, cf_split, plan_coarsening,
+    CFSplitting, TimeGrid, TimeHierarchy, build_uniform_grid, plan_coarsening,
 )
 
 
@@ -11,9 +11,8 @@ def test_uniform_grid_endpoints_and_spacing():
     assert g.n_points == 2 ** 15 + 1
     assert g.points[0] == 0.0
     assert g.points[-1] == 0.03125
-    assert g.dt == pytest.approx(2.0 ** -20, rel=0, abs=0)
     spacing = np.diff(g.points)
-    assert np.allclose(spacing, g.dt, rtol=1e-12)
+    assert np.allclose(spacing, 2.0 ** -20, rtol=1e-12)
 
 
 def test_uniform_grid_rejects_bad_domain():
@@ -26,14 +25,14 @@ def test_uniform_grid_rejects_bad_domain():
 
 
 def test_cf_split_six_points_factor_four():
-    s = cf_split(6, 4)
+    s = CFSplitting(6, 4)
     assert s.c_indices.tolist() == [0, 4]
     assert s.n_intervals == 1
 
 
 def test_cf_split_rejects_small_factor():
     with pytest.raises(ValueError):
-        cf_split(8, 1)
+        CFSplitting(8, 1)
 
 
 def test_cf_split_partition():
@@ -41,7 +40,7 @@ def test_cf_split_partition():
     for _ in range(20):
         n = int(rng.integers(2, 200))
         m = int(rng.integers(2, 12))
-        s = cf_split(n, m)
+        s = CFSplitting(n, m)
         assert s.c_indices.tolist() == list(range(0, n, m))
 
 
@@ -79,7 +78,6 @@ def test_coarse_grids_are_bitwise_slices():
 def test_hierarchy_levels_indexing_and_factors():
     h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 64), [4, 4])
     assert len(h) == 3
-    assert h[1].level == 1
     assert h.factors == (4, 4)
     # every level carries a splitting, the coarsest reusing the last factor
     assert [s.factor for s in h.splittings] == [4, 4, 4]
@@ -87,7 +85,7 @@ def test_hierarchy_levels_indexing_and_factors():
 
 def test_trailing_partial_interval_stays_fine():
     # 11 points, factor 4: last C-point is 8, indices 9..10 are an F-tail
-    h = TimeHierarchy.build(TimeGrid(0, np.linspace(0.0, 1.0, 11)), [4])
+    h = TimeHierarchy.build(TimeGrid(np.linspace(0.0, 1.0, 11)), [4])
     s = h.splittings[0]
     assert s.c_indices.tolist() == [0, 4, 8]
     assert h[1].n_points == 3

@@ -12,8 +12,8 @@ measures, as thread CPU time:
   level, of a p = 1 solver (no transport) after one solve has filled its
   stores and memos;
 - L1 coarsest: microseconds per point of that solver's coarsest solve,
-  ``_coarsest_solve(levels[-1], nested=True)`` on the right-hand side the
-  solve left there;
+  ``_coarsest_solve(levels[-1])`` on the right-hand side the solve left
+  there;
 - L1 restrict and L1 ascend: microseconds per coarse point of one
   ``_restrict_sweep(levels[0], levels[1])`` and of one
   ``_ascend(levels[1], levels[0])`` of that solver, the fine C-store put
@@ -133,7 +133,7 @@ class Layers:
         lvl = self.solver.levels[-1]
         points = len(lvl.t) - 1
         t0 = time.thread_time()
-        self.solver._coarsest_solve(lvl, nested=True)
+        self.solver._coarsest_solve(lvl)
         return (time.thread_time() - t0) * 1e6 / points
 
     def restrict_us(self):
