@@ -198,17 +198,16 @@ def worker_ladder(max_workers):
     return counts
 
 
-def scale_experiment(config, out_dir, worker_counts=None):
+def scale_experiment(config, out_dir):
     """Strong scaling against the timed sequential forward solve.
 
-    Every worker count solves the same hierarchy (the coarsening plan does
-    not depend on it), so the rows differ only in how the work is split.
-    Writes scaling.csv.
+    Every worker count of worker_ladder solves the same hierarchy (the
+    coarsening plan does not depend on it), so the rows differ only in
+    how the work is split.  Writes scaling.csv.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if worker_counts is None:
-        worker_counts = worker_ladder(config.hierarchy_workers)
+    worker_counts = worker_ladder(config.hierarchy_workers)
 
     problem = build_problem(config)
     grid = build_uniform_grid(0.0, config.time_t_final, config.time_n_steps)

@@ -43,10 +43,12 @@ ranges are scattered back; on a 1-level hierarchy it is the answer) and
 for the fine trajectory; so _step is the only way to the problem.
 Restriction and ascent move row blocks: the spatial transfers are the
 problem's row functions on a level's rows, and _route sends each peer
-one block of consecutive points, read off the two levels' decompositions.
+one block of consecutive points, read off the two levels' per-rank lists
+of owned points and closing C-points (runtime.Decomposition).
 Residual squares and losses are stacked dots over the rows, and the
 norm and the loss change are reduced over the ranks together, in one
-allreduce per measuring sweep.
+allreduce per measuring sweep; the first one carries the C-updates' own
+squares too, for the loose bar.
 
 The fine residual lives only at C-points, and the next cycle's first
 fine sweep steps into every C-point anyway, so the residual and the
@@ -90,7 +92,6 @@ from .runtime import (Decomposition, NullTransport, gather_to_root,
                       reduce_norm, scatter_from_root)
 from .spatial import assign_spatial_levels
 from .state import SpaceTimeVector
-from .time_hierarchy import level_factor
 
 CYCLE_KINDS = ("two-level", "V", "F")
 STOPPING_KINDS = ("residual-norm", "qoi-change")
@@ -139,7 +140,7 @@ def _squares(rows, nf):
             + rows[:, None, nf:] @ rows[:, nf:, None])[:, 0, 0]
 
 
-def qoi_change(p_new, p_old, floor=QOI_FLOOR):
+def qoi_change(p_new, p_old):
     """Largest relative change between two per-C-point loss samples."""
     p_new = np.asarray(p_new, dtype=float)
     p_old = np.asarray(p_old, dtype=float)
@@ -148,31 +149,25 @@ def qoi_change(p_new, p_old, floor=QOI_FLOOR):
     if p_new.size == 0:
         return 0.0
     return float(np.max(np.abs(p_new - p_old)
-                        / np.maximum(np.abs(p_old), floor)))
+                        / np.maximum(np.abs(p_old), QOI_FLOOR)))
 
 
 def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
-                     coarsest_factor=None):
-    """Peak per-worker stored states of the lean layout.
+                     coarsest_factor):
+    """Peak per-worker stored states of the lean layout, in closed form.
 
-    Level l keeps its iterate at the closing C-points of the units a
-    worker owns, and every coarse level keeps two states (the kept
-    iterate and the right-hand side) per owned point.  Units are dealt as
-    runtime.Decomposition deals them: whole C-intervals, the remainder to
-    the lowest ranks, the trailing F-points to the last active rank.
-    ``factors`` are the n_levels - 1 inter-level factors; the coarsest
-    level's own splitting reuses the last one, clamped to the coarsest
-    grid as TimeHierarchy.build clamps it, unless ``coarsest_factor``
-    says otherwise.
+    Level l keeps its iterate at the closing C-points of the C-intervals
+    a worker owns, and every coarse level keeps two states (the kept
+    iterate and the right-hand side) per owned point.  Intervals are
+    counted whole, the remainder to the lowest ranks, the trailing
+    F-points to the last active rank.  ``factors`` are the n_levels - 1
+    inter-level factors and ``coarsest_factor`` the coarsest level's own
+    (TimeHierarchy.level_factors[-1]).
     """
     factors = list(factors)
     if len(factors) != n_levels - 1:
         raise ValueError(f"{n_levels} levels need {n_levels - 1} factors, "
                          f"got {len(factors)}")
-    if coarsest_factor is None:
-        coarsest_factor = level_factor(
-            n_fine_steps // math.prod(factors) + 1,
-            factors[-1] if factors else 2)
     per_rank, steps = [0] * n_workers, n_fine_steps
     for l, m in enumerate(factors + [coarsest_factor]):
         units, tail = divmod(steps, m)
@@ -260,23 +255,21 @@ class _Level:
     """Per-worker workspace of one time level.  Each store is one array of
     rows, a state's field followed by its scalars."""
 
-    def __init__(self, solver, index, grid, splitting, spatial_level):
+    def __init__(self, solver, index, grid, m, spatial_level):
         self.index = index
         self.t = grid.points.tolist()
-        self.splitting = splitting
-        self.m = splitting.factor
+        self.m = m
         self.spatial_level = spatial_level
-        d = self.decomp = Decomposition(splitting, solver.transport.size)
+        d = Decomposition(len(self.t), m, solver.transport.size)
         # per rank as [start, stop): its owned points, and its closing
-        # C-points as points of the next coarser level
-        ranks = range(solver.transport.size)
-        self.owned = [d.owned_range(w) for w in ranks]
-        self.closing = [(d.first_unit(w) + 1, d.first_unit(w) + 1
-                         + d.n_units(w)) for w in ranks]
+        # C-points as points of the next coarser level; ranks up to last
+        # are active
+        self.owned, self.closing, self.last = d.owned, d.intervals, d.last
         rank = solver.transport.rank
-        self.c_idx = [int(c) for c in d.c_points(rank)]
+        first, stop = self.closing[rank]
+        self.c_idx = [j * m for j in range(first, stop)]
         self.own_lo, self.own_hi = self.owned[rank]
-        self.left_index = d.left_boundary_index(rank)
+        self.left_index = (first - 1) * m
         self.nf = solver.problem.spatial.size(spatial_level)
         self.width = self.nf + solver.problem.n_scalars
         init = solver.problem.initial_state(spatial_level)
@@ -322,7 +315,7 @@ class MgritSolver:
             self._kernel == getattr(problem, "step_many", None))
         self._tol = None  # None: newton.tol
         self.levels = [
-            _Level(self, l, hierarchy[l], hierarchy.splittings[l],
+            _Level(self, l, hierarchy[l], hierarchy.level_factors[l],
                    self.assignment[l])
             for l in range(n_levels)]
         self._loss_weights = problem.loss_weights(self.assignment[0])
@@ -336,8 +329,7 @@ class MgritSolver:
         est = storage_estimate(
             self.n_levels, self.hierarchy[0].n_steps,
             self.hierarchy.factors[:self.n_levels - 1],
-            self.transport.size,
-            coarsest_factor=self.levels[-1].splitting.factor)
+            self.transport.size, self.levels[-1].m)
         counts = [sum(len(a) for a in (lvl.c_store, lvl.u_keep, lvl.rhs)
                       if a is not None) for lvl in self.levels]
         return StorageReport(per_level=counts, total=sum(counts),
@@ -417,14 +409,13 @@ class MgritSolver:
         sweep goes on through the F-tail instead (updates None).  Idle
         ranks walk no rows.
         """
-        rank, d, m, k = self.transport.rank, lvl.decomp, lvl.m, len(lvl.c_idx)
+        rank, m, k = self.transport.rank, lvl.m, len(lvl.c_idx)
         walked = np.empty((1 + k * m, lvl.width))
-        if d.is_empty(rank):
+        if rank > lvl.last:
             return walked[:0], walked[:0]
-        right, left = d.right_neighbor(rank), d.left_neighbor(rank)
-        if right is not None and k:
-            self.transport.send(right, lvl.c_store[-1])
-        walked[0] = lvl.anchor if left is None else self.transport.recv(left)
+        if rank < lvl.last:  # so it owns an interval
+            self.transport.send(rank + 1, lvl.c_store[-1])
+        walked[0] = lvl.anchor if rank == 0 else self.transport.recv(rank - 1)
         walked[m::m] = lvl.c_store
         cur = walked[:-1:m]  # each interval's left end
         for j in range(1, m + sweep):
@@ -464,31 +455,35 @@ class MgritSolver:
         return joule_loss(before[:, :nf], at[:, :nf], self._loss_dt,
                           self._loss_weights)
 
-    def _reduce(self, squares, losses, prev_losses):
-        """Fine residual norm from the per-C-point squares and loss change
-        (None without prev_losses), reduced over all ranks together; a
-        non-finite one raises NonFiniteError."""
+    def _reduce(self, squares, losses, prev_losses, *more):
+        """Fine residual norm from the per-C-point squares, loss change
+        (None without prev_losses) and the norm of each further list of
+        squares, reduced over all ranks together; a non-finite residual
+        norm or loss change raises NonFiniteError."""
         change = None if prev_losses is None else qoi_change(losses,
                                                              prev_losses)
-        norm, change = reduce_norm(self.transport, squares, change)
-        for name, value in (("residual norm", norm), ("loss change", change)):
+        out = reduce_norm(self.transport, squares, change, *more)
+        for name, value in zip(("residual norm", "loss change"), out):
             if value is not None and not math.isfinite(value):
                 raise NonFiniteError(f"fine {name} is not finite: {value}")
-        return norm, change
+        return out
 
     @_charged
-    def _measure(self, lvl, prev_losses=None):
+    def _measure(self, lvl, prev_losses=None, sized=False):
         """The next cycle's first fine sweep, run without committing.
 
         Returns the fine residual norm, the loss change against
-        ``prev_losses`` (None without them), the per-C-point losses and the
-        held-back sweep: its walked rows and C-updates.  The fine level has
-        no FAS right-hand side: the residual at c is step(u_{c-1}) - u_c.
+        ``prev_losses`` (None without them), with ``sized`` the C-updates'
+        own norm, then the per-C-point losses and the held-back sweep: its
+        walked rows and C-updates.  The fine level has no FAS right-hand
+        side: the residual at c is step(u_{c-1}) - u_c.
         """
         walked, updates = held = self._walk(lvl, sweep=True)
+        more = [_squares(updates, lvl.nf)] if sized else []
         squares = _squares(updates - lvl.c_store, lvl.nf)
         losses = self._losses(walked[lvl.m - 1::lvl.m], walked[lvl.m::lvl.m])
-        return (*self._reduce(squares, losses, prev_losses), losses, held)
+        return (*self._reduce(squares, losses, prev_losses, *more), losses,
+                held)
 
     def _transfer(self, fn, src, dst, rows):
         """Rows of level src as rows of level dst, fn (a row function of the
@@ -503,12 +498,12 @@ class MgritSolver:
     def _restrict_sweep(self, lvl, nxt, held=None):
         """Final F-sweep fused with residual injection and the coarse fill.
 
-        Computes, for every owned unit's closing C-point c with coarse
+        Computes, for every owned interval's closing C-point c with coarse
         index j = c / m: the kept restricted iterate and the coarse FAS
         right-hand side, then redistributes both to the coarse owner and
         seeds the coarse iterate with the kept values.  ``held`` is a
         measuring sweep's (walked, C-updates), which replace the sweep.
-        The coarse steps, one per unit, are one kernel call.
+        The coarse steps, one per interval, are one kernel call.
         """
         restrict = functools.partial(
             self._transfer, self.problem.spatial.restrict_fields, lvl, nxt)
@@ -645,11 +640,11 @@ class MgritSolver:
             elif self.cycle.nested_iterations and self.n_levels > 1:
                 self._nested_iterations()
             t_solve = time.perf_counter()
-            run.initial_residual, _, losses, held = self._measure(fine)
+            run.initial_residual, _, *size, losses, held = self._measure(
+                fine, None, loose is not None)
             norm, bar = run.initial_residual, LOOSE_MARGIN * stop.tolerance
-            if loose is not None:  # a loose step errs by about loose |u|
-                bar = max(bar, LOOSE_MARGIN * loose * reduce_norm(
-                    self.transport, _squares(held[1], fine.nf))[0])
+            if size:  # a loose step errs by about loose |u|
+                bar = max(bar, LOOSE_MARGIN * loose * size[0])
             for it in range(1, self.cycle.max_iters + 1):
                 if self.n_levels == 1:
                     norm, change, losses, answer = self._coarsest_solve(

@@ -1,12 +1,14 @@
 """Worker decomposition, message transport and the SPMD driver.
 
-Time points are dealt out as whole C-intervals: unit k of a level is the
-half-open point run (c_k, c_{k+1}] ending at its closing C-point, so a
+A level is its points and its factor m: C-point j is point j m.  Its
+points are dealt out as whole C-intervals, interval j being the
+half-open point run ((j - 1) m, j m] ending at its closing C-point, so a
 worker boundary never splits an F-run and the state a worker needs from
-outside is exactly the C-point immediately left of its range.  Unit
-counts are balanced with the remainder going to the lowest ranks, which
-keeps worker 0 owner of index 0 (the anchor) on every level; ranks beyond
-the unit count idle on that level.
+outside is exactly the C-point immediately left of its range.
+Decomposition deals them once into per-rank lists, interval counts
+balanced with the remainder going to the lowest ranks, which keeps
+worker 0 owner of index 0 (the anchor) on every level; ranks beyond the
+interval count idle on that level.
 
 One driver, run_spmd, runs fn(transport, payload) on every rank, as
 threads (backend "thread", used by the test suite) or as forked processes
@@ -37,8 +39,9 @@ all before reading could deadlock from p = 5 (a writes to b, b to c, c
 waits for a), although no pair sends both ways.  Gather and scatter only
 write to or only read from rank 0, which takes the ranks in order;
 allreduce is one gather and one scatter, and reduce_norm carries the
-residual squares and the loss change in a single one, so a measuring
-sweep makes one gather and one scatter at p >= 2.
+residual squares, the loss change and any further squares (the first
+sweep's C-updates) in a single one, so a measuring sweep makes one
+gather and one scatter at p >= 2.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import pickle
 import queue
 import threading
 import time
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import TransportError
 
@@ -60,64 +63,30 @@ TRANSPORTS = ("thread", "process")
 
 
 class Decomposition:
-    """Ownership of one level's C-intervals across n_workers ranks."""
+    """A level of n_points points with factor m, its C-intervals dealt
+    across n_workers ranks.  Interval j is the run ((j - 1) m, j m],
+    numbered by its closing C-point j m, j = 1 .. (n_points - 1) // m.
 
-    def __init__(self, splitting, n_workers):
+    intervals[w] is [first, stop) of rank w's intervals and owned[w] the
+    [start, stop) of its points, the F-tail past the last C-point going
+    to the last active rank, ``last``.  Ranks 0 .. last are active (rank
+    0 even on a level without an interval, owning every point after 0);
+    an idle rank owns (0, 0).
+    """
+
+    def __init__(self, n_points, factor, n_workers):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.splitting = splitting
-        k = splitting.n_intervals
-        base, rem = divmod(k, n_workers)
-        self._n_units = [base + 1 if w < rem else base
-                         for w in range(n_workers)]
-        self._first_unit = [0] * n_workers
-        for w in range(1, n_workers):
-            self._first_unit[w] = self._first_unit[w - 1] + self._n_units[w - 1]
-        self._last_rank = max(
-            (w for w in range(n_workers) if self._n_units[w] > 0), default=0)
-
-    def n_units(self, rank):
-        return self._n_units[rank]
-
-    def first_unit(self, rank):
-        return self._first_unit[rank]
-
-    def is_empty(self, rank):
-        """Active ranks are a prefix: rank 0 (which keeps a level with no
-        C-interval) up to the last rank dealt a unit."""
-        return rank > self._last_rank
-
-    def c_points(self, rank):
-        """Global indices of the closing C-points of rank's units."""
-        c = self.splitting.c_indices
-        first = self._first_unit[rank]
-        return c[first + 1: first + 1 + self._n_units[rank]]
-
-    def left_boundary_index(self, rank):
-        """The C-point immediately left of rank's owned range."""
-        return int(self.splitting.c_indices[self._first_unit[rank]])
-
-    def owned_range(self, rank):
-        """Owned points as [start, stop); the last active rank also owns
-        any F-tail trailing the final C-point."""
-        if self.is_empty(rank):
-            return (0, 0)
-        c = self.splitting.c_indices
-        lo = self.left_boundary_index(rank) + 1
-        if self.splitting.n_intervals == 0:
-            return (1, self.splitting.n_points) if rank == 0 else (0, 0)
-        hi = int(c[self._first_unit[rank] + self._n_units[rank]]) + 1
-        if rank == self._last_rank:
-            hi = self.splitting.n_points
-        return (lo, hi)
-
-    def left_neighbor(self, rank):
-        """The active rank left of an active rank, None for rank 0."""
-        return rank - 1 if rank > 0 else None
-
-    def right_neighbor(self, rank):
-        """The active rank right of an active rank, None for the last."""
-        return rank + 1 if rank < self._last_rank else None
+        base, rem = divmod((n_points - 1) // factor, n_workers)
+        stops = list(accumulate(
+            (base + (w < rem) for w in range(n_workers)), initial=1))
+        self.intervals = list(zip(stops, stops[1:]))
+        self.last = max((w for w, (a, b) in enumerate(self.intervals)
+                         if a < b), default=0)
+        self.owned = [(0, 0) if w > self.last else (
+            (a - 1) * factor + 1,
+            n_points if w == self.last else (b - 1) * factor + 1)
+            for w, (a, b) in enumerate(self.intervals)]
 
 
 # --- transports ---------------------------------------------------------------
@@ -199,17 +168,21 @@ def allreduce(transport, value, fold):
         transport, None if parts is None else [fold(parts)] * transport.size)
 
 
-def reduce_norm(transport, squares, value=None):
-    """(norm, top) from one allreduce: the root of every rank's squares
-    added one by one from 0.0 in rank order, as one worker adds them
-    (sum() would compensate on 3.12+), and the max of every rank's value
-    (None without), a NaN from any rank winning."""
+def reduce_norm(transport, squares, value=None, *more):
+    """(norm, top, *norms) from one allreduce: the root of every rank's
+    squares added one by one from 0.0 in rank order, as one worker adds
+    them (sum() would compensate on 3.12+), the max of every rank's value
+    (None without), a NaN from any rank winning, and the norm of each
+    further list of squares, added alike."""
     def fold(parts):
-        terms, values = zip(*parts)
-        return (functools.reduce(operator.add, chain(*terms), 0.0) ** 0.5,
-                None if value is None else functools.reduce(
-                    lambda a, b: b if b > a or b != b else a, values))
-    return allreduce(transport, ([float(s) for s in squares], value), fold)
+        lists, values = zip(*parts)
+        norm, *norms = (
+            functools.reduce(operator.add, chain(*terms), 0.0) ** 0.5
+            for terms in zip(*lists))
+        return (norm, None if value is None else functools.reduce(
+            lambda a, b: b if b > a or b != b else a, values), *norms)
+    return allreduce(transport, ([[float(s) for s in q]
+                                  for q in (squares, *more)], value), fold)
 
 
 # --- SPMD driver ------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Time grids, C/F splittings, and the temporal coarsening plan.
+"""Time grids, per-level factors, and the temporal coarsening plan.
 
-Coarse grids are built by slicing the parent's time array at its C-points,
-so a coarse time value is always bitwise identical to the fine value it
-came from.  Points that trail the last C-point of a level (when the factor
-does not divide the step count) stay on the fine level as an F-only tail.
+A level's C/F splitting is its factor m: C-point j is point j m, every
+other point is an F-point.  Coarse grids are built by slicing the
+parent's time array at its C-points, so a coarse time value is always
+bitwise identical to the fine value it came from.  Points that trail the
+last C-point of a level (when the factor does not divide the step count)
+stay on the fine level as an F-only tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +34,6 @@ class TimeGrid:
         return int(self.points.size - 1)
 
 
-@dataclass(frozen=True)
-class CFSplitting:
-    """C-points at every factor-th index; everything else is an F-point."""
-
-    n_points: int
-    factor: int
-    c_indices: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.factor < 2:
-            raise ValueError(f"splitting factor must be >= 2, got {self.factor}")
-        if self.n_points < 2:
-            raise ValueError("cannot split fewer than 2 points")
-        object.__setattr__(self, "c_indices",
-                           np.arange(0, self.n_points, self.factor))
-
-    @property
-    def n_intervals(self):
-        """Number of C-intervals: one per C-point after index 0."""
-        return int(self.c_indices.size - 1)
-
-
 def build_uniform_grid(t0, tf, n_steps):
     """Uniform finest grid over [t0, tf] with n_steps intervals."""
     if not tf > t0:
@@ -64,7 +44,7 @@ def build_uniform_grid(t0, tf, n_steps):
 
 
 def level_factor(n_points, factor):
-    """The splitting factor a level of n_points points actually uses: a
+    """The factor the coarsest level of n_points points actually uses: a
     grid with no more points than factor takes max(2, n_points - 1)."""
     return factor if n_points > factor else max(2, n_points - 1)
 
@@ -90,16 +70,17 @@ def plan_coarsening(n_steps, max_levels, coarse_factor):
 
 @dataclass(frozen=True)
 class TimeHierarchy:
-    """The grid stack plus per-level C/F splittings.
+    """The grid stack plus one factor per level.
 
-    Every level gets a splitting factor, the coarsest reusing the last
-    inter-level factor (it still has its own C/F structure: relaxation
-    sweeps and the storage model are defined per level).
+    level_factors[:-1] are the inter-level factors; the coarsest level
+    reuses the last one, clamped by level_factor (it still has its own
+    C/F structure: relaxation sweeps and the storage model are defined
+    per level).
     """
 
     grids: tuple
     factors: tuple
-    splittings: tuple
+    level_factors: tuple
 
     @classmethod
     def build(cls, fine_grid, factors):
@@ -115,11 +96,10 @@ class TimeHierarchy:
                     f"{coarse_points.size} point(s); need at least 2")
             grids.append(TimeGrid(coarse_points))
         factors = tuple(int(m) for m in factors)
-        level_factors = factors + (factors[-1] if factors else 2,)
-        splittings = tuple(CFSplitting(g.n_points,
-                                       level_factor(g.n_points, m))
-                           for g, m in zip(grids, level_factors))
-        return cls(grids=tuple(grids), factors=factors, splittings=splittings)
+        coarsest = level_factor(grids[-1].n_points,
+                                factors[-1] if factors else 2)
+        return cls(grids=tuple(grids), factors=factors,
+                   level_factors=factors + (coarsest,))
 
     @classmethod
     def plan(cls, fine_grid, max_levels, coarse_factor):

@@ -54,17 +54,18 @@ def broadcast_from_root(transport, payload=None):
 
 @dataclass(frozen=True)
 class LevelContext:
-    """One level's grid, splitting, and bound propagator."""
+    """One level's grid, factor (C-point j is point j factor), and bound
+    propagator."""
 
     grid: object
-    splitting: object
+    factor: int
     step: object  # step(u_prev, t_prev, t_next, guess=None) -> row
 
     def times(self):
         return self.grid.points
 
 
-def level_context(problem, grid, splitting, spatial_level=0, smooth=False,
+def level_context(problem, grid, factor, spatial_level=0, smooth=False,
                   tol=None):
     """Steps map a row (field, then scalars) to a row, starting Newton
     from the guess row (None: from u_prev) and stopping at the relative
@@ -81,7 +82,7 @@ def level_context(problem, grid, splitting, spatial_level=0, smooth=False,
                               else BlockState(guess[:nf], guess[nf:]),
                               smooth=smooth)
         return np.concatenate((out.field, out.scalars))
-    return LevelContext(grid=grid, splitting=splitting, step=step)
+    return LevelContext(grid=grid, factor=factor, step=step)
 
 
 def _relax(ctx, u, g, indices, guess_current=False):
@@ -103,16 +104,16 @@ def _relax(ctx, u, g, indices, guess_current=False):
 
 def f_relaxation(ctx, u, g=None):
     """Solve all F-point blocks given current C-values."""
-    s = ctx.splitting
+    n = ctx.grid.n_points
     return _relax(ctx, u, g,
-                  set(range(s.n_points)).difference(s.c_indices.tolist()))
+                  set(range(n)).difference(range(0, n, ctx.factor)))
 
 
 def c_relaxation(ctx, u, g=None):
     """Solve all C-point blocks (index 0 stays: it is the initial value),
     each step starting Newton from the C-value it replaces less g."""
-    c = [i for i in ctx.splitting.c_indices if i > 0]
-    return _relax(ctx, u, g, c, guess_current=True)
+    return _relax(ctx, u, g, range(ctx.factor, ctx.grid.n_points, ctx.factor),
+                  guess_current=True)
 
 
 def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
@@ -131,7 +132,7 @@ def two_level_cycle(fine, coarse, u, g, gamma=0, spatial=None, closing=None):
         u = f_relaxation(fine, u, g)
 
     t, (nf, ns) = fine.times(), (u.fields.shape[1], u.scalars.shape[1])
-    c_idx = [int(i) for i in fine.splitting.c_indices]
+    c_idx = list(range(0, fine.grid.n_points, fine.factor))
     rows, g_rows = _rows(u), _rows(g)
     u2, res = rows[c_idx], np.empty((len(c_idx), nf + ns))
     res[0] = g_rows[0] - rows[0]

@@ -12,6 +12,8 @@ rank 0, whose trajectory is the answer.  The engine reaches the problem
 only through step_many, never through step.
 """
 
+import functools
+import operator
 import time
 import weakref
 
@@ -148,7 +150,8 @@ def _expected_steps(hier, kind, gamma, iters):
     level, once for the answer."""
     coarsest = hier.n_levels - 1
     n = [hier[l].n_steps for l in range(hier.n_levels)]
-    swept = [s.n_intervals * s.factor for s in hier.splittings]
+    swept = [(g.n_points - 1) // m * m
+             for g, m in zip(hier.grids, hier.level_factors)]
     calls = [0] * hier.n_levels
 
     def descend(l):
@@ -205,7 +208,7 @@ def test_step_counts_per_level_are_exact(kind, gamma, p):
 def test_step_counts_with_an_f_tail_and_idle_ranks(kind, gamma, p):
     hier = _hierarchy(TAIL_STEPS)
     assert TAIL_STEPS % FACTORS[0] == 2
-    assert hier.splittings[-1].n_intervals == 1
+    assert hier[-1].n_steps // hier.level_factors[-1] == 1
     run, traj, calls = _solve(p, kind, gamma, n_steps=TAIL_STEPS)
     assert run.converged and run.iterations >= 2
     assert calls == _expected_steps(hier, kind, gamma, run.iterations)
@@ -477,21 +480,24 @@ class _CountingTransport:
 
 def _reduce_counting_worker(transport, allreduces):
     """Solve, recording per fine residual reduction the allreduce calls
-    this rank made and the messages it sent."""
+    this rank made and the messages it sent, then the whole solve's
+    allreduce calls and, from the first reduction, this rank's squares of
+    the C-updates and their reduced norm."""
     counting = _CountingTransport(transport)
     solver = _machine_solver(counting)
-    reduced, reduce = [], solver._reduce
+    reduced, sized, reduce = [], [], solver._reduce
 
-    def reducing(*args):
+    def reducing(squares, losses, prev_losses, *more):
         calls, sent = allreduces[transport.rank], counting.sent
-        out = reduce(*args)
+        out = reduce(squares, losses, prev_losses, *more)
         reduced.append((allreduces[transport.rank] - calls,
                         counting.sent - sent))
+        sized.extend((list(q), norm) for q, norm in zip(more, out[2:]))
         return out
 
     solver._reduce = reducing
     run, _ = solver.solve()
-    return run, reduced
+    return run, reduced, allreduces[transport.rank], sized
 
 
 # the machine solve's figures while the norm and the loss change took a
@@ -512,16 +518,25 @@ def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
         return allreduce(transport, value, fold)
 
     monkeypatch.setattr(runtime, "allreduce", counting)
-    for run, reduced in run_spmd(2, _reduce_counting_worker, allreduces,
-                                 backend="thread"):
+    results = run_spmd(2, _reduce_counting_worker, allreduces,
+                       backend="thread")
+    for run, reduced, total, sized in results:
         # every measuring sweep reduces once; at p = 2 each rank sends
         # one message per reduction (rank 1 its part, rank 0 the result),
         # half of what a norm and a loss change reduced apart sent
         assert run.converged and len(reduced) == run.iterations + 1
         assert reduced == [(1, 1)] * len(reduced)
+        # the loose bar's C-update norm rides on the first sweep's
+        # reduction: the solve makes no other
+        assert total == len(reduced) and len(sized) == 1
         assert (run.initial_residual.hex(),
                 [x.hex() for x in run.residual_norms],
                 [x.hex() for x in run.qoi_changes]) == TWO_REDUCTIONS
+    # that norm is the rank-ordered sum from 0.0 a reduction of its own
+    # gave
+    [(first, norm)], [(second, norm_1)] = (r[3] for r in results)
+    assert norm == norm_1 == functools.reduce(
+        operator.add, first + second, 0.0) ** 0.5
 
 
 def _overwriting_worker(transport, _):
@@ -557,7 +572,8 @@ def test_the_answer_shares_no_memory_with_the_solver(p):
 @pytest.mark.parametrize("p,backend", [(3, "thread"), (2, "process")])
 def test_a_machine_answer_does_not_depend_on_the_workers(p, backend):
     hier = _hierarchy(TAIL_STEPS)
-    assert TAIL_STEPS % FACTORS[0] and hier.splittings[-1].n_intervals < p
+    assert (TAIL_STEPS % FACTORS[0]
+            and hier[-1].n_steps // hier.level_factors[-1] < p)
     [(run_1, traj_1)] = run_spmd(1, _machine_worker, None)
     run, traj = run_spmd(p, _machine_worker, None, backend=backend)[0]
     assert run.converged and run.iterations == run_1.iterations >= 2

@@ -145,7 +145,7 @@ def test_compare_marks_stalled_variant_and_keeps_table(tmp_path):
 
 def test_scale_csv_shape(tmp_path):
     config = small_config(hierarchy_workers=2)
-    t_seq, runs = scale_experiment(config, tmp_path, [1, 2])
+    t_seq, runs = scale_experiment(config, tmp_path)
     assert t_seq > 0.0
     rows = read_rows(tmp_path / "scaling.csv")
     assert rows[0] == ["p", "total_s", "speedup", "efficiency"]

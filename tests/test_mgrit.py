@@ -15,8 +15,8 @@ from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              sequential_solve)
 from pintmg.runtime import run_spmd
 from pintmg.state import SpaceTimeVector
-from pintmg.time_hierarchy import (CFSplitting, TimeHierarchy,
-                                   build_uniform_grid)
+from pintmg.runtime import Decomposition
+from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
                      parareal_iterates, two_level_cycle)
@@ -46,7 +46,7 @@ def test_relaxations_touch_only_their_points():
     # u' = -u, dt = 1, so one step exactly halves the value
     problem = DahlquistProblem(rate=-1.0, initial=1.0)
     grid = build_uniform_grid(0.0, 6.0, 6)
-    ctx = level_context(problem, grid, CFSplitting(7, 3))
+    ctx = level_context(problem, grid, 3)
     u = _flat_vector(problem, 7)
     g = _system_rhs(problem, 7)
 
@@ -64,8 +64,8 @@ def test_two_level_reference_is_exact_after_enough_passes():
     problem = DahlquistProblem(rate=-2.0, initial=1.0)
     grid = build_uniform_grid(0.0, 1.0, 16)
     hier = TimeHierarchy.build(grid, [4])
-    fine = level_context(problem, hier[0], hier.splittings[0])
-    coarse = level_context(problem, hier[1], hier.splittings[1])
+    fine = level_context(problem, hier[0], hier.level_factors[0])
+    coarse = level_context(problem, hier[1], hier.level_factors[1])
     u = _flat_vector(problem, 17)
     g = _system_rhs(problem, 17)
     for _ in range(4):
@@ -82,8 +82,8 @@ def test_engine_matches_reference_two_level_linear(gamma):
     grid = build_uniform_grid(0.0, 0.02, 32)
     hier = TimeHierarchy.build(grid, [4])
 
-    fine = level_context(problem, hier[0], hier.splittings[0])
-    coarse = level_context(problem, hier[1], hier.splittings[1])
+    fine = level_context(problem, hier[0], hier.level_factors[0])
+    coarse = level_context(problem, hier[1], hier.level_factors[1])
     ref = two_level_cycle(fine, coarse, _flat_vector(problem, 33),
                           _system_rhs(problem, 33), gamma=gamma)
 
@@ -104,9 +104,9 @@ def test_engine_matches_reference_with_spatial_coarsening():
     # the cycle runs loose (the initial norm is far above the loose bar);
     # the measuring sweep that ends the run at max_iters, whose walk is
     # the answer, runs at newton.tol
-    fine, coarse = (level_context(problem, hier[l], hier.splittings[l], l,
+    fine, coarse = (level_context(problem, hier[l], hier.level_factors[l], l,
                                   tol=LOOSE_TOL) for l in (0, 1))
-    closing = level_context(problem, hier[0], hier.splittings[0], 0)
+    closing = level_context(problem, hier[0], hier.level_factors[0], 0)
     ref = two_level_cycle(fine, coarse, _flat_vector(problem, 17),
                           _system_rhs(problem, 17), gamma=1,
                           spatial=problem.spatial, closing=closing)
@@ -212,13 +212,13 @@ def test_single_level_solver_is_sequential():
 # --- measured storage vs the closed-form count -------------------------------------
 
 def test_storage_estimate_closed_form_values():
-    assert storage_estimate(2, 32, [4], 1) == 26
-    assert storage_estimate(1, 32, [], 1, coarsest_factor=4) == 8
-    assert storage_estimate(3, 128, [4, 4], 1) == 122
+    assert storage_estimate(2, 32, [4], 1, 4) == 26
+    assert storage_estimate(1, 32, [], 1, 4) == 8
+    assert storage_estimate(3, 128, [4, 4], 1, 4) == 122
     # the coarsest grid has 3 points, so its factor 4 is clamped to 2
-    assert storage_estimate(3, 66, [8, 4], 1) == 31
+    assert storage_estimate(3, 66, [8, 4], 1, 2) == 31
     with pytest.raises(ValueError):
-        storage_estimate(3, 128, [4], 1)
+        storage_estimate(3, 128, [4], 1, 4)
 
 
 def test_engine_storage_matches_estimate_serial():
@@ -242,7 +242,7 @@ def test_engine_storage_matches_estimate_two_workers():
         return solver.storage_report()
 
     reports = run_spmd(2, worker, None, backend="thread")
-    expected = storage_estimate(3, 128, [4, 4], 2)
+    expected = storage_estimate(3, 128, [4, 4], 2, 4)
     for report in reports:
         assert report.total == expected == report.estimate
 
@@ -265,6 +265,31 @@ def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
     assert [r.total for r in reports] == totals
     assert max(totals) == reports[0].estimate
     assert all(r.total <= r.estimate for r in reports)
+
+
+def test_storage_estimate_agrees_with_the_dealt_intervals():
+    # the closed form against the one dealer: per rank, each level's
+    # interval count, plus two states per owned point on a coarse level
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        n_steps, factors = int(rng.integers(1, 400)), []
+        steps, p = n_steps, int(rng.integers(1, 9))
+        for _ in range(int(rng.integers(0, 4))):
+            m = int(rng.integers(2, 9))
+            if steps < m:  # the coarse grid would have fewer than 2 points
+                break
+            factors.append(m)
+            steps //= m
+        hier = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, n_steps),
+                                   factors)
+        per_rank = [0] * p
+        for l, (g, m) in enumerate(zip(hier.grids, hier.level_factors)):
+            d = Decomposition(g.n_points, m, p)
+            for w, ((a, b), (lo, hi)) in enumerate(zip(d.intervals, d.owned)):
+                per_rank[w] += b - a + (2 * (hi - lo) if l else 0)
+        assert storage_estimate(hier.n_levels, n_steps, factors, p,
+                                hier.level_factors[-1]) == max(per_rank), (
+            n_steps, factors, p)
 
 
 # --- worker-count invariance --------------------------------------------------------
@@ -497,8 +522,8 @@ class _TolRecorder(NonlinearSaturationProblem):
 class _MeasureRecorder(MgritSolver):
     """Records each fine measuring sweep's Newton tolerance and result."""
 
-    def _measure(self, lvl, prev_losses=None):
-        out = super()._measure(lvl, prev_losses)
+    def _measure(self, lvl, *args):
+        out = super()._measure(lvl, *args)
         self.measured.append((self._tol, *out[:2]))
         return out
 

@@ -12,7 +12,6 @@ from pintmg.runtime import (
     scatter_from_root,
 )
 from pintmg.state import BlockState
-from pintmg.time_hierarchy import CFSplitting
 
 from oracles import broadcast_from_root
 
@@ -20,12 +19,11 @@ from oracles import broadcast_from_root
 # --- decomposition -------------------------------------------------------------
 
 def test_two_workers_split_at_index_eight():
-    d = Decomposition(CFSplitting(17, 4), 2)
-    assert d.owned_range(0) == (1, 9)
-    assert d.owned_range(1) == (9, 17)
-    assert d.left_boundary_index(1) == 8
-    assert d.c_points(0).tolist() == [4, 8]
-    assert d.c_points(1).tolist() == [12, 16]
+    d = Decomposition(17, 4, 2)
+    assert d.owned == [(1, 9), (9, 17)]
+    # closing C-points 4, 8 on rank 0 and 12, 16 on rank 1
+    assert d.intervals == [(1, 3), (3, 5)]
+    assert d.last == 1
 
 
 def test_owned_ranges_partition_every_level():
@@ -34,62 +32,51 @@ def test_owned_ranges_partition_every_level():
         n = int(rng.integers(3, 200))
         m = int(rng.integers(2, 9))
         p = int(rng.integers(1, 9))
-        d = Decomposition(CFSplitting(n, m), p)
-        covered = []
-        for w in range(p):
-            lo, hi = d.owned_range(w)
-            covered.extend(range(lo, hi))
+        d = Decomposition(n, m, p)
+        covered = [i for lo, hi in d.owned for i in range(lo, hi)]
         assert covered == list(range(1, n)), (n, m, p)
         # index 0 belongs to worker 0's side: its left boundary
-        assert d.left_boundary_index(0) == 0
+        assert d.intervals[0][0] == 1
 
 
 def test_unit_balance_and_idle_workers():
-    d = Decomposition(CFSplitting(33, 4), 3)  # 8 units over 3 workers
-    assert [d.n_units(w) for w in range(3)] == [3, 3, 2]
-    d2 = Decomposition(CFSplitting(9, 4), 4)  # 2 units over 4 workers
-    assert [d2.n_units(w) for w in range(4)] == [1, 1, 0, 0]
-    assert d2.is_empty(3) and d2.is_empty(2)
-    assert d2.owned_range(2) == (0, 0)
-    assert not d2.is_empty(0) and not d2.is_empty(1)
-    assert d2.left_neighbor(1) == 0 and d2.left_neighbor(0) is None
-    assert d2.right_neighbor(1) is None
-    # every (points, factor, p <= 16, rank): the active ranks are the ones
-    # dealt a unit (or rank 0 on a level without one), and the neighbours
-    # of an active rank are the nearest active ranks on either side
+    d = Decomposition(33, 4, 3)  # 8 intervals over 3 workers
+    assert [b - a for a, b in d.intervals] == [3, 3, 2]
+    d2 = Decomposition(9, 4, 4)  # 2 intervals over 4 workers
+    assert [b - a for a, b in d2.intervals] == [1, 1, 0, 0]
+    assert d2.last == 1
+    assert d2.owned == [(1, 5), (5, 9), (0, 0), (0, 0)]
+    # every (points, factor, p <= 16): the intervals 1 .. K are dealt in
+    # rank order, whole and balanced; the active ranks 0 .. last are the
+    # ones dealt one (or rank 0 on a level without one), so an active
+    # rank below last always has a right neighbour to send to
     cases = 0
     for n in range(2, 50):
         for m in range(2, 15):
-            split = CFSplitting(n, m)
+            k = (n - 1) // m
             for p in range(1, 17):
-                d = Decomposition(split, p)
-                active = [w for w in range(p) if d.n_units(w) > 0
-                          or (w == 0 and split.n_intervals == 0)]
-                for w in range(p):
-                    cases += 1
-                    assert d.is_empty(w) == (w not in active), (n, m, p, w)
-                    if w in active:
-                        lower = [v for v in active if v < w]
-                        higher = [v for v in active if v > w]
-                        assert d.left_neighbor(w) == (
-                            lower[-1] if lower else None), (n, m, p, w)
-                        assert d.right_neighbor(w) == (
-                            higher[0] if higher else None), (n, m, p, w)
-    assert cases == 84864
+                cases += 1
+                d = Decomposition(n, m, p)
+                counts = [b - a for a, b in d.intervals]
+                stops = [a for a, _ in d.intervals] + [d.intervals[-1][1]]
+                assert stops == [1 + sum(counts[:w]) for w in range(p + 1)]
+                assert sum(counts) == k and max(counts) - min(counts) <= 1
+                assert counts == sorted(counts, reverse=True)
+                active = [w for w in range(p) if counts[w] or w == 0]
+                assert active == list(range(d.last + 1)), (n, m, p)
+                assert all(d.owned[w] == (0, 0) for w in range(d.last + 1, p))
+    assert cases == 9984
 
 
 def test_trailing_f_points_belong_to_last_active_rank():
     # 11 points, factor 4: C-points 0,4,8 and an F-tail 9,10
-    d = Decomposition(CFSplitting(11, 4), 2)
-    assert d.owned_range(0) == (1, 5)
-    assert d.owned_range(1) == (5, 11)
+    assert Decomposition(11, 4, 2).owned == [(1, 5), (5, 11)]
 
 
 def test_degenerate_level_all_points_to_rank_zero():
-    d = Decomposition(CFSplitting(2, 2), 3)
-    assert not d.is_empty(0)
-    assert d.owned_range(0) == (1, 2)
-    assert d.is_empty(1) and d.owned_range(1) == (0, 0)
+    d = Decomposition(2, 2, 3)
+    assert d.last == 0
+    assert d.owned == [(1, 2), (0, 0), (0, 0)]
 
 
 # --- transports ------------------------------------------------------------------
@@ -155,7 +142,7 @@ def test_reduce_norm_rank_ordered():
     assert all(r[1] == 1.0 for r in results)
     single = run_spmd(1, _reduce_probe, [[49.0]], backend="thread")
     assert single[0][0] == 7.0
-    # without values, as for the loose tolerance's bar, no max is reduced
+    # without values no max is reduced
     results = run_spmd(2, _max_probe, [None, None], backend="thread")
     assert results == [(2.0 ** 0.5, None)] * 2
 
@@ -170,6 +157,13 @@ def test_reduce_norm_is_the_one_worker_sum_for_any_split():
                   [[], terms[:4], terms[4:]]):
         results = run_spmd(len(parts), _reduce_probe, parts, backend="thread")
         assert [r[0] for r in results] == [whole] * len(parts)
+        # a further list of squares, as for the loose bar, is added alike
+        results = run_spmd(len(parts), _more_probe, parts, backend="thread")
+        assert results == [(0.0, None, whole)] * len(parts)
+
+
+def _more_probe(transport, payload):
+    return reduce_norm(transport, [], None, payload[transport.rank])
 
 
 def _max_probe(transport, payload):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pintmg.time_hierarchy import (
-    CFSplitting, TimeGrid, TimeHierarchy, build_uniform_grid, plan_coarsening,
+    TimeGrid, TimeHierarchy, build_uniform_grid, plan_coarsening,
 )
 
 
@@ -22,26 +22,6 @@ def test_uniform_grid_rejects_bad_domain():
         build_uniform_grid(0.0, -1.0, 4)
     with pytest.raises(ValueError):
         build_uniform_grid(0.0, 1.0, 0)
-
-
-def test_cf_split_six_points_factor_four():
-    s = CFSplitting(6, 4)
-    assert s.c_indices.tolist() == [0, 4]
-    assert s.n_intervals == 1
-
-
-def test_cf_split_rejects_small_factor():
-    with pytest.raises(ValueError):
-        CFSplitting(8, 1)
-
-
-def test_cf_split_partition():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(2, 200))
-        m = int(rng.integers(2, 12))
-        s = CFSplitting(n, m)
-        assert s.c_indices.tolist() == list(range(0, n, m))
 
 
 def test_plan_for_129_points():
@@ -79,19 +59,20 @@ def test_hierarchy_levels_indexing_and_factors():
     h = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, 64), [4, 4])
     assert len(h) == 3
     assert h.factors == (4, 4)
-    # every level carries a splitting, the coarsest reusing the last factor
-    assert [s.factor for s in h.splittings] == [4, 4, 4]
+    # every level carries a factor, the coarsest reusing the last one
+    assert h.level_factors == (4, 4, 4)
 
 
 def test_trailing_partial_interval_stays_fine():
     # 11 points, factor 4: last C-point is 8, indices 9..10 are an F-tail
     h = TimeHierarchy.build(TimeGrid(np.linspace(0.0, 1.0, 11)), [4])
-    s = h.splittings[0]
-    assert s.c_indices.tolist() == [0, 4, 8]
-    assert h[1].n_points == 3
+    assert np.array_equal(h[1].points, h[0].points[[0, 4, 8]])
+    # the 3-point coarsest grid clamps its factor 4 to 2
+    assert h.level_factors == (4, 2)
 
 
 def test_build_rejects_overcoarsening():
     g = build_uniform_grid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        TimeHierarchy.build(g, [8])
+    for factors in ([8], [1]):
+        with pytest.raises(ValueError):
+            TimeHierarchy.build(g, factors)
