@@ -10,23 +10,29 @@ balanced with the remainder going to the lowest ranks, which keeps
 worker 0 owner of index 0 (the anchor) on every level; ranks beyond the
 interval count idle on that level.
 
-One driver, run_spmd, runs fn(transport, payload) on every rank, as
-threads (backend "thread", used by the test suite) or as forked processes
-("process", for scaling runs); only the worker class, the failure event
-and the report queue differ by backend.  Each ordered rank pair has a
-one-way pipe: the sender pickles and writes a payload itself (value
-semantics, no helper thread in the way), the receiver reads only its
-source's pipe (FIFO per pair).  Each worker puts one (rank, error_text,
-result) report, a process worker pickling its result itself so that an
-unpicklable one is its failure.  The driver raises the first failure
-report as TransportError("worker <rank> failed: <Type>: <message>"), or,
-within a 0.1 s poll, a forked worker that exited nonzero without one
-("worker <rank> exited with code <code> without a report"), and only
-then sets the failure event (peers blocked in recv stop within one poll,
-never reporting ahead of the cause) and closes its pipe ends (a writer
-blocked on a failed reader gets BrokenPipeError).  A forked worker
-closes the ends that are not its own.  A single worker runs in-process
-on a NullTransport.
+One driver, run_spmd, runs fn(transport, payload) on every rank: rank 0
+in the calling thread, ranks 1 .. p - 1 as threads (backend "thread",
+used by the test suite) or as forked processes ("process", for scaling
+runs); only the worker class, the failure event and the report queue
+differ by backend.  Each ordered rank pair has a one-way pipe: the
+sender pickles and writes a payload itself (value semantics, no helper
+thread in the way), the receiver reads only its source's pipe (FIFO per
+pair).  Each worker puts one (rank, error_text, result) report, a
+process worker pickling its result itself so that an unpicklable one is
+its failure; rank 0's result is returned as fn returned it.  A monitor
+thread, started after the last fork, takes the reports while rank 0
+computes.  The first failure (a failure report, a forked worker that
+exited nonzero without one within a 0.1 s poll, or rank 0's own
+exception) is raised as TransportError("worker <rank> failed: <Type>:
+<message>" or "... exited with code <code> without a report"); only then
+is the failure event set (ranks blocked in recv stop within one poll,
+never reporting ahead of the cause) and are the pipes closed (a writer
+blocked on a failed reader gets BrokenPipeError).  A rank whose peer's
+pipe closes under it waits for that event before it fails.  The caller
+after forking, like each forked worker, closes the pipe ends that are
+not its own.  Nothing interrupts rank 0's fn: it stops at its next send
+or recv, and waits at most the timeout in a recv, as any rank does.  A
+single worker runs in-process on a NullTransport.
 
 A pipe write blocks once 64 KiB wait unread, so every message pattern
 reads within itself all it writes and finishes even if each write waits
@@ -117,8 +123,12 @@ class _PipeTransport:
     def send(self, dst, payload):
         if dst not in self._out:
             raise TransportError(f"rank {self.rank} cannot send to {dst}")
-        self._out[dst].send_bytes(
-            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        try:
+            self._out[dst].send_bytes(data)
+        except OSError:  # the reader ended: wait to hear why
+            self._failure.wait(self._timeout)
+            raise TransportError(f"rank {self.rank}: a peer failed") from None
 
     def recv(self, src):
         pipe = self._in.get(src)
@@ -127,8 +137,11 @@ class _PipeTransport:
         for _ in range(max(1, math.ceil(self._timeout / 0.2))):
             if self._failure.is_set():
                 raise TransportError(f"rank {self.rank}: a peer failed")
-            if pipe.poll(0.2):
-                return pickle.loads(pipe.recv_bytes())
+            try:
+                if pipe.poll(0.2):
+                    return pickle.loads(pipe.recv_bytes())
+            except (EOFError, OSError):  # the writer ended: wait to hear why
+                self._failure.wait(0.2)
         raise TransportError(f"rank {self.rank} timed out waiting for {src}")
 
 
@@ -187,14 +200,19 @@ def reduce_norm(transport, squares, value=None, *more):
 
 # --- SPMD driver ------------------------------------------------------------------
 
+def _close_ends(pipes, keep=None):
+    """Close every pipe end that is not rank keep's, the read ends first:
+    a writer blocked on a failed reader fails while its end is open."""
+    for side in (0, 1):
+        for pair, ends in pipes.items():
+            if pair[1 - side] != keep:
+                ends[side].close()
+
+
 def _worker(rank, size, fn, payload, pipes, failure, reports, timeout,
             forked):
     if forked:  # the fork copied every pipe end: keep only this rank's
-        for (src, dst), (reader, writer) in pipes.items():
-            if dst != rank:
-                reader.close()
-            if src != rank:
-                writer.close()
+        _close_ends(pipes, keep=rank)
     transport = _PipeTransport(rank, size, pipes, failure, timeout)
     try:
         result = fn(transport, payload)
@@ -203,11 +221,46 @@ def _worker(rank, size, fn, payload, pipes, failure, reports, timeout,
         reports.put((rank, f"{type(e).__name__}: {e}", None))
 
 
+def _monitor(workers, forked, reports, results, failed, failure, pipes,
+             timeout):
+    """Collect the reports of ranks 1.. until all are in or one fails,
+    whose text goes into failed before the failure event and the close."""
+    waiting = set(workers)
+    deadline = time.monotonic() + timeout + 10.0
+    while waiting and not failure.is_set():
+        # exit codes are read before the poll: a worker gone by then
+        # has written whatever report it made
+        dead = [(r, workers[r].exitcode) for r in sorted(waiting)
+                if forked and workers[r].exitcode]
+        try:
+            rank, error, result = reports.get(timeout=0.1)
+        except queue.Empty:
+            if dead:
+                error = ("worker {} exited with code {} without a report"
+                         .format(*dead[0]))
+            elif time.monotonic() > deadline:
+                error = "workers did not report back"
+            else:
+                continue
+        else:
+            if error is None:
+                waiting.discard(rank)
+                results[rank] = pickle.loads(result) if forked else result
+                deadline = time.monotonic() + timeout + 10.0
+                continue
+            error = f"worker {rank} failed: {error}"
+        failed.append(error)
+        failure.set()
+        _close_ends(pipes)
+
+
 def run_spmd(n_workers, fn, payload, backend="thread",
              timeout=DEFAULT_TIMEOUT):
-    """Run fn(transport, payload) on n_workers ranks; returns the per-rank
-    results, raising the first worker failure as a TransportError.  On
-    the process backend fn, payload and results must be picklable."""
+    """Run fn(transport, payload) on n_workers ranks, rank 0 in the
+    calling thread; returns the per-rank results, rank 0's as fn returned
+    it, raising the first worker failure as a TransportError.  On the
+    process backend fn, payload and the results of ranks 1.. must be
+    picklable."""
     if backend not in TRANSPORTS:
         raise ValueError(f"unknown backend {backend!r}; use one of {TRANSPORTS}")
     if n_workers == 1:
@@ -223,44 +276,34 @@ def run_spmd(n_workers, fn, payload, backend="thread",
              for src in range(n_workers) for dst in range(n_workers)
              if src != dst}
     failure, reports = Event(), Queue()
-    workers = [Worker(target=_worker, daemon=True,
-                      args=(w, n_workers, fn, payload, pipes, failure,
-                            reports, timeout, forked))
-               for w in range(n_workers)]
-    for w in workers:
+    workers = {w: Worker(target=_worker, daemon=True,
+                         args=(w, n_workers, fn, payload, pipes, failure,
+                               reports, timeout, forked))
+               for w in range(1, n_workers)}
+    for w in workers.values():
         w.start()
-    results, waiting = [None] * n_workers, set(range(n_workers))
-    deadline = time.monotonic() + timeout + 10.0
+    if forked:
+        _close_ends(pipes, keep=0)
+    results, failed = [None] * n_workers, []
+    monitor = threading.Thread(target=_monitor, daemon=True, args=(
+        workers, forked, reports, results, failed, failure, pipes, timeout))
+    monitor.start()
     try:
-        while waiting:
-            # exit codes are read before the poll: a worker gone by then
-            # has written whatever report it made
-            dead = [(r, workers[r].exitcode) for r in sorted(waiting)
-                    if forked and workers[r].exitcode]
-            try:
-                rank, error, result = reports.get(timeout=0.1)
-            except queue.Empty:
-                if dead:
-                    raise TransportError(
-                        "worker {} exited with code {} without a report"
-                        .format(*dead[0])) from None
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        "workers did not report back") from None
-                continue
-            if error is not None:
-                raise TransportError(f"worker {rank} failed: {error}")
-            waiting.discard(rank)
-            results[rank] = pickle.loads(result) if forked else result
-            deadline = time.monotonic() + timeout + 10.0
+        try:
+            results[0] = fn(_PipeTransport(0, n_workers, pipes, failure,
+                                           timeout), payload)
+        except Exception as e:  # behind any failure the monitor took
+            failed.append(f"worker 0 failed: {type(e).__name__}: {e}")
+            failure.set()
+        monitor.join()
     finally:
         failure.set()
-        # read ends first: blocked writers fail while their end is open
-        for ends in zip(*pipes.values()):
-            for end in ends:
-                end.close()
-        for w in workers:
+        monitor.join()
+        _close_ends(pipes)
+        for w in workers.values():
             w.join(timeout=5.0)
             if w.is_alive() and forked:
                 w.terminate()
+    if failed:
+        raise TransportError(failed[0])
     return results

@@ -188,6 +188,38 @@ def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
         "worker 0 failed: NewtonConvergenceError: Newton stalled at t=")
 
 
+class _FailingStepProblem(LinearDiffusionProblem):
+    """Breaks down on the step FAIL_ON = (t_prev, t_next): one fine
+    step, which only the rank owning its end point takes."""
+
+    FAIL_ON = None
+
+    def step(self, u_prev, t_prev, t_next, spatial_level=0, guess=None,
+             smooth=False):
+        if (t_prev, t_next) == self.FAIL_ON:
+            raise NewtonConvergenceError(f"Newton stalled at t={t_next!r}")
+        return super().step(u_prev, t_prev, t_next, spatial_level, guess,
+                            smooth)
+
+
+@pytest.mark.parametrize("transport", ["thread", "process"])
+@pytest.mark.parametrize("rank,k", [(0, 5), (1, 60)])
+def test_a_step_failure_names_its_rank_and_text(monkeypatch, transport, rank,
+                                                k):
+    # 64 steps dealt to 2 ranks: rank 0 owns points 1..32, rank 1 33..64;
+    # rank 0 runs in the caller, rank 1 in a worker of either transport
+    times = build_hierarchy(small_config())[0].points
+    t = float(times[k])
+    monkeypatch.setattr(_FailingStepProblem, "FAIL_ON",
+                        (float(times[k - 1]), t))
+    monkeypatch.setattr("pintmg.harness.build_problem",
+                        lambda config: _FailingStepProblem(15))
+    run = execute(small_config(hierarchy_workers=2, run_transport=transport))
+    assert not run.converged
+    assert run.failure == (f"worker {rank} failed: NewtonConvergenceError: "
+                           f"Newton stalled at t={t!r}")
+
+
 class _KickedProblem(NonlinearSaturationProblem):
     """Starts from a rough random field, whose first Jacobian breaks
     its LDL^T factorization."""

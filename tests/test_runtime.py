@@ -1,4 +1,7 @@
 import os
+import signal
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -233,8 +236,33 @@ def test_null_transport_refuses_traffic():
         run_spmd(2, _echo_pattern, None, backend="carrier-pigeon")
 
 
+def _one_fails_probe(transport, payload):
+    _echo_pattern(transport, None)
+    if transport.rank == payload:
+        raise RuntimeError("boom")
+    return transport.recv(payload)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_the_failing_rank_is_named_among_more_ranks_than_cores(backend):
+    # every other rank, the caller too, fails after it; with a short
+    # switch interval their "a peer failed" races the cause
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for rank in range(4):
+            t0 = time.perf_counter()
+            with pytest.raises(TransportError) as err:
+                run_spmd(4, _one_fails_probe, rank, backend=backend,
+                         timeout=30.0)
+            assert str(err.value) == f"worker {rank} failed: RuntimeError: boom"
+            assert time.perf_counter() - t0 < 2.5
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _unpicklable_probe(transport, payload):
-    return UNPICKLABLE
+    return UNPICKLABLE if transport.rank in payload else None
 
 
 UNPICKLABLE = lambda: None  # noqa: E731  (pickles by name, which fails)
@@ -243,25 +271,60 @@ UNPICKLABLE = lambda: None  # noqa: E731  (pickles by name, which fails)
 def test_unpicklable_process_result_is_reported_at_once():
     t0 = time.perf_counter()
     with pytest.raises(TransportError,
-                       match=r"^worker [01] failed: PicklingError: "):
-        run_spmd(2, _unpicklable_probe, None, backend="process", timeout=1.0)
+                       match=r"^worker 1 failed: PicklingError: "):
+        run_spmd(2, _unpicklable_probe, {0, 1}, backend="process",
+                 timeout=1.0)
     assert time.perf_counter() - t0 < 2.5
+    # rank 0 runs in the caller, so its result is never pickled
+    assert run_spmd(2, _unpicklable_probe, {0}, backend="process",
+                    timeout=1.0) == [UNPICKLABLE, None]
 
 
 def _silent_death_probe(transport, payload):
-    if transport.rank == 0:
+    if transport.rank == 1:
         os._exit(3)  # no report, no cleanup
-    return transport.recv(0)
+    return transport.recv(1)
 
 
 def test_a_worker_that_dies_without_a_report_is_named_at_once():
-    # at the default 120 s timeout the peer blocked in recv would wait it
-    # out; the driver names the dead worker after one poll instead
+    # at the default 120 s timeout rank 0 blocked in recv would wait it
+    # out; the monitor names the dead worker after one poll instead.  The
+    # exit is on rank 1: rank 0 runs in the caller, pytest itself
     t0 = time.perf_counter()
-    with pytest.raises(TransportError, match="^worker 0 exited with code 3 "
+    with pytest.raises(TransportError, match="^worker 1 exited with code 3 "
                                              "without a report$"):
         run_spmd(2, _silent_death_probe, None, backend="process")
     assert time.perf_counter() - t0 < 1.0
+
+
+def _killed_probe(transport, payload):
+    if transport.rank == 1:
+        time.sleep(0.3)  # the caller is blocked in recv by then
+        os.kill(os.getpid(), signal.SIGKILL)
+    return transport.recv(1)
+
+
+def test_a_worker_killed_while_the_caller_waits_in_recv_is_named():
+    # the caller sees the pipe close at once; its own "a peer failed"
+    # waits for the monitor's poll and must not mask the dead worker
+    t0 = time.perf_counter()
+    with pytest.raises(TransportError, match="^worker 1 exited with code -9 "
+                                             "without a report$"):
+        run_spmd(2, _killed_probe, None, backend="process")
+    assert time.perf_counter() - t0 < 1.3
+
+
+def _whereabouts_probe(transport, payload):
+    return os.getpid(), threading.get_ident(), payload
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_rank_zero_runs_in_the_caller(backend):
+    payload = ["not copied"]
+    results = run_spmd(2, _whereabouts_probe, payload, backend=backend)
+    assert results[0][:2] == (os.getpid(), threading.get_ident())
+    assert results[0][2] is payload
+    assert results[1][:2] != results[0][:2] and results[1][2] == payload
 
 
 # --- payloads larger than a pipe holds -----------------------------------------------

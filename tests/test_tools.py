@@ -23,3 +23,8 @@ def test_bench_layers_prints_every_row_for_this_tree():
                      if line.startswith(f"{name:12s} {row:18s} src ")]
             assert len(found) == 1, (name, row)
             assert "n/a" not in found[0]
+    start = [line for line in lines
+             if line.startswith(f"{'run_spmd':12s} {'L3 start ms r0/r1':18s} "
+                                "src ")]
+    assert len(start) == 1
+    assert all(float(ms) > 0 for ms in start[0].split()[-1].split("/"))

@@ -1,5 +1,6 @@
-"""Time the solver's two lowest layers on several source trees, in one
-process, alternating the trees round by round.
+"""Time the solver's two lowest layers, and its workers' start, on
+several source trees, in one process, alternating the trees round by
+round.
 
     python tools/bench_layers.py new=src old=../parent/src [--rounds 61]
 
@@ -36,6 +37,11 @@ measures, as thread CPU time:
   slowest row (``SolverRun.layer_iterates``) over the kernel calls
   (``SolverRun.kernel_calls``) of that solver's first solve: a count,
   the same in every round, so printed once.
+
+Before the workloads, one L3 row, ``run_spmd  L3 start ms r0/r1``,
+gives the wall milliseconds from the call of ``run_spmd`` at p = 2 on
+the process transport to each rank's entry into its ``fn``, rank 0
+then rank 1: the median over rounds of each.
 
 The problems take the random source profile drawn with SEED.  A row
 that reads an attribute a tree lacks (``_Level.t`` before the levels kept
@@ -169,6 +175,22 @@ class Layers:
         return (time.thread_time() - t0) * 1e6 / len(DAMPED)
 
 
+def _order(r, n):
+    """The trees in round r: the first tree first in even rounds."""
+    return range(n) if r % 2 == 0 else range(n - 1, -1, -1)
+
+
+def _entered(transport, t_call):
+    """run_spmd's fn: milliseconds since t_call (a perf_counter, which
+    is system-wide, so a forked rank reads it too)."""
+    return (time.perf_counter() - t_call) * 1e3
+
+
+def start_ms(pm):
+    """Each rank's milliseconds from run_spmd's call to fn at p = 2."""
+    return pm.run_spmd(2, _entered, time.perf_counter(), backend="process")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("trees", nargs="+", metavar="[LABEL=]SRC",
@@ -181,6 +203,14 @@ def main(argv=None):
                 for i, src in enumerate(srcs)]
     print(f"# {args.rounds} rounds, thread CPU time, seed {SEED}; "
           "ratios are per-round times over the first tree's")
+    starts = [[] for _ in packages]
+    for r in range(args.rounds):
+        for i in _order(r, len(packages)):
+            starts[i].append(start_ms(packages[i]))
+    cells = ["{} {:.2f}/{:.2f}".format(label, *map(statistics.median,
+                                                    zip(*ms)))
+             for label, ms in zip(labels, starts)]
+    print(f"{'run_spmd':12s} {'L3 start ms r0/r1':18s} " + "  ".join(cells))
     for name, w in WORKLOADS.items():
         layers = [Layers(pm, w) for pm in packages]
         for label, measure in (("L1 sweep us/point", Layers.sweep_us),
@@ -192,9 +222,7 @@ def main(argv=None):
                                ("L0 damped us/row", Layers.damped_us)):
             times = [[] for _ in layers]  # None: the tree lacks the row
             for r in range(args.rounds):
-                order = range(len(layers)) if r % 2 == 0 else range(
-                    len(layers) - 1, -1, -1)
-                for i in order:
+                for i in _order(r, len(layers)):
                     if times[i] is not None:
                         try:
                             times[i].append(measure(layers[i]))
