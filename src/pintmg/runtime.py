@@ -11,28 +11,25 @@ worker 0 owner of index 0 (the anchor) on every level; ranks beyond the
 interval count idle on that level.
 
 One driver, run_spmd, runs fn(transport, payload) on every rank: rank 0
-in the calling thread, ranks 1 .. p - 1 as threads (backend "thread",
-used by the test suite) or as forked processes ("process", for scaling
-runs); only the worker class, the failure event and the report queue
-differ by backend.  Each ordered rank pair has a one-way pipe: the
-sender pickles and writes a payload itself (value semantics, no helper
-thread in the way), the receiver reads only its source's pipe (FIFO per
-pair).  Each worker puts one (rank, error_text, result) report, a
-process worker pickling its result itself so that an unpicklable one is
-its failure; rank 0's result is returned as fn returned it.  A monitor
-thread, started after the last fork, takes the reports while rank 0
-computes.  The first failure (a failure report, a forked worker that
-exited nonzero without one within a 0.1 s poll, or rank 0's own
-exception) is raised as TransportError("worker <rank> failed: <Type>:
-<message>" or "... exited with code <code> without a report"); only then
-is the failure event set (ranks blocked in recv stop within one poll,
-never reporting ahead of the cause) and are the pipes closed (a writer
-blocked on a failed reader gets BrokenPipeError).  A rank whose peer's
-pipe closes under it waits for that event before it fails.  The caller
-after forking, like each forked worker, closes the pipe ends that are
-not its own.  Nothing interrupts rank 0's fn: it stops at its next send
-or recv, and waits at most the timeout in a recv, as any rank does.  A
-single worker runs in-process on a NullTransport.
+in the calling thread, ranks 1 .. p - 1 as threads ("thread", used by
+the test suite) or os.fork children ("process", for scaling runs), and
+no helper thread; a single worker runs on a NullTransport.  Each ordered
+rank pair has a one-way os.pipe carrying length-framed pickles (value
+semantics, FIFO per pair).  A failing rank stamps its failure on the
+monotonic clock and writes a byte to the failure pipe.  A recv polls its
+source next to that pipe and, in a forked rank, the liveness pipe, whose
+write end only the caller holds, and fails at once as secondary ("rank
+<r>: a peer failed") on an event there, on the source's EOF or, in a
+send, on EPIPE: so workers stop when a peer fails or their caller dies.
+A rank closes its pipe ends as its fn ends, releasing a writer blocked
+on it.  A forked rank then writes one report, its failure or its result
+pickled within the run, on its own report pipe and calls os._exit; the
+caller reads the reports after rank 0's fn, names a rank whose report
+pipe ends without one from waitpid ("worker <rank> exited with code
+<code> without a report"), and raises the earliest failure that is not
+secondary as TransportError("worker <rank> failed: <Type>: <message>").
+No forked rank outlives run_spmd, and nothing interrupts rank 0's fn: it
+stops at its next send or recv, waiting at most the timeout in a recv.
 
 A pipe write blocks once 64 KiB wait unread, so every message pattern
 reads within itself all it writes and finishes even if each write waits
@@ -44,20 +41,20 @@ every message follow (a point has one sender and one receiver); writing
 all before reading could deadlock from p = 5 (a writes to b, b to c, c
 waits for a), although no pair sends both ways.  Gather and scatter only
 write to or only read from rank 0, which takes the ranks in order;
-allreduce is one gather and one scatter, and reduce_norm carries the
-residual squares, the loss change and any further squares (the first
-sweep's C-updates) in a single one, so a measuring sweep makes one
-gather and one scatter at p >= 2.
+allreduce is one gather and one scatter, and reduce_norm carries all a
+measuring sweep reduces in a single one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import math
-import multiprocessing
 import operator
+import os
 import pickle
-import queue
+import select
+import signal
+import sys
 import threading
 import time
 from itertools import accumulate, chain
@@ -110,68 +107,95 @@ class NullTransport:
         raise TransportError("no peers in a single-worker run")
 
 
-class _PipeTransport:
-    """Writes to each peer on this rank's own pipe to it and reads from
-    each peer only on that peer's pipe to this rank."""
+# a rank stopped by another's failure: a TransportError, by name too
+_PeerFailed = type("TransportError", (TransportError,),
+                   {"secondary": True, "__qualname__": "_PeerFailed"})
 
-    def __init__(self, rank, size, pipes, failure, timeout):
+
+def _write_frame(fd, data):
+    """Write len(data) in 8 bytes, then data, in one writev if no signal."""
+    head = len(data).to_bytes(8, "little")
+    sent = os.writev(fd, [head, data])
+    for part, skip in ((head, sent), (data, sent - 8)):
+        view = memoryview(part)[max(skip, 0):]
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _take(fd, n):
+    """n bytes read from fd, None if its writers end first (a frame once
+    begun is written whole, so a read within one never hangs)."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return buf
+
+
+def _read_frame(fd):
+    head = _take(fd, 8)
+    return head and _take(fd, int.from_bytes(head, "little"))
+
+
+class _PipeTransport:
+    """Sends on this rank's pipe to the peer and receives on the peer's
+    pipe to this rank; an event on a fd in watch is a peer's failure."""
+
+    def __init__(self, rank, size, pipes, watch, timeout):
         self.rank, self.size = rank, size
         self._out = {d: pipes[rank, d][1] for d in range(size) if d != rank}
         self._in = {s: pipes[s, rank][0] for s in range(size) if s != rank}
-        self._failure, self._timeout = failure, timeout
+        self.fds = {*self._out.values(), *self._in.values()}
+        self._polls = {fd: select.poll() for fd in self._in.values()}
+        for fd, poll in self._polls.items():
+            for f in (fd, *watch):
+                poll.register(f, select.POLLIN)
+        self._timeout_ms = timeout * 1e3
 
     def send(self, dst, payload):
-        if dst not in self._out:
+        fd = self._out.get(dst)
+        if fd is None:
             raise TransportError(f"rank {self.rank} cannot send to {dst}")
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         try:
-            self._out[dst].send_bytes(data)
-        except OSError:  # the reader ended: wait to hear why
-            self._failure.wait(self._timeout)
-            raise TransportError(f"rank {self.rank}: a peer failed") from None
+            _write_frame(fd, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        except BrokenPipeError:  # the reader ended
+            raise _PeerFailed(f"rank {self.rank}: a peer failed") from None
 
     def recv(self, src):
-        pipe = self._in.get(src)
-        if pipe is None:
+        fd = self._in.get(src)
+        if fd is None:
             raise TransportError(f"rank {self.rank} cannot recv from {src}")
-        for _ in range(max(1, math.ceil(self._timeout / 0.2))):
-            if self._failure.is_set():
-                raise TransportError(f"rank {self.rank}: a peer failed")
-            try:
-                if pipe.poll(0.2):
-                    return pickle.loads(pipe.recv_bytes())
-            except (EOFError, OSError):  # the writer ended: wait to hear why
-                self._failure.wait(0.2)
-        raise TransportError(f"rank {self.rank} timed out waiting for {src}")
+        if not (ready := self._polls[fd].poll(self._timeout_ms)):
+            raise TransportError(f"rank {self.rank} timed out waiting for {src}")
+        data = None if any(f != fd for f, _ in ready) else _read_frame(fd)
+        if data is None:  # a failure, the caller's end or the writer's
+            raise _PeerFailed(f"rank {self.rank}: a peer failed")
+        return pickle.loads(data)
 
 
 # --- collectives ----------------------------------------------------------------
 
 def gather_to_root(transport, payload):
     """Rank-ordered gather; returns the list on rank 0, None elsewhere."""
-    if transport.size == 1:
-        return [payload]
-    if transport.rank == 0:
-        out = [payload]
-        for src in range(1, transport.size):
-            out.append(transport.recv(src))
-        return out
-    transport.send(0, payload)
-    return None
+    if transport.rank:
+        transport.send(0, payload)
+        return None
+    return [payload, *(transport.recv(s) for s in range(1, transport.size))]
 
 
 def scatter_from_root(transport, items):
     """Inverse of gather: rank 0 deals items[w] to each rank w."""
-    if transport.size == 1:
-        return items[0]
-    if transport.rank == 0:
-        if len(items) != transport.size:
-            raise TransportError(
-                f"scatter needs {transport.size} items, got {len(items)}")
-        for dst in range(1, transport.size):
-            transport.send(dst, items[dst])
-        return items[0]
-    return transport.recv(0)
+    if transport.rank:
+        return transport.recv(0)
+    if len(items) != transport.size:
+        raise TransportError(
+            f"scatter needs {transport.size} items, got {len(items)}")
+    for dst in range(1, transport.size):
+        transport.send(dst, items[dst])
+    return items[0]
 
 
 def allreduce(transport, value, fold):
@@ -200,67 +224,80 @@ def reduce_norm(transport, squares, value=None, *more):
 
 # --- SPMD driver ------------------------------------------------------------------
 
-def _close_ends(pipes, keep=None):
-    """Close every pipe end that is not rank keep's, the read ends first:
-    a writer blocked on a failed reader fails while its end is open."""
-    for side in (0, 1):
-        for pair, ends in pipes.items():
-            if pair[1 - side] != keep:
-                ends[side].close()
-
-
-def _worker(rank, size, fn, payload, pipes, failure, reports, timeout,
-            forked):
-    if forked:  # the fork copied every pipe end: keep only this rank's
-        _close_ends(pipes, keep=rank)
-    transport = _PipeTransport(rank, size, pipes, failure, timeout)
+def _run(fn, payload, transport, failure_w, results, failures,
+         catch=BaseException):
+    """fn on transport's rank, its result into results or its failure,
+    (time, text, secondary), into failures; its pipe ends close after."""
     try:
-        result = fn(transport, payload)
-        reports.put((rank, None, pickle.dumps(result) if forked else result))
-    except BaseException as e:  # whatever ends fn, one report goes out
-        reports.put((rank, f"{type(e).__name__}: {e}", None))
+        results[transport.rank] = fn(transport, payload)
+    except catch as e:
+        failures.append((time.monotonic(), f"worker {transport.rank} failed: "
+                         f"{type(e).__name__}: {e}",
+                         getattr(e, "secondary", False)))
+        os.write(failure_w, b"!")
+    finally:
+        for fd in transport.fds:
+            os.close(fd)
 
 
-def _monitor(workers, forked, reports, results, failed, failure, pipes,
-             timeout):
-    """Collect the reports of ranks 1.. until all are in or one fails,
-    whose text goes into failed before the failure event and the close."""
-    waiting = set(workers)
-    deadline = time.monotonic() + timeout + 10.0
-    while waiting and not failure.is_set():
-        # exit codes are read before the poll: a worker gone by then
-        # has written whatever report it made
-        dead = [(r, workers[r].exitcode) for r in sorted(waiting)
-                if forked and workers[r].exitcode]
-        try:
-            rank, error, result = reports.get(timeout=0.1)
-        except queue.Empty:
-            if dead:
-                error = ("worker {} exited with code {} without a report"
-                         .format(*dead[0]))
-            elif time.monotonic() > deadline:
-                error = "workers did not report back"
-            else:
+def _flush_std():
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):
+            stream.flush()
+
+
+def _forked_rank(fn, payload, transport, held, failure, live, report):
+    """A forked rank: close the fds in held not its own, run fn (pickling
+    the result within, so an unpicklable one fails it), report, exit."""
+    code, results, failures = 1, {}, []
+    try:
+        for fd in held - transport.fds - {*failure, live[0], report[1]}:
+            os.close(fd)
+        _run(lambda t, p: pickle.dumps(fn(t, p), pickle.HIGHEST_PROTOCOL),
+             payload, transport, failure[1], results, failures)
+        _flush_std()
+        _write_frame(report[1], pickle.dumps(
+            (failures, results.get(transport.rank))))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(reports, pids, threads, results, failures, failure_w, timeout):
+    """Wait for the thread ranks, and take the forked ranks' reports as
+    they come, naming a rank whose report pipe ends without one."""
+    for t in threads:
+        t.join(timeout + 10.0)
+    waiting = {fd: rank for rank, (fd, _) in reports.items()}
+    poll = select.poll()
+    for fd in waiting:
+        poll.register(fd, select.POLLIN)
+    while waiting and (ready := poll.poll((timeout + 10.0) * 1e3)):
+        for fd, _ in ready:
+            rank = waiting.pop(fd)
+            poll.unregister(fd)
+            data = _read_frame(fd)
+            if data is not None:
+                failed, result = pickle.loads(data)
+                failures.extend(failed)
+                results[rank] = result and pickle.loads(result)
                 continue
-        else:
-            if error is None:
-                waiting.discard(rank)
-                results[rank] = pickle.loads(result) if forked else result
-                deadline = time.monotonic() + timeout + 10.0
-                continue
-            error = f"worker {rank} failed: {error}"
-        failed.append(error)
-        failure.set()
-        _close_ends(pipes)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(rank), 0)[1])
+            failures.append((time.monotonic(), f"worker {rank} exited with "
+                             f"code {code} without a report", False))
+            os.write(failure_w, b"!")
+    if waiting or any(t.is_alive() for t in threads):
+        failures.append(
+            (time.monotonic(), "workers did not report back", False))
 
 
 def run_spmd(n_workers, fn, payload, backend="thread",
              timeout=DEFAULT_TIMEOUT):
     """Run fn(transport, payload) on n_workers ranks, rank 0 in the
     calling thread; returns the per-rank results, rank 0's as fn returned
-    it, raising the first worker failure as a TransportError.  On the
-    process backend fn, payload and the results of ranks 1.. must be
-    picklable."""
+    it, raising the earliest worker failure that no peer's failure caused
+    as a TransportError.  On the process backend fn, payload and the
+    results of ranks 1.. must be picklable."""
     if backend not in TRANSPORTS:
         raise ValueError(f"unknown backend {backend!r}; use one of {TRANSPORTS}")
     if n_workers == 1:
@@ -268,42 +305,46 @@ def run_spmd(n_workers, fn, payload, backend="thread",
     forked = backend == "process"
     if forked:
         pickle.dumps(payload)  # fail fast with a clear origin
-        ctx = multiprocessing.get_context("fork")
-        Queue, Event, Worker = ctx.Queue, ctx.Event, ctx.Process
-    else:
-        Queue, Event, Worker = queue.Queue, threading.Event, threading.Thread
-    pipes = {(src, dst): multiprocessing.Pipe(duplex=False)
-             for src in range(n_workers) for dst in range(n_workers)
-             if src != dst}
-    failure, reports = Event(), Queue()
-    workers = {w: Worker(target=_worker, daemon=True,
-                         args=(w, n_workers, fn, payload, pipes, failure,
-                               reports, timeout, forked))
-               for w in range(1, n_workers)}
-    for w in workers.values():
-        w.start()
-    if forked:
-        _close_ends(pipes, keep=0)
-    results, failed = [None] * n_workers, []
-    monitor = threading.Thread(target=_monitor, daemon=True, args=(
-        workers, forked, reports, results, failed, failure, pipes, timeout))
-    monitor.start()
+        _flush_std()  # or each child flushes the caller's buffers again
+    pipes = {(src, dst): os.pipe() for src in range(n_workers)
+             for dst in range(n_workers) if src != dst}
+    failure, live = os.pipe(), os.pipe() if forked else ()
+    reports = {r: os.pipe() for r in range(1, n_workers)} if forked else {}
+    held = {*chain(*pipes.values(), *reports.values()), *failure, *live}
+    results, failures, pids, threads = [None] * n_workers, [], {}, []
     try:
-        try:
-            results[0] = fn(_PipeTransport(0, n_workers, pipes, failure,
-                                           timeout), payload)
-        except Exception as e:  # behind any failure the monitor took
-            failed.append(f"worker 0 failed: {type(e).__name__}: {e}")
-            failure.set()
-        monitor.join()
-    finally:
-        failure.set()
-        monitor.join()
-        _close_ends(pipes)
-        for w in workers.values():
-            w.join(timeout=5.0)
-            if w.is_alive() and forked:
-                w.terminate()
-    if failed:
-        raise TransportError(failed[0])
+        for rank in range(1, n_workers):
+            transport = _PipeTransport(rank, n_workers, pipes,
+                                       (failure[0], *live[:1]), timeout)
+            if forked:
+                pids[rank] = os.fork()
+                if pids[rank] == 0:
+                    _forked_rank(fn, payload, transport, held, failure,
+                                 live, reports[rank])
+                continue
+            threads.append(threading.Thread(target=_run, daemon=True, args=(
+                fn, payload, transport, failure[1], results, failures)))
+            threads[-1].start()
+            held -= transport.fds
+        transport = _PipeTransport(0, n_workers, pipes, failure[:1], timeout)
+        held -= transport.fds  # closed as rank 0's fn ends
+        if forked:  # the workers' ends are theirs now
+            keep = {*failure, live[1], *(fd for fd, _ in reports.values())}
+            for fd in held - keep:
+                os.close(fd)
+            held = keep
+        _run(fn, payload, transport, failure[1], results, failures, Exception)
+        _collect(reports, pids, threads, results, failures, failure[1],
+                 timeout)
+    finally:  # stop whatever still runs
+        os.write(failure[1], b"!")
+        for t in threads:
+            t.join(5.0)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in held:
+            os.close(fd)
+    if failures:  # the earliest that no peer's failure caused
+        raise TransportError(min(failures, key=lambda f: (f[2], f[0]))[1])
     return results

@@ -1,13 +1,16 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pintmg
 from pintmg.errors import TransportError
 from pintmg.mgrit import MgritSolver
 from pintmg.runtime import (
@@ -288,8 +291,9 @@ def _silent_death_probe(transport, payload):
 
 def test_a_worker_that_dies_without_a_report_is_named_at_once():
     # at the default 120 s timeout rank 0 blocked in recv would wait it
-    # out; the monitor names the dead worker after one poll instead.  The
-    # exit is on rank 1: rank 0 runs in the caller, pytest itself
+    # out; its pipe's end fails rank 0 at once, and the caller names the
+    # dead worker from waitpid when its report pipe ends without a report.
+    # The exit is on rank 1: rank 0 runs in the caller, pytest itself
     t0 = time.perf_counter()
     with pytest.raises(TransportError, match="^worker 1 exited with code 3 "
                                              "without a report$"):
@@ -305,13 +309,96 @@ def _killed_probe(transport, payload):
 
 
 def test_a_worker_killed_while_the_caller_waits_in_recv_is_named():
-    # the caller sees the pipe close at once; its own "a peer failed"
-    # waits for the monitor's poll and must not mask the dead worker
+    # the caller sees the pipe close at once; its own "a peer failed" is
+    # secondary and must not mask the dead worker
     t0 = time.perf_counter()
     with pytest.raises(TransportError, match="^worker 1 exited with code -9 "
                                              "without a report$"):
         run_spmd(2, _killed_probe, None, backend="process")
     assert time.perf_counter() - t0 < 1.3
+
+
+def _cause_and_death_probe(transport, payload):
+    if transport.rank == 2:
+        raise RuntimeError("cause")
+    if transport.rank == 1:
+        try:
+            transport.recv(2)
+        except TransportError:  # rank 2 has failed: die without a report
+            os._exit(4)
+    return transport.recv(1)
+
+
+def test_the_cause_is_named_beside_a_worker_that_died_after_it():
+    # rank 1 dies, unreported, only once rank 2 has failed, and rank 0
+    # fails on rank 1's end: the cause is raised, never "a peer failed"
+    # nor rank 1's death
+    for _ in range(10):
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError) as err:
+            run_spmd(3, _cause_and_death_probe, None, backend="process",
+                     timeout=30.0)
+        assert str(err.value) == "worker 2 failed: RuntimeError: cause"
+        assert time.perf_counter() - t0 < 2.5
+
+
+ORPHAN = """
+import os, sys, time
+from pintmg.runtime import run_spmd
+
+def fn(transport, path):
+    if transport.rank == 1:
+        with open(path + ".part", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(path + ".part", path)
+        return transport.recv(0)  # rank 0 never sends
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(3)  # the caller dies, its worker blocked in recv
+
+run_spmd(2, fn, sys.argv[1], backend="process", timeout=20.0)
+"""
+
+
+def _gone(pid):
+    """Whether pid has exited (a zombie not yet reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def test_workers_stop_when_their_caller_dies(tmp_path):
+    # rank 0 runs in the caller, so its os._exit kills the caller; rank 1
+    # must stop at once rather than wait out its 20 s recv timeout
+    pid_file = tmp_path / "rank1.pid"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(pintmg.__file__).parents[1]),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    with open(tmp_path / "stderr", "w") as err:
+        caller = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN, str(pid_file)], env=env,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=err)
+        assert caller.wait(timeout=30) == 3, (
+            tmp_path / "stderr").read_text()
+    died = time.monotonic()
+    pid = int(pid_file.read_text())
+    while not _gone(pid) and time.monotonic() - died < 1.0:
+        time.sleep(0.01)
+    assert _gone(pid), "rank 1 outlived its caller by more than 1 s"
+
+
+def _thread_count_probe(transport, payload):
+    return threading.active_count()
+
+
+def test_a_process_run_starts_no_helper_thread():
+    before = threading.active_count()
+    counts = run_spmd(2, _thread_count_probe, None, backend="process")
+    assert counts[0] == before
+    assert threading.active_count() == before
 
 
 def _whereabouts_probe(transport, payload):

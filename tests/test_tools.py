@@ -23,8 +23,9 @@ def test_bench_layers_prints_every_row_for_this_tree():
                      if line.startswith(f"{name:12s} {row:18s} src ")]
             assert len(found) == 1, (name, row)
             assert "n/a" not in found[0]
-    start = [line for line in lines
-             if line.startswith(f"{'run_spmd':12s} {'L3 start ms r0/r1':18s} "
-                                "src ")]
-    assert len(start) == 1
-    assert all(float(ms) > 0 for ms in start[0].split()[-1].split("/"))
+    for row in ("L3 start ms r0/r1", "L3 msg us row/MiB"):
+        found = [line for line in lines
+                 if line.startswith(f"{'run_spmd':12s} {row:18s} src ")]
+        assert len(found) == 1, row
+        values = found[0].split()[-1].split("/")
+        assert len(values) == 2 and all(float(v) > 0 for v in values), row

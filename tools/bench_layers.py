@@ -41,7 +41,12 @@ measures, as thread CPU time:
 Before the workloads, one L3 row, ``run_spmd  L3 start ms r0/r1``,
 gives the wall milliseconds from the call of ``run_spmd`` at p = 2 on
 the process transport to each rank's entry into its ``fn``, rank 0
-then rank 1: the median over rounds of each.
+then rank 1: the median over rounds of each.  A second L3 row,
+``run_spmd  L3 msg us row/MiB``, gives the round trip in microseconds,
+between the two ranks of a p = 2 run on the process transport, of a
+one-row message (ROW doubles, a fine row of ``lin-sc-p2``) and of a
+1 MiB one: per round, rank 0's median of PINGS round trips after one
+untimed, and printed, the median over rounds of each.
 
 The problems take the random source profile drawn with SEED.  A row
 that reads an attribute a tree lacks (``_Level.t`` before the levels kept
@@ -73,6 +78,8 @@ from workloads import PWM, T_FINAL, TOLERANCE, WORKLOADS  # noqa: E402
 STEPS = 512  # sequential steps timed per L0 measurement
 SEED = 7  # of the random source profile
 DAMPED = (1.0, 10.0) * 18  # amplitudes of the damped stack's rows
+ROW, MIB = 127, 1 << 17  # doubles in a one-row and in a 1 MiB message
+PINGS = 20  # timed round trips per message size and round
 
 
 def load_tree(src, name):
@@ -191,6 +198,29 @@ def start_ms(pm):
     return pm.run_spmd(2, _entered, time.perf_counter(), backend="process")
 
 
+def _ping(transport, sizes):
+    """run_spmd's fn: on rank 0, the median microseconds of a round trip
+    of an array of each size, which rank 1 sends straight back."""
+    medians = []
+    for size in sizes:
+        msg, times = np.zeros(size), []
+        for _ in range(PINGS + 1):
+            if transport.rank:
+                transport.send(0, transport.recv(0))
+                continue
+            t0 = time.perf_counter()
+            transport.send(1, msg)
+            transport.recv(1)
+            times.append((time.perf_counter() - t0) * 1e6)
+        medians.append(statistics.median(times[1:]) if times else None)
+    return medians
+
+
+def message_us(pm):
+    """Rank 0's round trip microseconds, one row and 1 MiB, at p = 2."""
+    return pm.run_spmd(2, _ping, (ROW, MIB), backend="process")[0]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("trees", nargs="+", metavar="[LABEL=]SRC",
@@ -203,14 +233,17 @@ def main(argv=None):
                 for i, src in enumerate(srcs)]
     print(f"# {args.rounds} rounds, thread CPU time, seed {SEED}; "
           "ratios are per-round times over the first tree's")
-    starts = [[] for _ in packages]
+    starts, messages = [[] for _ in packages], [[] for _ in packages]
     for r in range(args.rounds):
         for i in _order(r, len(packages)):
             starts[i].append(start_ms(packages[i]))
-    cells = ["{} {:.2f}/{:.2f}".format(label, *map(statistics.median,
-                                                    zip(*ms)))
-             for label, ms in zip(labels, starts)]
-    print(f"{'run_spmd':12s} {'L3 start ms r0/r1':18s} " + "  ".join(cells))
+            messages[i].append(message_us(packages[i]))
+    for row, per_tree, fmt in (("L3 start ms r0/r1", starts, "{:.2f}"),
+                               ("L3 msg us row/MiB", messages, "{:.1f}")):
+        cells = [f"{label} " + "/".join(fmt.format(statistics.median(v))
+                                        for v in zip(*values))
+                 for label, values in zip(labels, per_tree)]
+        print(f"{'run_spmd':12s} {row:18s} " + "  ".join(cells))
     for name, w in WORKLOADS.items():
         layers = [Layers(pm, w) for pm in packages]
         for label, measure in (("L1 sweep us/point", Layers.sweep_us),
