@@ -29,25 +29,27 @@ never needs a slot: on every level the iterate there equals the
 restricted initial value, which the problem hands out per grid.
 StorageReport counts exactly these workspace rows, read off the stores'
 lengths; running states inside a walk, Newton temporaries, the C-updates
-and walked states a measuring sweep holds back and the transient buffers
-of a rank-0 gather are not persistent and are not charged, mirroring how
-the serial baseline is charged a single running state.  The coarsest
+and walked states a measuring sweep holds back and the rows routed to
+rank 0 are not persistent and are not charged, mirroring how the serial
+baseline is charged a single running state.  The coarsest
 level's own C-store is allocated, because the model counts every level's
 C-points, but on two or more levels nothing reads it.  Nested
 iterations need no storage or mode of their own: the kept slots start at
 zero, so the coarsest solve's error v - kept is v itself.
 
-Rank 0 gathers a level's rows in point order for the coarsest solve
-(_tail steps the anchor on through the gathered right-hand side, owned
-ranges are scattered back; on a 1-level hierarchy it is the answer) and
-for the fine trajectory; so _step is the only way to the problem.
-Restriction and ascent move row blocks: the spatial transfers are the
-problem's row functions on a level's rows, and _route sends each peer
-one block of consecutive points, read off the two levels' per-rank lists
-of owned points and closing C-points (runtime.Decomposition).
+Rows move between ranks only by runtime.route, which sends each peer one
+block of consecutive points, read off per-rank [start, stop) ranges.
+The coarsest solve routes the right-hand side, if the level has one, to
+rank 0, where _tail steps the anchor on through it, so _step is the only
+way to the problem, and routes the rows back to their owners (on a
+1-level hierarchy they are the answer).  The fine trajectory is routed
+to rank 0 whole.  Restriction and ascent route row blocks between the two
+levels' per-rank lists of owned points and closing C-points
+(runtime.Decomposition), and the spatial transfers are the problem's row
+functions on a level's rows.
 Residual squares and losses are stacked dots over the rows, and the
 norm and the loss change are reduced over the ranks together, in one
-allreduce per measuring sweep; the first one carries the C-updates' own
+reduce_norm per measuring sweep; the first one carries the C-updates' own
 squares too, for the loose bar.
 
 The fine residual lives only at C-points, and the next cycle's first
@@ -80,7 +82,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -88,8 +89,7 @@ import numpy as np
 
 from .errors import NewtonConvergenceError, NonFiniteError
 from .problems import batched_step, joule_loss
-from .runtime import (Decomposition, NullTransport, gather_to_root,
-                      reduce_norm, scatter_from_root)
+from .runtime import Decomposition, NullTransport, reduce_norm, route
 from .spatial import assign_spatial_levels
 from .state import SpaceTimeVector
 
@@ -195,6 +195,9 @@ class SolverRun:
     iterations: int = 0
     residual_norms: list = field(default_factory=list)
     qoi_changes: list = field(default_factory=list)
+    # per residual norm, the Newton tolerance of the sweep that measured
+    # it: LOOSE_TOL, or None for newton.tol
+    newton_tols: list = field(default_factory=list)
     iteration_seconds: list = field(default_factory=list)
     initial_residual: float = 0.0
     setup_seconds: float = 0.0
@@ -335,35 +338,6 @@ class MgritSolver:
         return StorageReport(per_level=counts, total=sum(counts),
                              estimate=est)
 
-    # --- communication helpers ---
-
-    def _route(self, rows, sent, received):
-        """Move rows between levels: rank w holds the rows of the points
-        sent[w] and gets back those of received[w], [start, stop) ranges.
-        A peer's block goes in one message.  Sends and receives run in
-        ascending start point, one order for both ends of a message, so no
-        two ranks block writing to each other (see the runtime module)."""
-        rank, moves = self.transport.rank, []
-        (lo, hi), (in_lo, in_hi) = sent[rank], received[rank]
-        out = np.empty((in_hi - in_lo, *rows.shape[1:]))
-        for w, ((s_lo, s_hi), (r_lo, r_hi)) in enumerate(zip(sent, received)):
-            a, b = max(lo, r_lo), min(hi, r_hi)  # from here to w
-            if a < b:
-                moves.append((a, w, rows[a - lo:b - lo]))
-            a, b = max(in_lo, s_lo), min(in_hi, s_hi)  # from w to here
-            if a < b and w != rank:
-                moves.append((a, w, None))
-        for a, peer, block in sorted(moves, key=operator.itemgetter(0)):
-            if block is not None and peer != rank:
-                self.transport.send(peer, (a, block))
-                continue
-            if block is None:
-                start, block = self.transport.recv(peer)
-                if start != a:
-                    raise RuntimeError(f"route order broke: {start} != {a}")
-            out[a - in_lo:a - in_lo + len(block)] = block
-        return out
-
     # --- sweeps ---
 
     def _step(self, lvl, rows, first, stride=1, guess=None):
@@ -430,7 +404,8 @@ class MgritSolver:
     def _tail(self, lvl, walked, stop=None, rhs=None):
         """walked (from the left boundary on) stepped on to ``stop`` (the
         owned end) one point at a time, the engine's only such loop,
-        adding ``rhs`` (rows from own_lo on; default the level's own)."""
+        adding ``rhs`` (rows from own_lo on; default the level's own);
+        walked itself when there is nothing to step."""
         rhs = lvl.rhs if rhs is None and lvl.use_rhs else rhs
         rows = [walked]
         for i in range(lvl.left_index + len(walked), stop or lvl.own_hi):
@@ -438,7 +413,7 @@ class MgritSolver:
             if rhs is not None:
                 u += rhs[i - lvl.own_lo]
             rows.append(u)
-        return np.concatenate(rows)
+        return np.concatenate(rows) if len(rows) > 1 else walked
 
     @_charged
     def _fc_sweep(self, lvl):
@@ -516,35 +491,37 @@ class MgritSolver:
         rhs = kept - self._step(nxt, np.concatenate((left, kept))[:len(kept)],
                                 lvl.closing[self.transport.rank][0])
         rhs += restrict(res)
-        got = self._route(np.stack((kept, rhs), axis=1), lvl.closing,
-                          nxt.owned)
+        got = route(self.transport, np.stack((kept, rhs), axis=1),
+                    lvl.closing, nxt.owned)
         nxt.u_keep[:], nxt.rhs[:] = got[:, 0], got[:, 1]
         nxt.use_rhs = True
         nxt.c_store[:] = nxt.u_keep[nxt.c_rows]  # coarse seed
 
     @_charged
     def _coarsest_solve(self, lvl, prev_losses=None):
-        """Gather the right-hand side, step the anchor through the level
-        with it on rank 0, scatter the owned ranges of those rows v.  On a
-        coarse level the kept slots then hold v - kept (the error), which
-        is v itself during nested iterations: _initialize_guess zeroes the
-        kept slots, and v - 0.0 is v bit for bit.  On the fine level (a
-        1-level hierarchy) v is the answer: this returns _measure's tuple
-        with v (rank 0) for the held sweep, residual 0 by construction,
-        losses from the scattered v."""
-        parts = gather_to_root(self.transport,
-                               lvl.rhs if lvl.use_rhs else None)
-        v = chunks = None
-        if parts is not None:
-            v = self._tail(lvl, lvl.anchor[None], len(lvl.t),
-                           np.concatenate(parts) if lvl.use_rhs else None)
-            chunks = [v[slice(*owned)] for owned in lvl.owned]
-        mine = scatter_from_root(self.transport, chunks)
+        """Route the right-hand side (if the level has one) to rank 0,
+        which holds points 1 .. n - 1, step the anchor through the level
+        with it there, and route those rows v back to the owned ranges.
+        On a coarse level the kept slots then hold v - kept (the error),
+        which is v itself during nested iterations: _initialize_guess
+        zeroes the kept slots, and v - 0.0 is v bit for bit.  On the fine
+        level (a 1-level hierarchy) v is the answer: this returns
+        _measure's tuple with v (rank 0; None elsewhere) for the held
+        sweep, residual 0 by construction, losses from the routed v."""
+        n, root = len(lvl.t), self.transport.rank == 0
+        to_root = [(1, n)] + [(0, 0)] * (self.transport.size - 1)
+        rhs = (route(self.transport, lvl.rhs, lvl.owned, to_root)
+               if lvl.use_rhs else None)
+        v = lvl.anchor[None]  # elsewhere v[1:] is no rows, of the width
+        if root:
+            v = self._tail(lvl, v, n, rhs)
+        mine = route(self.transport, v[1:], to_root, lvl.owned)
         if lvl.index == 0:
             end = len(lvl.c_idx) * lvl.m  # mine[c - own_lo] for c in c_idx
             losses = self._losses(mine[lvl.m - 2:end:lvl.m],
                                   mine[lvl.m - 1:end:lvl.m])
-            return (*self._reduce([], losses, prev_losses), losses, v)
+            return (*self._reduce([], losses, prev_losses), losses,
+                    v if root else None)
         lvl.u_keep[:] = mine - lvl.u_keep
 
     @_charged
@@ -561,9 +538,10 @@ class MgritSolver:
         if coarse.index < self.n_levels - 1:
             walked = self._walk(coarse)[0][1:]
             values = walked if inject else walked - coarse.u_keep
-        got = self._route(self._transfer(self.problem.spatial.prolong_fields,
-                                         coarse, fine, values),
-                          coarse.owned, fine.closing)
+        got = route(self.transport,
+                    self._transfer(self.problem.spatial.prolong_fields,
+                                   coarse, fine, values),
+                    coarse.owned, fine.closing)
         fine.c_store[:] = got if inject else fine.c_store + got
 
     # --- cycles ---
@@ -663,6 +641,7 @@ class MgritSolver:
                 run.iterations = it
                 run.residual_norms.append(norm)
                 run.qoi_changes.append(change)
+                run.newton_tols.append(self._tol)
                 run.iteration_seconds.append(time.perf_counter() - t_solve)
                 if self.n_levels == 1 or self._stops(norm, change):
                     run.converged = True
@@ -702,13 +681,16 @@ class MgritSolver:
         return value < self.stopping.tolerance
 
     def _materialize(self, walked):
-        """Step the F-tail on from the last measuring walk and gather the
-        trajectory's rows on rank 0 (None elsewhere), a copy that shares
-        no memory with the solver's."""
-        lvl = self.levels[0]
-        parts = gather_to_root(self.transport, self._tail(lvl, walked)[1:])
-        return None if parts is None else np.concatenate(
-            [lvl.anchor[None], *parts])
+        """Step the F-tail on from the last measuring walk and route the
+        trajectory's rows to rank 0 (None elsewhere), which gets them in
+        a new array: rank 0 sends its rows from the anchor on, every other
+        rank its owned range."""
+        lvl, rank = self.levels[0], self.transport.rank
+        sent = [(0, lvl.owned[0][1]), *lvl.owned[1:]]
+        rows = self._tail(lvl, walked)
+        got = route(self.transport, rows if rank == 0 else rows[1:], sent,
+                    [(0, len(lvl.t))] + [(0, 0)] * (self.transport.size - 1))
+        return got if rank == 0 else None
 
 
 def mgrit_solve(problem, hierarchy, cycle=None, stopping=None, transport=None,

@@ -34,15 +34,17 @@ stops at its next send or recv, waiting at most the timeout in a recv.
 A pipe write blocks once 64 KiB wait unread, so every message pattern
 reads within itself all it writes and finishes even if each write waits
 for its reader.  A walk's boundary exchange writes only rightward, so
-the writers unwind from the last active rank.  A route between levels
-(MgritSolver._route) sends each peer one block of consecutive points,
-the writes and reads in ascending first point, one order both ends of
-every message follow (a point has one sender and one receiver); writing
-all before reading could deadlock from p = 5 (a writes to b, b to c, c
-waits for a), although no pair sends both ways.  Gather and scatter only
-write to or only read from rank 0, which takes the ranks in order;
-allreduce is one gather and one scatter, and reduce_norm carries all a
-measuring sweep reduces in a single one.
+the writers unwind from the last active rank.  Every other exchange is
+route or reduce_norm.  A route moves rows of points between per-rank
+ranges (between levels, and to and from rank 0 for the coarsest solve
+and the answer): it sends each peer one block of consecutive points, the
+writes and reads in ascending first point, one order both ends of every
+message follow (a point has one sender and one receiver); writing all
+before reading could deadlock from p = 5 (a writes to b, b to c, c waits
+for a), although no pair sends both ways.  A rank with nothing to send
+or take makes no send or recv.  reduce_norm carries all a measuring
+sweep reduces: each other rank writes its part to rank 0 and reads the
+result, and rank 0 reads the parts in rank order before it writes.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ import sys
 import threading
 import time
 from itertools import accumulate, chain
+
+import numpy as np
 
 from .errors import TransportError
 
@@ -176,50 +180,55 @@ class _PipeTransport:
         return pickle.loads(data)
 
 
-# --- collectives ----------------------------------------------------------------
+# --- route and reduce_norm ---------------------------------------------------------
 
-def gather_to_root(transport, payload):
-    """Rank-ordered gather; returns the list on rank 0, None elsewhere."""
-    if transport.rank:
-        transport.send(0, payload)
-        return None
-    return [payload, *(transport.recv(s) for s in range(1, transport.size))]
-
-
-def scatter_from_root(transport, items):
-    """Inverse of gather: rank 0 deals items[w] to each rank w."""
-    if transport.rank:
-        return transport.recv(0)
-    if len(items) != transport.size:
-        raise TransportError(
-            f"scatter needs {transport.size} items, got {len(items)}")
-    for dst in range(1, transport.size):
-        transport.send(dst, items[dst])
-    return items[0]
-
-
-def allreduce(transport, value, fold):
-    """fold(the values in rank order) on rank 0, shared with every rank."""
-    parts = gather_to_root(transport, value)
-    return scatter_from_root(
-        transport, None if parts is None else [fold(parts)] * transport.size)
+def route(transport, rows, sent, received):
+    """Move rows between ranks: rank w holds the rows of the points
+    sent[w] and gets back those of received[w], [start, stop) ranges.
+    A peer's block goes in one message.  Sends and receives run in
+    ascending start point, one order for both ends of a message, so no
+    two ranks block writing to each other (see the module doc)."""
+    rank, moves = transport.rank, []
+    (lo, hi), (in_lo, in_hi) = sent[rank], received[rank]
+    out = np.empty((in_hi - in_lo, *rows.shape[1:]))
+    for w, ((s_lo, s_hi), (r_lo, r_hi)) in enumerate(zip(sent, received)):
+        a, b = max(lo, r_lo), min(hi, r_hi)  # from here to w
+        if a < b:
+            moves.append((a, w, rows[a - lo:b - lo]))
+        a, b = max(in_lo, s_lo), min(in_hi, s_hi)  # from w to here
+        if a < b and w != rank:
+            moves.append((a, w, None))
+    for a, peer, block in sorted(moves, key=operator.itemgetter(0)):
+        if block is not None and peer != rank:
+            transport.send(peer, (a, block))
+            continue
+        if block is None:
+            start, block = transport.recv(peer)
+            if start != a:
+                raise RuntimeError(f"route order broke: {start} != {a}")
+        out[a - in_lo:a - in_lo + len(block)] = block
+    return out
 
 
 def reduce_norm(transport, squares, value=None, *more):
-    """(norm, top, *norms) from one allreduce: the root of every rank's
-    squares added one by one from 0.0 in rank order, as one worker adds
-    them (sum() would compensate on 3.12+), the max of every rank's value
-    (None without), a NaN from any rank winning, and the norm of each
-    further list of squares, added alike."""
-    def fold(parts):
-        lists, values = zip(*parts)
-        norm, *norms = (
-            functools.reduce(operator.add, chain(*terms), 0.0) ** 0.5
-            for terms in zip(*lists))
-        return (norm, None if value is None else functools.reduce(
-            lambda a, b: b if b > a or b != b else a, values), *norms)
-    return allreduce(transport, ([[float(s) for s in q]
-                                  for q in (squares, *more)], value), fold)
+    """(norm, top, *norms) on every rank, reduced on rank 0: the root of
+    every rank's squares added one by one from 0.0 in rank order, as one
+    worker adds them (sum() would compensate on 3.12+), the max of every
+    rank's value (None without), a NaN from any rank winning, and the
+    norm of each further list of squares, added alike."""
+    part = ([[float(s) for s in q] for q in (squares, *more)], value)
+    if transport.rank:
+        transport.send(0, part)
+        return transport.recv(0)
+    lists, values = zip(part, *(transport.recv(s)
+                                for s in range(1, transport.size)))
+    norm, *norms = (functools.reduce(operator.add, chain(*terms), 0.0) ** 0.5
+                    for terms in zip(*lists))
+    out = (norm, None if value is None else functools.reduce(
+        lambda a, b: b if b > a or b != b else a, values), *norms)
+    for dst in range(1, transport.size):
+        transport.send(dst, out)
+    return out
 
 
 # --- SPMD driver ------------------------------------------------------------------

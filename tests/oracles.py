@@ -4,9 +4,9 @@ Relaxation and the two-grid cycle are stated here on materialized
 space-time vectors, one row (field, then scalars) per point, in the
 plainest possible form; the distributed engine in ``pintmg.mgrit`` is
 cross-checked against them, and against the Parareal iteration.  The
-vector comparison and the broadcast collective are only ever needed by
-tests as well.  The unfused damped-Newton step is the reference the
-package's nonlinear and machine steps must equal bit for bit.
+vector comparison is only ever needed by tests as well.  The unfused
+damped-Newton step is the reference the package's nonlinear and machine
+steps must equal bit for bit.
 """
 
 import copy
@@ -38,16 +38,6 @@ def max_abs_diff(u, v):
     if len(u) != len(v):
         raise ValueError(f"lengths differ: {len(u)} vs {len(v)}")
     return float(np.max(np.abs(_rows(u) - _rows(v))))
-
-
-def broadcast_from_root(transport, payload=None):
-    if transport.size == 1:
-        return payload
-    if transport.rank == 0:
-        for dst in range(1, transport.size):
-            transport.send(dst, payload)
-        return payload
-    return transport.recv(0)
 
 
 # --- relaxation and the two-grid cycle ----------------------------------------------

@@ -24,7 +24,7 @@ from pintmg.excitation import PwmSource
 from pintmg.mgrit import CycleSpec, MgritSolver, StoppingCriterion
 from pintmg.problems import (LinearDiffusionProblem, SurrogateMachineProblem,
                              sequential_solve)
-from pintmg import runtime
+from pintmg import mgrit
 from pintmg.runtime import run_spmd
 from pintmg.state import BlockState
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
@@ -467,37 +467,41 @@ def _machine_worker(transport, _):
 
 
 class _CountingTransport:
-    """A transport that counts the messages its rank sends."""
+    """A transport that counts the messages its rank sends and takes."""
 
     def __init__(self, inner):
-        self.rank, self.size, self.recv = inner.rank, inner.size, inner.recv
-        self._send, self.sent = inner.send, 0
+        self.rank, self.size, self._inner = inner.rank, inner.size, inner
+        self.sent = self.got = 0
 
     def send(self, dst, payload):
         self.sent += 1
-        self._send(dst, payload)
+        self._inner.send(dst, payload)
+
+    def recv(self, src):
+        self.got += 1
+        return self._inner.recv(src)
 
 
-def _reduce_counting_worker(transport, allreduces):
-    """Solve, recording per fine residual reduction the allreduce calls
+def _reduce_counting_worker(transport, reductions):
+    """Solve, recording per fine residual reduction the reduce_norm calls
     this rank made and the messages it sent, then the whole solve's
-    allreduce calls and, from the first reduction, this rank's squares of
-    the C-updates and their reduced norm."""
+    reduce_norm calls and, from the first reduction, this rank's squares
+    of the C-updates and their reduced norm."""
     counting = _CountingTransport(transport)
     solver = _machine_solver(counting)
     reduced, sized, reduce = [], [], solver._reduce
 
     def reducing(squares, losses, prev_losses, *more):
-        calls, sent = allreduces[transport.rank], counting.sent
+        calls, sent = reductions[transport.rank], counting.sent
         out = reduce(squares, losses, prev_losses, *more)
-        reduced.append((allreduces[transport.rank] - calls,
+        reduced.append((reductions[transport.rank] - calls,
                         counting.sent - sent))
         sized.extend((list(q), norm) for q, norm in zip(more, out[2:]))
         return out
 
     solver._reduce = reducing
     run, _ = solver.solve()
-    return run, reduced, allreduces[transport.rank], sized
+    return run, reduced, reductions[transport.rank], sized
 
 
 # the machine solve's figures while the norm and the loss change took a
@@ -511,14 +515,14 @@ TWO_REDUCTIONS = (
 
 
 def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
-    allreduce, allreduces = runtime.allreduce, {0: 0, 1: 0}
+    reduce_norm, reductions = mgrit.reduce_norm, {0: 0, 1: 0}
 
-    def counting(transport, value, fold):
-        allreduces[transport.rank] += 1
-        return allreduce(transport, value, fold)
+    def counting(transport, *args):
+        reductions[transport.rank] += 1
+        return reduce_norm(transport, *args)
 
-    monkeypatch.setattr(runtime, "allreduce", counting)
-    results = run_spmd(2, _reduce_counting_worker, allreduces,
+    monkeypatch.setattr(mgrit, "reduce_norm", counting)
+    results = run_spmd(2, _reduce_counting_worker, reductions,
                        backend="thread")
     for run, reduced, total, sized in results:
         # every measuring sweep reduces once; at p = 2 each rank sends
@@ -538,6 +542,50 @@ def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
     assert norm == norm_1 == functools.reduce(
         operator.add, first + second, 0.0) ** 0.5
 
+
+
+def _coarsest_counting_worker(transport, job):
+    """Solve, recording per coarsest solve whether the level had a
+    right-hand side and the messages this rank sent and took in it."""
+    n_steps, factors = job
+    counting = _CountingTransport(transport)
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               factors)
+    solver = MgritSolver(_problem(), hier, CycleSpec(nested_iterations=True),
+                         StoppingCriterion(tolerance=1e-9), counting)
+    calls, coarsest = [], solver._coarsest_solve
+
+    def counted(lvl, *args):
+        sent, got, use_rhs = counting.sent, counting.got, lvl.use_rhs
+        out = coarsest(lvl, *args)
+        calls.append((use_rhs, counting.sent - sent, counting.got - got))
+        return out
+
+    solver._coarsest_solve = counted
+    run, _ = solver.solve()
+    return run, solver.levels[-1].owned, calls
+
+
+def test_a_rank_without_coarsest_points_sits_out_the_coarsest_solve():
+    # mach-fsc-p2's shape: the coarsest level has 5 points in one
+    # C-interval, so rank 1 owns none of them
+    results = run_spmd(2, _coarsest_counting_worker, (512, [8, 4, 4]),
+                       backend="thread")
+    for run, owned, calls in results:
+        assert run.converged and owned == [(1, 5), (0, 0)]
+        assert [c[0] for c in calls] == [False] + [True] * (len(calls) - 1)
+    assert all(sent == got == 0 for _, sent, got in results[1][2])
+
+
+def test_a_nested_coarsest_solve_sends_nothing_to_rank_0():
+    # 64 steps, factor 4: the coarsest level's 4 intervals split 2 and 2;
+    # without a right-hand side only the rows come back from rank 0
+    (run, owned, calls), (_, _, calls_1) = run_spmd(
+        2, _coarsest_counting_worker, (64, [4]), backend="thread")
+    assert run.converged and owned == [(1, 9), (9, 17)]
+    assert calls[0] == (False, 1, 0) and calls_1[0] == (False, 0, 1)
+    assert set(calls[1:]) == {(True, 1, 1)}
+    assert set(calls_1[1:]) == {(True, 1, 1)}
 
 def _overwriting_worker(transport, _):
     """Solve, copy the answer, then overwrite the fine C-store and every

@@ -20,6 +20,7 @@ from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
                      parareal_iterates, two_level_cycle)
+from test_pins import _solve_worker as _pinned_solve
 
 
 def _flat_vector(problem, n_points, level=0):
@@ -612,6 +613,18 @@ def test_loose_steps_stop_near_the_stopping_tolerance():
     seq = sequential_solve(problem, build_uniform_grid(0.0, 0.02, 66).points)
     assert max_abs_diff(sol, seq) < 1e-7
 
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_the_history_names_each_norms_newton_tolerance(kind):
+    # the pins' solves: loose norms under-read, so the history says which
+    # sweeps ran loose, all of them before the tight ones
+    run, _ = run_spmd(1, _pinned_solve, kind)[0]
+    tols = run.newton_tols
+    assert len(tols) == len(run.residual_norms) == run.iterations
+    loose = tols.count(LOOSE_TOL)
+    assert tols == [LOOSE_TOL] * loose + [None] * (len(tols) - loose)
+    assert tols[-1] is None or not run.converged
+    assert bool(loose) == (kind == "nonlinear")
 
 @pytest.mark.parametrize("case", ["seeded", "one level"])
 def test_seeded_and_one_level_runs_stay_tight(case):

@@ -5,21 +5,16 @@ import sys
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pintmg
 from pintmg.errors import TransportError
-from pintmg.mgrit import MgritSolver
 from pintmg.runtime import (
-    Decomposition, NullTransport, gather_to_root, reduce_norm, run_spmd,
-    scatter_from_root,
+    Decomposition, NullTransport, reduce_norm, route, run_spmd,
 )
 from pintmg.state import BlockState
-
-from oracles import broadcast_from_root
 
 
 # --- decomposition -------------------------------------------------------------
@@ -181,26 +176,6 @@ def test_reduce_norm_keeps_a_nan_from_any_rank():
     for parts in ([0.5, float("nan")], [float("nan"), 0.5]):
         results = run_spmd(2, _max_probe, parts, backend="thread")
         assert all(r[0] == 2.0 ** 0.5 and r[1] != r[1] for r in results)
-
-
-
-def _gather_scatter_probe(transport, payload):
-    gathered = gather_to_root(transport, transport.rank + 0.5)
-    if transport.rank == 0:
-        items = [x * 2 for x in gathered]
-    else:
-        items = None
-    mine = scatter_from_root(transport, items)
-    tag = broadcast_from_root(transport, "done" if transport.rank == 0 else None)
-    return (gathered, mine, tag)
-
-
-def test_gather_scatter_broadcast_round_trip():
-    results = run_spmd(3, _gather_scatter_probe, None, backend="thread")
-    assert results[0][0] == [0.5, 1.5, 2.5]
-    assert results[1][0] is None
-    assert [r[1] for r in results] == [1.0, 3.0, 5.0]
-    assert all(r[2] == "done" for r in results)
 
 
 def _deadlock_probe(transport, payload):
@@ -442,15 +417,15 @@ def _ranges(points_of):
 
 
 def _route_probe(transport, payload):
-    """MgritSolver._route itself: rank w holds the rows of the points
-    owned[w] and takes the points that dest maps to w."""
+    """route itself: rank w holds the rows of the points owned[w] and
+    takes the points that dest maps to w."""
     owned, dest = payload
     sent = _ranges(owned)
     received = _ranges([[j for j in dest if dest[j] == w]
                         for w in range(transport.size)])
     lo, hi = sent[transport.rank]
-    got = MgritSolver._route(
-        SimpleNamespace(transport=transport),
+    got = route(
+        transport,
         np.array([_big(j) for j in range(lo, hi)]).reshape(hi - lo, BIG),
         sent, received)
     return {received[transport.rank][0] + q: (row.size, float(row[-1]))
@@ -462,20 +437,13 @@ def _route_case(p, shape):
         return [[1, 2], [3], []], {1: 1, 2: 2, 3: 2}
     owned = [[3 * w + 1, 3 * w + 2, 3 * w + 3] for w in range(p)]
     owner = {j: w for w, js in enumerate(owned) for j in js}
+    if shape == "gather":  # every rank's points go to rank 0
+        return owned, {j: 0 for j in owner}
+    if shape == "scatter":  # rank 0's points go to each rank
+        return [sorted(owner)] + [[]] * (p - 1), owner
     if shape == "right":  # each rank's last item goes right
         return owned, {j: owner[min(j + 1, 3 * p)] for j in owner}
     return owned, {j: owner[max(j - 1, 1)] for j in owner}  # first goes left
-
-
-def _gather_probe(transport, payload):
-    got = gather_to_root(transport, _big(transport.rank))
-    return None if got is None else [float(a[-1]) for a in got]
-
-
-def _scatter_probe(transport, payload):
-    items = ([_big(w) for w in range(transport.size)]
-             if transport.rank == 0 else None)
-    return float(scatter_from_root(transport, items)[-1])
 
 
 def _run_big(p, probe, payload, backend):
@@ -493,22 +461,14 @@ def test_large_boundary_exchange(p, backend):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("p,shape", [(2, "right"), (2, "left"), (3, "right"),
-                                     (3, "left"), (3, "triangle")])
+@pytest.mark.parametrize("p,shape", [
+    (2, "right"), (2, "left"), (2, "gather"), (2, "scatter"), (3, "right"),
+    (3, "left"), (3, "triangle"), (3, "gather"), (3, "scatter")])
 def test_large_route(p, shape, backend):
     owned, dest = _route_case(p, shape)
     results = _run_big(p, _route_probe, (owned, dest), backend)
     assert results == [{j: (BIG, float(j)) for j in dest if dest[j] == w}
                        for w in range(p)]
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("p", [2, 3])
-def test_large_gather_and_scatter(p, backend):
-    gathered = _run_big(p, _gather_probe, None, backend)
-    assert gathered == [[float(w) for w in range(p)]] + [None] * (p - 1)
-    assert _run_big(p, _scatter_probe, None, backend) == [
-        float(w) for w in range(p)]
 
 
 def _blocked_writer_probe(transport, payload):
