@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from .harness import (build_cycle, build_hierarchy, build_problem,
                       build_stopping)
 from .problems import SOURCES
-from .runtime import DEFAULT_TIMEOUT, TRANSPORTS
+from .runtime import DEFAULT_TIMEOUT
 from .spatial import STRATEGIES
 
 PROBLEM_KINDS = ("linear", "nonlinear", "machine", "dahlquist")
@@ -57,7 +57,6 @@ class ExperimentConfig:
     excitation_modulation: float = 0.8
     excitation_phase: int = 1
     excitation_ramp: bool = True
-    run_transport: str = "process"
     run_seed: int = 0
     run_timeout: float = DEFAULT_TIMEOUT
 
@@ -68,7 +67,6 @@ class ExperimentConfig:
         for key, value, choices in (
                 ("problem.kind", self.problem_kind, PROBLEM_KINDS),
                 ("problem.source", self.problem_source, SOURCES),
-                ("run.transport", self.run_transport, TRANSPORTS),
                 ("cycle.spatial_strategy", self.cycle_spatial_strategy,
                  STRATEGIES)):
             if value not in choices:

@@ -1,8 +1,8 @@
 """Experiment drivers: single runs, variant comparison, strong scaling.
 
 Each driver builds the problem and hierarchy from an ExperimentConfig,
-executes the solve (SPMD across the configured transport when more than
-one worker is planned), and writes fixed-schema CSV files:
+executes the solve (SPMD across forked workers when more than one is
+planned), and writes fixed-schema CSV files:
 
     iterations.csv   iteration,residual_norm,qoi_change,wall_time_s
     summary.csv      iterations,setup_s,solve_s,total_s,converged,storage_units
@@ -104,7 +104,6 @@ def execute(config):
     p = config.hierarchy_workers
     try:
         return run_spmd(p, _solver_worker, config,
-                        backend=config.run_transport,
                         timeout=config.run_timeout)[0]
     except (NewtonConvergenceError, TransportError) as e:
         return SolverRun(converged=False, n_workers=p, failure=str(e))

@@ -202,7 +202,7 @@ class SolverRun:
     initial_residual: float = 0.0
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
-    level_seconds: list = field(default_factory=list)  # compute, per level
+    level_seconds: list = field(default_factory=list)  # wall - wait, per level
     wait_seconds: list = field(default_factory=list)  # blocked in send or recv
     # per level, since the solver was built: step_many calls, rows stepped,
     # and layer iterates (each call's largest row iteration count, summed)

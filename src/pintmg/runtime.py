@@ -11,9 +11,8 @@ worker 0 owner of index 0 (the anchor) on every level; ranks beyond the
 interval count idle on that level.
 
 One driver, run_spmd, runs fn(transport, payload) on every rank: rank 0
-in the calling thread, ranks 1 .. p - 1 as threads ("thread", used by
-the test suite) or os.fork children ("process", for scaling runs), and
-no helper thread; a single worker runs on a NullTransport.  Each ordered
+in the calling thread and ranks 1 .. p - 1 as os.fork children, with no
+helper thread; a single worker runs on a NullTransport.  Each ordered
 rank pair has a one-way os.pipe carrying length-framed pickles (value
 semantics, FIFO per pair).  A failing rank stamps its failure on the
 monotonic clock and writes a byte to the failure pipe.  A recv polls its
@@ -57,7 +56,6 @@ import pickle
 import select
 import signal
 import sys
-import threading
 import time
 from itertools import accumulate, chain
 
@@ -66,7 +64,6 @@ import numpy as np
 from .errors import TransportError
 
 DEFAULT_TIMEOUT = 120.0
-TRANSPORTS = ("thread", "process")
 
 
 class Decomposition:
@@ -233,12 +230,11 @@ def reduce_norm(transport, squares, value=None, *more):
 
 # --- SPMD driver ------------------------------------------------------------------
 
-def _run(fn, payload, transport, failure_w, results, failures,
-         catch=BaseException):
-    """fn on transport's rank, its result into results or its failure,
-    (time, text, secondary), into failures; its pipe ends close after."""
+def _run(fn, payload, transport, failure_w, failures, catch=BaseException):
+    """fn's result on transport's rank, or None with its failure, (time,
+    text, secondary), in failures; its pipe ends close after."""
     try:
-        results[transport.rank] = fn(transport, payload)
+        return fn(transport, payload)
     except catch as e:
         failures.append((time.monotonic(), f"worker {transport.rank} failed: "
                          f"{type(e).__name__}: {e}",
@@ -258,25 +254,24 @@ def _flush_std():
 def _forked_rank(fn, payload, transport, held, failure, live, report):
     """A forked rank: close the fds in held not its own, run fn (pickling
     the result within, so an unpicklable one fails it), report, exit."""
-    code, results, failures = 1, {}, []
+    code, failures = 1, []
     try:
         for fd in held - transport.fds - {*failure, live[0], report[1]}:
             os.close(fd)
-        _run(lambda t, p: pickle.dumps(fn(t, p), pickle.HIGHEST_PROTOCOL),
-             payload, transport, failure[1], results, failures)
+        result = _run(lambda t, p: pickle.dumps(
+            fn(t, p), pickle.HIGHEST_PROTOCOL), payload, transport,
+            failure[1], failures)
         _flush_std()
-        _write_frame(report[1], pickle.dumps(
-            (failures, results.get(transport.rank))))
+        _write_frame(report[1], pickle.dumps((failures, result)))
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(reports, pids, threads, results, failures, failure_w, timeout):
-    """Wait for the thread ranks, and take the forked ranks' reports as
-    they come, naming a rank whose report pipe ends without one."""
-    for t in threads:
-        t.join(timeout + 10.0)
+def _collect(reports, pids, failures, failure_w, timeout):
+    """The forked ranks' results, their reports taken as they come,
+    naming a rank whose report pipe ends without one."""
+    results = dict.fromkeys(reports)
     waiting = {fd: rank for rank, (fd, _) in reports.items()}
     poll = select.poll()
     for fd in waiting:
@@ -295,60 +290,48 @@ def _collect(reports, pids, threads, results, failures, failure_w, timeout):
             failures.append((time.monotonic(), f"worker {rank} exited with "
                              f"code {code} without a report", False))
             os.write(failure_w, b"!")
-    if waiting or any(t.is_alive() for t in threads):
+    if waiting:
         failures.append(
             (time.monotonic(), "workers did not report back", False))
+    return list(results.values())
 
 
-def run_spmd(n_workers, fn, payload, backend="thread",
+def run_spmd(n_workers, fn, payload, backend="process",
              timeout=DEFAULT_TIMEOUT):
     """Run fn(transport, payload) on n_workers ranks, rank 0 in the
-    calling thread; returns the per-rank results, rank 0's as fn returned
-    it, raising the earliest worker failure that no peer's failure caused
-    as a TransportError.  On the process backend fn, payload and the
-    results of ranks 1.. must be picklable."""
-    if backend not in TRANSPORTS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {TRANSPORTS}")
+    calling thread and the others forked; returns the per-rank results,
+    rank 0's as fn returned it, raising the earliest worker failure that
+    no peer's failure caused as a TransportError.  The results of ranks
+    1.. must be picklable.  backend "process" is the only one."""
+    if backend != "process":
+        raise ValueError(f"unknown backend {backend!r}; use 'process'")
     if n_workers == 1:
         return [fn(NullTransport(), payload)]
-    forked = backend == "process"
-    if forked:
-        pickle.dumps(payload)  # fail fast with a clear origin
-        _flush_std()  # or each child flushes the caller's buffers again
+    _flush_std()  # or each child flushes the caller's buffers again
     pipes = {(src, dst): os.pipe() for src in range(n_workers)
              for dst in range(n_workers) if src != dst}
-    failure, live = os.pipe(), os.pipe() if forked else ()
-    reports = {r: os.pipe() for r in range(1, n_workers)} if forked else {}
+    failure, live = os.pipe(), os.pipe()
+    reports = {r: os.pipe() for r in range(1, n_workers)}
     held = {*chain(*pipes.values(), *reports.values()), *failure, *live}
-    results, failures, pids, threads = [None] * n_workers, [], {}, []
+    failures, pids = [], {}
     try:
         for rank in range(1, n_workers):
             transport = _PipeTransport(rank, n_workers, pipes,
-                                       (failure[0], *live[:1]), timeout)
-            if forked:
-                pids[rank] = os.fork()
-                if pids[rank] == 0:
-                    _forked_rank(fn, payload, transport, held, failure,
-                                 live, reports[rank])
-                continue
-            threads.append(threading.Thread(target=_run, daemon=True, args=(
-                fn, payload, transport, failure[1], results, failures)))
-            threads[-1].start()
-            held -= transport.fds
+                                       (failure[0], live[0]), timeout)
+            pids[rank] = os.fork()
+            if pids[rank] == 0:
+                _forked_rank(fn, payload, transport, held, failure, live,
+                             reports[rank])
         transport = _PipeTransport(0, n_workers, pipes, failure[:1], timeout)
-        held -= transport.fds  # closed as rank 0's fn ends
-        if forked:  # the workers' ends are theirs now
-            keep = {*failure, live[1], *(fd for fd, _ in reports.values())}
-            for fd in held - keep:
-                os.close(fd)
-            held = keep
-        _run(fn, payload, transport, failure[1], results, failures, Exception)
-        _collect(reports, pids, threads, results, failures, failure[1],
-                 timeout)
+        keep = {*failure, live[1], *(fd for fd, _ in reports.values())}
+        for fd in held - keep - transport.fds:  # the workers' ends are theirs
+            os.close(fd)
+        held = keep  # rank 0's ends close as its fn ends
+        results = [_run(fn, payload, transport, failure[1], failures,
+                        Exception),
+                   *_collect(reports, pids, failures, failure[1], timeout)]
     finally:  # stop whatever still runs
         os.write(failure[1], b"!")
-        for t in threads:
-            t.join(5.0)
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

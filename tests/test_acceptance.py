@@ -192,8 +192,7 @@ def test_6_stored_state_count_equals_closed_form():
         if p == 1:
             reports = [_storage_worker(NullTransport(), (n_steps, factors))]
         else:
-            reports = run_spmd(p, _storage_worker, (n_steps, factors),
-                               backend="thread")
+            reports = run_spmd(p, _storage_worker, (n_steps, factors))
         for rank, report in enumerate(reports):
             assert report.total == report.estimate, (
                 f"N={n_steps} factors={factors} p={p} rank={rank}: "
@@ -229,8 +228,7 @@ def test_7_solution_independent_of_worker_count():
             if p == 1:
                 results = [_independence_worker(NullTransport(), case)]
             else:
-                results = run_spmd(p, _independence_worker, case,
-                                   backend="thread")
+                results = run_spmd(p, _independence_worker, case)
             run, sol = results[0]
             outcomes[p] = (run.iterations, sol)
         ref_iters, ref_sol = outcomes[1]
@@ -286,7 +284,7 @@ def test_8_pwm_unit_values_and_period_average_bound():
 def _scaling_rows(tmp_path):
     config = ExperimentConfig(problem_kind="linear", problem_nx=31,
                               time_n_steps=4096, hierarchy_workers=4,
-                              cycle_max_iters=30, run_transport="process")
+                              cycle_max_iters=30)
     cfg_path = tmp_path / "scaling.cfg"
     save_config(config, cfg_path)
     out = tmp_path / "out"

@@ -29,8 +29,7 @@ def test_serialize_parse_round_trip_non_defaults():
                          cycle_spatial_strategy="delayed",
                          stopping_kind="qoi-change",
                          stopping_tolerance=2.5e-9,
-                         excitation_enabled=False, run_transport="thread",
-                         run_seed=1234)
+                         excitation_enabled=False, run_seed=1234)
     assert parse_config(serialize_config(c)) == c
 
 
@@ -51,6 +50,8 @@ def test_comments_and_blank_lines_ignored():
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ValueError, match=r"line 2.*problem\.typo"):
         parse_config("problem.nx = 7\nproblem.typo = 3\n")
+    with pytest.raises(ValueError, match=r"line 1.*run\.transport"):
+        parse_config("run.transport = process\n")
 
 
 def test_duplicate_key_rejected_with_line_number():
@@ -95,7 +96,6 @@ def test_every_field_maps_to_a_dotted_key():
     dict(hierarchy_workers=0),
     dict(hierarchy_max_levels=0),
     dict(hierarchy_coarse_factor=1),
-    dict(run_transport="mpi"),
     dict(excitation_pulses=0),
     dict(excitation_modulation=1.5),
     dict(excitation_phase=4),
@@ -138,7 +138,7 @@ def test_timeout_reaches_the_workers(monkeypatch):
     """execute hands run.timeout to run_spmd in place of its default."""
     seen = []
 
-    def run_spmd(p, fn, payload, backend, timeout):
+    def run_spmd(p, fn, payload, timeout):
         seen.append(timeout)
         raise TransportError("no workers started")
 

@@ -137,8 +137,7 @@ def _solve(p, kind, gamma, stopping="residual-norm", max_iters=50,
     """(rank 0's run, gathered trajectory, step calls summed over ranks)."""
     results = run_spmd(p, _solve_worker,
                        (kind, gamma, stopping, max_iters, guess, n_steps,
-                        counter),
-                       backend="thread")
+                        counter))
     calls = np.sum([c for _, _, c in results], axis=0).tolist()
     return results[0][0], results[0][1], calls
 
@@ -318,8 +317,8 @@ def _guarded_worker(transport, job):
 @pytest.mark.parametrize("kind,nested,n_steps,factors", GUARD_CASES)
 def test_the_engine_steps_only_through_step_many(kind, nested, n_steps,
                                                   factors, p):
-    run, traj = run_spmd(p, _guarded_worker, (kind, nested, n_steps, factors),
-                         backend="thread")[0]
+    run, traj = run_spmd(p, _guarded_worker,
+                         (kind, nested, n_steps, factors))[0]
     seq = sequential_solve(_problem(),
                            build_uniform_grid(0.0, 0.02, n_steps).points)
     assert run.converged and run.failure is None
@@ -358,7 +357,7 @@ def test_a_stopped_run_returns_the_iterate_it_measured(kind, gamma, p,
 def test_recv_waits_are_charged_apart_from_level_work(p):
     results = run_spmd(p, _solve_worker,
                        ("V", 1, "residual-norm", 50, None, N_STEPS,
-                        "wrapper"), backend="thread")
+                        "wrapper"))
     n_levels = _hierarchy().n_levels
     for run, _, _ in results:
         assert len(run.wait_seconds) == len(run.level_seconds) == n_levels
@@ -389,7 +388,7 @@ def _slow_send_worker(transport, _):
 
 def test_blocked_sends_are_charged_as_waits():
     # every send of a solve without a gather is made by a charged sweep
-    for run, sends in run_spmd(2, _slow_send_worker, None, backend="thread"):
+    for run, sends in run_spmd(2, _slow_send_worker, None):
         slept = sends * SEND_DELAY
         assert sends and sum(run.wait_seconds) >= slept
         assert sum(run.level_seconds) < 0.5 * slept
@@ -431,7 +430,7 @@ def _held_worker(transport, gamma):
 def test_a_cycle_lets_the_measured_walk_go(gamma, p):
     # with gamma >= 1 the cycle reads only the held C-updates; with
     # gamma = 0 the fine restriction reads the walk, and no more after it
-    for run, alive in run_spmd(p, _held_worker, gamma, backend="thread"):
+    for run, alive in run_spmd(p, _held_worker, gamma):
         assert run.converged and run.iterations >= 2
         where = {w for w, _ in alive}
         assert where == ({"measure", "ascend"} | ({"sweep"} if gamma else
@@ -522,8 +521,7 @@ def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
         return reduce_norm(transport, *args)
 
     monkeypatch.setattr(mgrit, "reduce_norm", counting)
-    results = run_spmd(2, _reduce_counting_worker, reductions,
-                       backend="thread")
+    results = run_spmd(2, _reduce_counting_worker, reductions)
     for run, reduced, total, sized in results:
         # every measuring sweep reduces once; at p = 2 each rank sends
         # one message per reduction (rank 1 its part, rank 0 the result),
@@ -569,8 +567,7 @@ def _coarsest_counting_worker(transport, job):
 def test_a_rank_without_coarsest_points_sits_out_the_coarsest_solve():
     # mach-fsc-p2's shape: the coarsest level has 5 points in one
     # C-interval, so rank 1 owns none of them
-    results = run_spmd(2, _coarsest_counting_worker, (512, [8, 4, 4]),
-                       backend="thread")
+    results = run_spmd(2, _coarsest_counting_worker, (512, [8, 4, 4]))
     for run, owned, calls in results:
         assert run.converged and owned == [(1, 5), (0, 0)]
         assert [c[0] for c in calls] == [False] + [True] * (len(calls) - 1)
@@ -581,7 +578,7 @@ def test_a_nested_coarsest_solve_sends_nothing_to_rank_0():
     # 64 steps, factor 4: the coarsest level's 4 intervals split 2 and 2;
     # without a right-hand side only the rows come back from rank 0
     (run, owned, calls), (_, _, calls_1) = run_spmd(
-        2, _coarsest_counting_worker, (64, [4]), backend="thread")
+        2, _coarsest_counting_worker, (64, [4]))
     assert run.converged and owned == [(1, 9), (9, 17)]
     assert calls[0] == (False, 1, 0) and calls_1[0] == (False, 0, 1)
     assert set(calls[1:]) == {(True, 1, 1)}
@@ -609,7 +606,7 @@ def _overwriting_worker(transport, _):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_the_answer_shares_no_memory_with_the_solver(p):
-    results = run_spmd(p, _overwriting_worker, None, backend="thread")
+    results = run_spmd(p, _overwriting_worker, None)
     run, traj, (fields, scalars) = results[0]
     assert run.converged and len(traj) == TAIL_STEPS + 1
     assert np.isfinite(fields).all() and np.isfinite(scalars).all()
@@ -617,13 +614,13 @@ def test_the_answer_shares_no_memory_with_the_solver(p):
     assert np.array_equal(traj.scalars, scalars)
 
 
-@pytest.mark.parametrize("p,backend", [(3, "thread"), (2, "process")])
-def test_a_machine_answer_does_not_depend_on_the_workers(p, backend):
+@pytest.mark.parametrize("p", [3, 2])
+def test_a_machine_answer_does_not_depend_on_the_workers(p):
     hier = _hierarchy(TAIL_STEPS)
     assert (TAIL_STEPS % FACTORS[0]
             and hier[-1].n_steps // hier.level_factors[-1] < p)
     [(run_1, traj_1)] = run_spmd(1, _machine_worker, None)
-    run, traj = run_spmd(p, _machine_worker, None, backend=backend)[0]
+    run, traj = run_spmd(p, _machine_worker, None)[0]
     assert run.converged and run.iterations == run_1.iterations >= 2
     assert run.residual_norms == run_1.residual_norms
     assert traj.scalars.shape == (TAIL_STEPS + 1, 2)
@@ -641,7 +638,7 @@ def _one_level_worker(transport, _):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_one_level_hierarchy_is_the_sequential_solve(p):
-    results = run_spmd(p, _one_level_worker, None, backend="thread")
+    results = run_spmd(p, _one_level_worker, None)
     run, traj, _ = results[0]
     seq = sequential_solve(_problem(), _hierarchy()[0].points)
     assert run.converged and run.iterations == 1

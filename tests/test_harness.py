@@ -17,11 +17,13 @@ from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              SurrogateMachineProblem)
 from pintmg.state import BlockState
 
+from callers import CALLERS, from_caller
+
 
 def small_config(**overrides):
     base = dict(problem_kind="linear", problem_nx=15, time_n_steps=64,
                 hierarchy_workers=1, hierarchy_max_levels=3,
-                cycle_max_iters=20, run_transport="thread")
+                cycle_max_iters=20)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -170,7 +172,7 @@ def test_execute_records_worker_failure(monkeypatch, tmp_path):
     assert len(read_rows(tmp_path / "iterations.csv")) == 1
 
 
-def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
+def test_newton_breakdown_reads_the_same_at_one_and_two_workers(monkeypatch):
     def stalling_problem(config):
         return NonlinearSaturationProblem(
             15, excitation=PwmSource(), mass_coeff=1.0,
@@ -179,13 +181,12 @@ def test_newton_breakdown_reads_the_same_on_both_transports(monkeypatch):
     # nested iterations start with the coarsest solve, which only rank 0
     # steps, so rank 0 is the one that breaks down
     monkeypatch.setattr("pintmg.harness.build_problem", stalling_problem)
-    failures = {transport: execute(small_config(
-        problem_kind="nonlinear", hierarchy_workers=2,
-        cycle_nested_iterations=True, run_transport=transport)).failure
-        for transport in ("thread", "process")}
-    assert failures["thread"] == failures["process"]
-    assert failures["thread"].startswith(
-        "worker 0 failed: NewtonConvergenceError: Newton stalled at t=")
+    failures = [execute(small_config(
+        problem_kind="nonlinear", hierarchy_workers=p,
+        cycle_nested_iterations=True)).failure for p in (1, 2)]
+    assert failures[0].startswith("Newton stalled at t=")
+    assert failures[1] == ("worker 0 failed: NewtonConvergenceError: "
+                           + failures[0])
 
 
 class _FailingStepProblem(LinearDiffusionProblem):
@@ -202,19 +203,21 @@ class _FailingStepProblem(LinearDiffusionProblem):
                             smooth)
 
 
-@pytest.mark.parametrize("transport", ["thread", "process"])
+@pytest.mark.parametrize("caller", CALLERS)
 @pytest.mark.parametrize("rank,k", [(0, 5), (1, 60)])
-def test_a_step_failure_names_its_rank_and_text(monkeypatch, transport, rank,
+def test_a_step_failure_names_its_rank_and_text(monkeypatch, caller, rank,
                                                 k):
     # 64 steps dealt to 2 ranks: rank 0 owns points 1..32, rank 1 33..64;
-    # rank 0 runs in the caller, rank 1 in a worker of either transport
+    # rank 0 runs in the caller, main thread or not, rank 1 in a forked
+    # worker
     times = build_hierarchy(small_config())[0].points
     t = float(times[k])
     monkeypatch.setattr(_FailingStepProblem, "FAIL_ON",
                         (float(times[k - 1]), t))
     monkeypatch.setattr("pintmg.harness.build_problem",
                         lambda config: _FailingStepProblem(15))
-    run = execute(small_config(hierarchy_workers=2, run_transport=transport))
+    run = from_caller(caller,
+                      lambda: execute(small_config(hierarchy_workers=2)))
     assert not run.converged
     assert run.failure == (f"worker {rank} failed: NewtonConvergenceError: "
                            f"Newton stalled at t={t!r}")

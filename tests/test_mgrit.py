@@ -18,6 +18,7 @@ from pintmg.state import SpaceTimeVector
 from pintmg.runtime import Decomposition
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
+from callers import CALLERS, from_caller
 from oracles import (c_relaxation, f_relaxation, level_context, max_abs_diff,
                      parareal_iterates, two_level_cycle)
 from test_pins import _solve_worker as _pinned_solve
@@ -242,7 +243,7 @@ def test_engine_storage_matches_estimate_two_workers():
                              transport=transport)
         return solver.storage_report()
 
-    reports = run_spmd(2, worker, None, backend="thread")
+    reports = run_spmd(2, worker, None)
     expected = storage_estimate(3, 128, [4, 4], 2, 4)
     for report in reports:
         assert report.total == expected == report.estimate
@@ -262,7 +263,7 @@ def _peak_worker(transport, shape):
     ((128, (4, 4, 2)), 3, [53, 48, 33]),
 ])
 def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
-    reports = run_spmd(p, _peak_worker, shape, backend="thread")
+    reports = run_spmd(p, _peak_worker, shape)
     assert [r.total for r in reports] == totals
     assert max(totals) == reports[0].estimate
     assert all(r.total <= r.estimate for r in reports)
@@ -310,7 +311,7 @@ def test_solution_independent_of_worker_count():
         __import__("pintmg.runtime", fromlist=["NullTransport"]).NullTransport(),
         None)
     for p in (2, 4):
-        results = run_spmd(p, _invariance_worker, None, backend="thread")
+        results = run_spmd(p, _invariance_worker, None)
         runs = [r for r, _ in results]
         sol_p = results[0][1]
         assert all(r.iterations == run_1.iterations for r in runs)
@@ -352,7 +353,7 @@ def test_trajectory_bitwise_independent_of_worker_count(case):
     [(iters_1, converged, fields_1)] = run_spmd(1, _bitwise_worker, case)
     assert converged
     for p in (2, 3):
-        results = run_spmd(p, _bitwise_worker, case, backend="thread")
+        results = run_spmd(p, _bitwise_worker, case)
         assert all(it == iters_1 for it, _, _ in results)
         assert np.array_equal(results[0][2], fields_1)
 
@@ -442,9 +443,9 @@ def test_nan_step_stops_a_single_worker_run(kind):
     assert run.failure == NAN_TEXT
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("caller", CALLERS)
 @pytest.mark.parametrize("kind", ["linear", "dahlquist"])
-def test_nan_step_stops_every_worker(kind, backend):
+def test_nan_step_stops_every_worker(kind, caller):
     # the norm is reduced over all ranks, so every rank stops on it and
     # returns the run one worker returns; the 4th fine step into t = 0.01
     # is the second cycle's restriction sweep, so one iteration completes
@@ -453,8 +454,8 @@ def test_nan_step_stops_every_worker(kind, backend):
         assert expect[:3] == (False, done, NAN_TEXT)
         assert len(expect[4]) == done
         for p in (2, 3):
-            runs = run_spmd(p, _nan_worker, (kind, call), backend=backend,
-                            timeout=30.0)
+            runs = from_caller(caller, lambda: run_spmd(
+                p, _nan_worker, (kind, call), timeout=30.0))
             assert [_history(run) for run in runs] == [expect] * p
 
 

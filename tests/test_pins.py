@@ -4,7 +4,7 @@ Each case pins float.hex of the initial residual and of every residual
 norm, the iteration count, and a sha256 over the gathered trajectory's
 fields and scalars, at p = 1 and p = 2.  None of them may depend on p:
 the norms add the same per-C-point terms in the same order at any worker
-count.  The p = 2 solves run on the thread and on the process transport.
+count.
 
 The pins are valid only for the numpy/SciPy build (and, through their
 BLAS/LAPACK, the CPU) they were recorded on: the dot products and the
@@ -130,8 +130,8 @@ def _solve_worker(transport, kind):
     return solver.solve()
 
 
-def _pin(kind, p, backend="thread"):
-    run, solution = run_spmd(p, _solve_worker, kind, backend=backend)[0]
+def _pin(kind, p, **spmd_options):
+    run, solution = run_spmd(p, _solve_worker, kind, **spmd_options)[0]
     digest = hashlib.sha256()
     for field, scalars in zip(solution.fields, solution.scalars):
         digest.update(field.tobytes())
@@ -150,6 +150,7 @@ def test_solve_is_bitwise_the_pinned_one(kind, p):
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_process_transport_solves_the_pinned_one(kind):
+    # the backend keyword callers such as the benchmark still pass
     assert _pin(kind, 2, backend="process") == PINS[kind, 2]
 
 

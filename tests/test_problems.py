@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,6 @@ from pintmg.problems import (
     joule_loss, sequential_solve,
 )
 from pintmg import problems
-from pintmg.runtime import run_spmd
 from pintmg.state import BlockState
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
@@ -524,29 +524,34 @@ def test_newton_helpers_match_padded_differences_bitwise():
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _shared_or_own_worker(transport, shared):
-    """A solve on the problem shared, or on one of the kind named."""
-    problem = _problem(shared) if isinstance(shared, str) else shared
-    run, sol = _three_level_solve(problem, transport)
-    return run.residual_norms, None if sol is None else _arrays(sol)
+def _norms_and_bytes(problem):
+    run, sol = _three_level_solve(problem)
+    return run.residual_norms, [a.tobytes() for a in _arrays(sol)]
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_one_instance_shared_by_thread_ranks_changes_no_bit(p):
+@pytest.mark.parametrize("n_threads", [2, 3])
+def test_one_instance_shared_by_threads_changes_no_bit(n_threads):
     for kind in ("machine", "linear"):
-        # threads switch often, so ranks race on the shared memos
+        own = _norms_and_bytes(_problem(kind))
+        shared, results = _problem(kind), [None] * n_threads
+
+        def solve(i):
+            results[i] = _norms_and_bytes(shared)
+
+        threads = [threading.Thread(target=solve, args=(i,))
+                   for i in range(n_threads)]
+        # threads switch often, so the solves race on the shared memos
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            shared = run_spmd(p, _shared_or_own_worker, _problem(kind),
-                              timeout=60.0)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
         finally:
             sys.setswitchinterval(interval)
-        own = run_spmd(p, _shared_or_own_worker, kind)
-        for a, b in zip(shared, own):
-            assert a[0] == b[0]
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(shared[0][1], own[0][1]))
+        assert not any(t.is_alive() for t in threads)
+        assert results == [own] * n_threads
 
 
 class _CountingSource:

@@ -16,6 +16,8 @@ from pintmg.runtime import (
 )
 from pintmg.state import BlockState
 
+from callers import CALLERS, from_caller
+
 
 # --- decomposition -------------------------------------------------------------
 
@@ -92,16 +94,11 @@ def _echo_pattern(transport, payload):
     return got
 
 
-def test_thread_transport_all_to_all():
-    results = run_spmd(4, _echo_pattern, None, backend="thread")
+@pytest.mark.parametrize("p", [3, 4])
+def test_transport_all_to_all(p):
+    results = run_spmd(p, _echo_pattern, None, timeout=60)
     for rank, got in enumerate(results):
-        assert got == {src: src * 10 for src in range(4) if src != rank}
-
-
-def test_process_transport_all_to_all():
-    results = run_spmd(3, _echo_pattern, None, backend="process", timeout=60)
-    for rank, got in enumerate(results):
-        assert got == {src: src * 10 for src in range(3) if src != rank}
+        assert got == {src: src * 10 for src in range(p) if src != rank}
 
 
 def _mutation_probe(transport, payload):
@@ -113,9 +110,10 @@ def _mutation_probe(transport, payload):
     return transport.recv(0).field.tolist()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_transport_has_value_semantics(backend):
-    results = run_spmd(2, _mutation_probe, None, backend=backend, timeout=60)
+@pytest.mark.parametrize("caller", CALLERS)
+def test_transport_has_value_semantics(caller):
+    results = from_caller(
+        caller, lambda: run_spmd(2, _mutation_probe, None, timeout=60))
     assert results[1] == [1.0, 2.0]
 
 
@@ -128,7 +126,7 @@ def _fifo_probe(transport, payload):
 
 
 def test_per_pair_fifo_order():
-    results = run_spmd(2, _fifo_probe, None, backend="thread")
+    results = run_spmd(2, _fifo_probe, None)
     assert results[1] == list(range(20))
 
 
@@ -138,13 +136,13 @@ def _reduce_probe(transport, payload):
 
 
 def test_reduce_norm_rank_ordered():
-    results = run_spmd(2, _reduce_probe, [[9.0], [16.0]], backend="thread")
+    results = run_spmd(2, _reduce_probe, [[9.0], [16.0]])
     assert all(r[0] == 5.0 for r in results)
     assert all(r[1] == 1.0 for r in results)
-    single = run_spmd(1, _reduce_probe, [[49.0]], backend="thread")
+    single = run_spmd(1, _reduce_probe, [[49.0]])
     assert single[0][0] == 7.0
     # without values no max is reduced
-    results = run_spmd(2, _max_probe, [None, None], backend="thread")
+    results = run_spmd(2, _max_probe, [None, None])
     assert results == [(2.0 ** 0.5, None)] * 2
 
 
@@ -152,14 +150,14 @@ def test_reduce_norm_is_the_one_worker_sum_for_any_split():
     # 0.1 + 0.2 + 0.3 added left to right differs from 0.1 + (0.2 + 0.3)
     # in the last bit: the terms are summed in order, not per rank first
     terms = [0.1, 0.2, 0.3, 1e-17, 0.7]
-    whole = run_spmd(1, _reduce_probe, [terms], backend="thread")[0][0]
+    whole = run_spmd(1, _reduce_probe, [terms])[0][0]
     assert whole == (((0.1 + 0.2) + 0.3 + 1e-17) + 0.7) ** 0.5
     for parts in ([terms[:1], terms[1:]], [terms[:2], [], terms[2:]],
                   [[], terms[:4], terms[4:]]):
-        results = run_spmd(len(parts), _reduce_probe, parts, backend="thread")
+        results = run_spmd(len(parts), _reduce_probe, parts)
         assert [r[0] for r in results] == [whole] * len(parts)
         # a further list of squares, as for the loose bar, is added alike
-        results = run_spmd(len(parts), _more_probe, parts, backend="thread")
+        results = run_spmd(len(parts), _more_probe, parts)
         assert results == [(0.0, None, whole)] * len(parts)
 
 
@@ -174,7 +172,7 @@ def _max_probe(transport, payload):
 def test_reduce_norm_keeps_a_nan_from_any_rank():
     # the loss change travels with the squares; its max keeps a NaN
     for parts in ([0.5, float("nan")], [float("nan"), 0.5]):
-        results = run_spmd(2, _max_probe, parts, backend="thread")
+        results = run_spmd(2, _max_probe, parts)
         assert all(r[0] == 2.0 ** 0.5 and r[1] != r[1] for r in results)
 
 
@@ -186,7 +184,7 @@ def _deadlock_probe(transport, payload):
 
 def test_recv_timeout_raises_transport_error():
     with pytest.raises(TransportError):
-        run_spmd(2, _deadlock_probe, None, backend="thread", timeout=1.0)
+        run_spmd(2, _deadlock_probe, None, timeout=1.0)
 
 
 def _crash_probe(transport, payload):
@@ -195,13 +193,14 @@ def _crash_probe(transport, payload):
     return transport.recv(0)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_exception_propagates(backend):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_worker_exception_propagates(caller):
     # the cause is reported, not the peer's "a peer failed", and the peer
     # blocked in recv stops within a poll instead of waiting to be killed
     t0 = time.perf_counter()
     with pytest.raises(TransportError) as err:
-        run_spmd(2, _crash_probe, None, backend=backend, timeout=30.0)
+        from_caller(caller,
+                    lambda: run_spmd(2, _crash_probe, None, timeout=30.0))
     assert str(err.value) == "worker 0 failed: RuntimeError: boom"
     assert time.perf_counter() - t0 < 2.5
 
@@ -210,8 +209,9 @@ def test_null_transport_refuses_traffic():
     t = NullTransport()
     with pytest.raises(TransportError):
         t.send(0, 1)
-    with pytest.raises(ValueError):
-        run_spmd(2, _echo_pattern, None, backend="carrier-pigeon")
+    for backend in ("carrier-pigeon", "thread"):
+        with pytest.raises(ValueError):
+            run_spmd(2, _echo_pattern, None, backend=backend)
 
 
 def _one_fails_probe(transport, payload):
@@ -221,8 +221,8 @@ def _one_fails_probe(transport, payload):
     return transport.recv(payload)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_the_failing_rank_is_named_among_more_ranks_than_cores(backend):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_the_failing_rank_is_named_among_more_ranks_than_cores(caller):
     # every other rank, the caller too, fails after it; with a short
     # switch interval their "a peer failed" races the cause
     interval = sys.getswitchinterval()
@@ -231,8 +231,8 @@ def test_the_failing_rank_is_named_among_more_ranks_than_cores(backend):
         for rank in range(4):
             t0 = time.perf_counter()
             with pytest.raises(TransportError) as err:
-                run_spmd(4, _one_fails_probe, rank, backend=backend,
-                         timeout=30.0)
+                from_caller(caller, lambda: run_spmd(
+                    4, _one_fails_probe, rank, timeout=30.0))
             assert str(err.value) == f"worker {rank} failed: RuntimeError: boom"
             assert time.perf_counter() - t0 < 2.5
     finally:
@@ -250,12 +250,22 @@ def test_unpicklable_process_result_is_reported_at_once():
     t0 = time.perf_counter()
     with pytest.raises(TransportError,
                        match=r"^worker 1 failed: PicklingError: "):
-        run_spmd(2, _unpicklable_probe, {0, 1}, backend="process",
+        run_spmd(2, _unpicklable_probe, {0, 1},
                  timeout=1.0)
     assert time.perf_counter() - t0 < 2.5
     # rank 0 runs in the caller, so its result is never pickled
-    assert run_spmd(2, _unpicklable_probe, {0}, backend="process",
+    assert run_spmd(2, _unpicklable_probe, {0},
                     timeout=1.0) == [UNPICKLABLE, None]
+
+
+def _call_payload_probe(transport, payload):
+    return payload(transport.rank)
+
+
+def test_the_payload_is_never_pickled():
+    # forked ranks inherit the payload, so one that cannot pickle runs too
+    assert run_spmd(2, _call_payload_probe, lambda rank: 10 * rank,
+                    backend="process") == [0, 10]
 
 
 def _silent_death_probe(transport, payload):
@@ -272,7 +282,7 @@ def test_a_worker_that_dies_without_a_report_is_named_at_once():
     t0 = time.perf_counter()
     with pytest.raises(TransportError, match="^worker 1 exited with code 3 "
                                              "without a report$"):
-        run_spmd(2, _silent_death_probe, None, backend="process")
+        run_spmd(2, _silent_death_probe, None)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -289,7 +299,7 @@ def test_a_worker_killed_while_the_caller_waits_in_recv_is_named():
     t0 = time.perf_counter()
     with pytest.raises(TransportError, match="^worker 1 exited with code -9 "
                                              "without a report$"):
-        run_spmd(2, _killed_probe, None, backend="process")
+        run_spmd(2, _killed_probe, None)
     assert time.perf_counter() - t0 < 1.3
 
 
@@ -311,7 +321,7 @@ def test_the_cause_is_named_beside_a_worker_that_died_after_it():
     for _ in range(10):
         t0 = time.perf_counter()
         with pytest.raises(TransportError) as err:
-            run_spmd(3, _cause_and_death_probe, None, backend="process",
+            run_spmd(3, _cause_and_death_probe, None,
                      timeout=30.0)
         assert str(err.value) == "worker 2 failed: RuntimeError: cause"
         assert time.perf_counter() - t0 < 2.5
@@ -332,7 +342,7 @@ def fn(transport, path):
         time.sleep(0.01)
     os._exit(3)  # the caller dies, its worker blocked in recv
 
-run_spmd(2, fn, sys.argv[1], backend="process", timeout=20.0)
+run_spmd(2, fn, sys.argv[1], timeout=20.0)
 """
 
 
@@ -371,7 +381,7 @@ def _thread_count_probe(transport, payload):
 
 def test_a_process_run_starts_no_helper_thread():
     before = threading.active_count()
-    counts = run_spmd(2, _thread_count_probe, None, backend="process")
+    counts = run_spmd(2, _thread_count_probe, None)
     assert counts[0] == before
     assert threading.active_count() == before
 
@@ -380,11 +390,13 @@ def _whereabouts_probe(transport, payload):
     return os.getpid(), threading.get_ident(), payload
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_rank_zero_runs_in_the_caller(backend):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_rank_zero_runs_in_the_caller(caller):
     payload = ["not copied"]
-    results = run_spmd(2, _whereabouts_probe, payload, backend=backend)
-    assert results[0][:2] == (os.getpid(), threading.get_ident())
+    here, results = from_caller(caller, lambda: (
+        (os.getpid(), threading.get_ident()),
+        run_spmd(2, _whereabouts_probe, payload)))
+    assert results[0][:2] == here
     assert results[0][2] is payload
     assert results[1][:2] != results[0][:2] and results[1][2] == payload
 
@@ -446,27 +458,28 @@ def _route_case(p, shape):
     return owned, {j: owner[max(j - 1, 1)] for j in owner}  # first goes left
 
 
-def _run_big(p, probe, payload, backend):
+def _run_big(p, probe, payload, caller):
     t0 = time.perf_counter()
-    results = run_spmd(p, probe, payload, backend=backend, timeout=5.0)
+    results = from_caller(
+        caller, lambda: run_spmd(p, probe, payload, timeout=5.0))
     assert time.perf_counter() - t0 < 4.0
     return results
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("caller", CALLERS)
 @pytest.mark.parametrize("p", [2, 3])
-def test_large_boundary_exchange(p, backend):
-    results = _run_big(p, _exchange_probe, None, backend)
+def test_large_boundary_exchange(p, caller):
+    results = _run_big(p, _exchange_probe, None, caller)
     assert results == [None] + [float(w) for w in range(p - 1)]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("caller", CALLERS)
 @pytest.mark.parametrize("p,shape", [
     (2, "right"), (2, "left"), (2, "gather"), (2, "scatter"), (3, "right"),
     (3, "left"), (3, "triangle"), (3, "gather"), (3, "scatter")])
-def test_large_route(p, shape, backend):
+def test_large_route(p, shape, caller):
     owned, dest = _route_case(p, shape)
-    results = _run_big(p, _route_probe, (owned, dest), backend)
+    results = _run_big(p, _route_probe, (owned, dest), caller)
     assert results == [{j: (BIG, float(j)) for j in dest if dest[j] == w}
                        for w in range(p)]
 
@@ -477,20 +490,20 @@ def _blocked_writer_probe(transport, payload):
     transport.send(1, _big(0))  # more than the pipe holds: blocks
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_writer_blocked_on_a_failed_reader_is_released(backend):
+@pytest.mark.parametrize("caller", CALLERS)
+def test_writer_blocked_on_a_failed_reader_is_released(caller):
     t0 = time.perf_counter()
     with pytest.raises(TransportError,
                        match="^worker 1 failed: RuntimeError: reader gone$"):
-        run_spmd(2, _blocked_writer_probe, None, backend=backend,
-                 timeout=30.0)
+        from_caller(caller, lambda: run_spmd(
+            2, _blocked_writer_probe, None, timeout=30.0))
     assert time.perf_counter() - t0 < 2.5
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_run_spmd_leaves_no_descriptor_open(backend):
-    run_spmd(3, _echo_pattern, None, backend=backend)
+@pytest.mark.parametrize("caller", CALLERS)
+def test_run_spmd_leaves_no_descriptor_open(caller):
+    from_caller(caller, lambda: run_spmd(3, _echo_pattern, None))
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(50):
-        run_spmd(3, _echo_pattern, None, backend=backend)
+        from_caller(caller, lambda: run_spmd(3, _echo_pattern, None))
     assert len(os.listdir("/proc/self/fd")) == before

@@ -39,14 +39,16 @@ measures, as thread CPU time:
   the same in every round, so printed once.
 
 Before the workloads, one L3 row, ``run_spmd  L3 start ms r0/r1``,
-gives the wall milliseconds from the call of ``run_spmd`` at p = 2 on
-the process transport to each rank's entry into its ``fn``, rank 0
-then rank 1: the median over rounds of each.  A second L3 row,
+gives the wall milliseconds from the call of ``run_spmd`` at p = 2,
+which forks rank 1, to each rank's entry into its ``fn``, rank 0 then
+rank 1: the median over rounds of each.  A second L3 row,
 ``run_spmd  L3 msg us row/MiB``, gives the round trip in microseconds,
-between the two ranks of a p = 2 run on the process transport, of a
-one-row message (ROW doubles, a fine row of ``lin-sc-p2``) and of a
-1 MiB one: per round, rank 0's median of PINGS round trips after one
-untimed, and printed, the median over rounds of each.
+between the two ranks of a p = 2 run, of a one-row message (ROW
+doubles, a fine row of ``lin-sc-p2``) and of a 1 MiB one: per round,
+rank 0's median of PINGS round trips after one untimed, and printed,
+the median over rounds of each.  Both rows call ``run_spmd`` with its
+default backend, which on a tree whose ``run_spmd`` can still start
+threads runs rank 1 as a thread.
 
 The problems take the random source profile drawn with SEED.  A row
 that reads an attribute a tree lacks (``_Level.t`` before the levels kept
@@ -195,7 +197,7 @@ def _entered(transport, t_call):
 
 def start_ms(pm):
     """Each rank's milliseconds from run_spmd's call to fn at p = 2."""
-    return pm.run_spmd(2, _entered, time.perf_counter(), backend="process")
+    return pm.run_spmd(2, _entered, time.perf_counter())
 
 
 def _ping(transport, sizes):
@@ -218,7 +220,7 @@ def _ping(transport, sizes):
 
 def message_us(pm):
     """Rank 0's round trip microseconds, one row and 1 MiB, at p = 2."""
-    return pm.run_spmd(2, _ping, (ROW, MIB), backend="process")[0]
+    return pm.run_spmd(2, _ping, (ROW, MIB))[0]
 
 
 def main(argv=None):
