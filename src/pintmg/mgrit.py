@@ -23,8 +23,13 @@ one row per interval, and layer m steps into the C-points.  Sweeps stop
 at the last owned C-point and hold their steps into the C-points back
 until the walk, which still reads the old C-values, is done; the ascent
 walks on through the F-tail one point at a time.  Each coarse level adds
-two full vectors (the kept restricted iterate and the right-hand side).
-A level keeps each store as one array of (field, scalars) rows.  Index 0
+one full vector, the right-hand side.  The restricted iterate R u (for
+Newton's guesses and the error v - R u) is the finer C-store's rows
+restricted, unchanged from a restriction to the ascent after it, so the
+finer rank rebuilds it; a rank keeps a copy only where another rank
+holds finer C-points of its coarse points (a misaligned deal, as 300
+steps with factors [4, 4, 3] give rank 1 at p = 2), and never on the
+coarsest level.  A level keeps each store as one array of rows.  Index 0
 never needs a slot: on every level the iterate there equals the
 restricted initial value, which the problem hands out per grid.
 StorageReport counts exactly these workspace rows, read off the stores'
@@ -34,19 +39,20 @@ rank 0 are not persistent and are not charged, mirroring how the serial
 baseline is charged a single running state.  The coarsest
 level's own C-store is allocated, because the model counts every level's
 C-points, but on two or more levels nothing reads it.  Nested
-iterations need no storage or mode of their own: the kept slots start at
-zero, so the coarsest solve's error v - kept is v itself.
+iterations need no storage or mode of their own: their ascent injects v
+where a cycle's adds the prolonged v - R u.
 
 Rows move between ranks only by runtime.route, which sends each peer one
 block of consecutive points, read off per-rank [start, stop) ranges.
 The coarsest solve routes the right-hand side, if the level has one, to
 rank 0, where _tail steps the anchor on through it, so _step is the only
-way to the problem, and routes the rows back to their owners (on a
-1-level hierarchy they are the answer).  The fine trajectory is routed
-to rank 0 whole.  Restriction and ascent route row blocks between the two
+way to the problem; the ascent sends those rows from rank 0 straight to
+the owners of the finer C-points (on a 1-level hierarchy they are the
+answer, routed back to their owners).  The fine trajectory is routed to
+rank 0 whole.  Restriction and ascent route row blocks between the two
 levels' per-rank lists of owned points and closing C-points
-(runtime.Decomposition), and the spatial transfers are the problem's row
-functions on a level's rows.
+(runtime.Decomposition), the ascent on the coarse grid, and the spatial
+transfers are the problem's row functions on a level's rows.
 Residual squares and losses are stacked dots over the rows, and the
 norm and the loss change are reduced over the ranks together, in one
 reduce_norm per measuring sweep; the first one carries the C-updates' own
@@ -64,7 +70,7 @@ before it with gamma >= 1, which reads only the C-updates, and after the
 fine restriction with gamma = 0, so no worker holds two fine walks.
 
 Newton (a problem with ``newton``) starts a step where the stores say it
-lands: the stored C-value, or u_keep on a coarse F-layer, less the FAS
+lands: the stored C-value, or R u on a coarse F-layer, less the FAS
 right-hand side; fine F-steps start from the state they step.  Steps a
 later sweep overwrites run at the relative tolerance LOOSE_TOL: nested
 iterations, the initial measuring sweep, and every sweep while the last
@@ -152,33 +158,39 @@ def qoi_change(p_new, p_old):
                         / np.maximum(np.abs(p_old), QOI_FLOOR)))
 
 
+def _keeps_copy(finer, owned):
+    """Whether a rank owning the coarse points ``owned`` ([start, stop))
+    must keep their restricted iterate: some of their finer C-points, the
+    rank's ``finer`` intervals, are another rank's."""
+    (first, stop), (lo, hi) = finer, owned
+    return lo < hi and not first <= lo <= hi <= stop
+
+
 def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
                      coarsest_factor):
-    """Peak per-worker stored states of the lean layout, in closed form.
+    """Peak per-worker stored states of the lean layout, from the dealt
+    intervals (runtime.Decomposition).
 
     Level l keeps its iterate at the closing C-points of the C-intervals
-    a worker owns, and every coarse level keeps two states (the kept
-    iterate and the right-hand side) per owned point.  Intervals are
-    counted whole, the remainder to the lowest ranks, the trailing
-    F-points to the last active rank.  ``factors`` are the n_levels - 1
-    inter-level factors and ``coarsest_factor`` the coarsest level's own
-    (TimeHierarchy.level_factors[-1]).
+    a worker owns, every coarse level the right-hand side per owned
+    point, and a coarse level above the coarsest a copy of the restricted
+    iterate per owned point only where _keeps_copy says so.  ``factors``
+    are the n_levels - 1 inter-level factors and ``coarsest_factor`` the
+    coarsest level's own (TimeHierarchy.level_factors[-1]).
     """
     factors = list(factors)
     if len(factors) != n_levels - 1:
         raise ValueError(f"{n_levels} levels need {n_levels - 1} factors, "
                          f"got {len(factors)}")
-    per_rank, steps = [0] * n_workers, n_fine_steps
+    per_rank, n, finer = [0] * n_workers, n_fine_steps + 1, None
     for l, m in enumerate(factors + [coarsest_factor]):
-        units, tail = divmod(steps, m)
-        base, rem = divmod(units, n_workers)
-        last = max(min(units, n_workers), 1) - 1  # owns the F-tail
-        for w in range(n_workers):
-            n = base + (w < rem)
-            per_rank[w] += n
+        d = Decomposition(n, m, n_workers)
+        for w, ((a, b), (lo, hi)) in enumerate(zip(d.intervals, d.owned)):
+            per_rank[w] += b - a
             if l:
-                per_rank[w] += 2 * (n * m + (tail if w == last else 0))
-        steps //= m
+                copy = l < n_levels - 1 and _keeps_copy(finer[w], (lo, hi))
+                per_rank[w] += (1 + copy) * (hi - lo)
+        finer, n = d.intervals, (n - 1) // m + 1
     return max(per_rank)
 
 
@@ -258,30 +270,38 @@ class _Level:
     """Per-worker workspace of one time level.  Each store is one array of
     rows, a state's field followed by its scalars."""
 
-    def __init__(self, solver, index, grid, m, spatial_level):
+    def __init__(self, solver, index, grid, m, spatial_level, finer=None):
         self.index = index
         self.t = grid.points.tolist()
         self.m = m
         self.spatial_level = spatial_level
-        d = Decomposition(len(self.t), m, solver.transport.size)
+        rank, size = solver.transport.rank, solver.transport.size
+        d = Decomposition(len(self.t), m, size)
         # per rank as [start, stop): its owned points, and its closing
         # C-points as points of the next coarser level; ranks up to last
         # are active
         self.owned, self.closing, self.last = d.owned, d.intervals, d.last
-        rank = solver.transport.rank
         first, stop = self.closing[rank]
         self.c_idx = [j * m for j in range(first, stop)]
         self.own_lo, self.own_hi = self.owned[rank]
         self.left_index = (first - 1) * m
+        # the coarsest solve's ranges: points 1 .. n - 1 on rank 0
+        self.at_root = [(1, len(self.t))] + [(0, 0)] * (size - 1)
         self.nf = solver.problem.spatial.size(spatial_level)
         self.width = self.nf + solver.problem.n_scalars
         init = solver.problem.initial_state(spatial_level)
         self.anchor = np.concatenate((init.field, init.scalars))
         self.c_store = np.zeros((len(self.c_idx), self.width))
+        # the restricted iterate is the finer C-store's rows from kept_at
+        # on, restricted, or a copy where _keeps_copy (not on the coarsest
+        # level, whose rows seed no Newton guess)
         self.u_keep = self.rhs = None
-        if index > 0:
-            self.u_keep, self.rhs = np.zeros(
-                (2, self.own_hi - self.own_lo, self.width))
+        if finer is not None:
+            self.rhs = np.zeros((self.own_hi - self.own_lo, self.width))
+            self.kept_at = self.own_lo - finer.closing[rank][0]
+            if index < solver.n_levels - 1 and _keeps_copy(
+                    finer.closing[rank], self.owned[rank]):
+                self.u_keep = np.zeros_like(self.rhs)
         # the owned C-points among the owned points
         self.c_rows = slice(self.m - 1, len(self.c_idx) * self.m, self.m)
         self.use_rhs = False  # plain initial-value level until a descent fills it
@@ -317,10 +337,11 @@ class MgritSolver:
         self._loose = self._newton and (
             self._kernel == getattr(problem, "step_many", None))
         self._tol = None  # None: newton.tol
-        self.levels = [
-            _Level(self, l, hierarchy[l], hierarchy.level_factors[l],
-                   self.assignment[l])
-            for l in range(n_levels)]
+        self.levels = []
+        for l in range(n_levels):
+            self.levels.append(_Level(
+                self, l, hierarchy[l], hierarchy.level_factors[l],
+                self.assignment[l], self.levels[-1] if l else None))
         self._loss_weights = problem.loss_weights(self.assignment[0])
         fine = self.levels[0]
         self._loss_dt = [fine.t[c] - fine.t[c - 1] for c in fine.c_idx]
@@ -328,7 +349,7 @@ class MgritSolver:
         self.setup_seconds = time.perf_counter() - t_setup
 
     def storage_report(self):
-        """Each level's stored rows: its C-store, u_keep and rhs."""
+        """Each level's stored rows: its C-store, rhs and any u_keep."""
         est = storage_estimate(
             self.n_levels, self.hierarchy[0].n_steps,
             self.hierarchy.factors[:self.n_levels - 1],
@@ -361,14 +382,25 @@ class MgritSolver:
 
     def _guess(self, lvl, j, k):
         """Newton's start for layer j of a walk over k intervals: the
-        stored value where its rows land (the C-store, or u_keep on a
-        coarse F-layer) less the FAS right-hand side; None, each row from
-        its own state, on a fine F-layer or a coarse one without rhs."""
+        stored value where its rows land (the C-store, or the restricted
+        iterate on a coarse F-layer) less the FAS right-hand side; None,
+        each row from its own state, on a fine F-layer or a coarse one
+        without rhs."""
         if not self._newton or not (j == lvl.m or lvl.use_rhs):
             return None
         at = lvl.c_rows if j == lvl.m else slice(j - 1, k * lvl.m, lvl.m)
-        kept = lvl.c_store if j == lvl.m else lvl.u_keep[at]
+        kept = lvl.c_store if j == lvl.m else self._kept(lvl, at)
         return kept - lvl.rhs[at] if lvl.use_rhs else kept
+
+    def _kept(self, lvl, at):
+        """The restricted iterate at rows ``at`` of lvl's owned points:
+        lvl's copy, or the finer C-store's rows there restricted, which
+        nothing changes between the restriction and the ascent."""
+        if lvl.u_keep is not None:
+            return lvl.u_keep[at]
+        finer = self.levels[lvl.index - 1]
+        return self._transfer(self.problem.spatial.restrict_fields, finer,
+                              lvl, finer.c_store[lvl.kept_at:][at])
 
     def _walk(self, lvl, sweep=False):
         """Walk the owned range in layers; returns (walked, updates).
@@ -474,11 +506,12 @@ class MgritSolver:
         """Final F-sweep fused with residual injection and the coarse fill.
 
         Computes, for every owned interval's closing C-point c with coarse
-        index j = c / m: the kept restricted iterate and the coarse FAS
-        right-hand side, then redistributes both to the coarse owner and
-        seeds the coarse iterate with the kept values.  ``held`` is a
-        measuring sweep's (walked, C-updates), which replace the sweep.
-        The coarse steps, one per interval, are one kernel call.
+        index j = c / m: the restricted iterate and the coarse FAS
+        right-hand side, then redistributes both to the coarse owner,
+        which seeds the coarse iterate with the restricted values and
+        keeps them only where it has a copy.  ``held`` is a measuring
+        sweep's (walked, C-updates), which replace the sweep.  The coarse
+        steps, one per interval, are one kernel call.
         """
         restrict = functools.partial(
             self._transfer, self.problem.spatial.restrict_fields, lvl, nxt)
@@ -493,55 +526,57 @@ class MgritSolver:
         rhs += restrict(res)
         got = route(self.transport, np.stack((kept, rhs), axis=1),
                     lvl.closing, nxt.owned)
-        nxt.u_keep[:], nxt.rhs[:] = got[:, 0], got[:, 1]
+        nxt.rhs[:] = got[:, 1]
+        if nxt.u_keep is not None:
+            nxt.u_keep[:] = got[:, 0]
         nxt.use_rhs = True
-        nxt.c_store[:] = nxt.u_keep[nxt.c_rows]  # coarse seed
+        nxt.c_store[:] = got[nxt.c_rows, 0]  # coarse seed
 
     @_charged
     def _coarsest_solve(self, lvl, prev_losses=None):
         """Route the right-hand side (if the level has one) to rank 0,
-        which holds points 1 .. n - 1, step the anchor through the level
-        with it there, and route those rows v back to the owned ranges.
-        On a coarse level the kept slots then hold v - kept (the error),
-        which is v itself during nested iterations: _initialize_guess
-        zeroes the kept slots, and v - 0.0 is v bit for bit.  On the fine
-        level (a 1-level hierarchy) v is the answer: this returns
-        _measure's tuple with v (rank 0; None elsewhere) for the held
-        sweep, residual 0 by construction, losses from the routed v."""
+        which holds points 1 .. n - 1, and step the anchor through the
+        level with it there.  On a coarse level this returns those rows
+        v (rank 0; no rows elsewhere), which _ascend sends on.  On the
+        fine level (a 1-level hierarchy) v is the answer: its rows are
+        routed to their owners and this returns _measure's tuple with v
+        (rank 0; None elsewhere) for the held sweep, residual 0 by
+        construction, losses from the routed v."""
         n, root = len(lvl.t), self.transport.rank == 0
-        to_root = [(1, n)] + [(0, 0)] * (self.transport.size - 1)
-        rhs = (route(self.transport, lvl.rhs, lvl.owned, to_root)
+        rhs = (route(self.transport, lvl.rhs, lvl.owned, lvl.at_root)
                if lvl.use_rhs else None)
         v = lvl.anchor[None]  # elsewhere v[1:] is no rows, of the width
         if root:
             v = self._tail(lvl, v, n, rhs)
-        mine = route(self.transport, v[1:], to_root, lvl.owned)
-        if lvl.index == 0:
-            end = len(lvl.c_idx) * lvl.m  # mine[c - own_lo] for c in c_idx
-            losses = self._losses(mine[lvl.m - 2:end:lvl.m],
-                                  mine[lvl.m - 1:end:lvl.m])
-            return (*self._reduce([], losses, prev_losses), losses,
-                    v if root else None)
-        lvl.u_keep[:] = mine - lvl.u_keep
+        if lvl.index:
+            return v[1:]
+        mine = route(self.transport, v[1:], lvl.at_root, lvl.owned)
+        end = len(lvl.c_idx) * lvl.m  # mine[c - own_lo] for c in c_idx
+        losses = self._losses(mine[lvl.m - 2:end:lvl.m],
+                              mine[lvl.m - 1:end:lvl.m])
+        return (*self._reduce([], losses, prev_losses), losses,
+                v if root else None)
 
     @_charged
-    def _ascend(self, coarse, fine, inject=False):
+    def _ascend(self, coarse, fine, v=None, inject=False):
         """Carry corrections (or, for nested iterations, values) from a
         coarse level into the fine C-store.
 
-        The coarsest level's kept slots already hold the payload for every
-        owned point; on any other level a full walk reconstructs the
-        coarse iterate and emits v - kept.  The owned block is prolonged
-        once, then routed.
+        The coarse iterate v is the coarsest solve's rows on rank 0 or,
+        by default, a full walk of the coarse owned range; it is routed
+        to the owners of the fine C-points, which form the error v less
+        their C-store restricted (unchanged since the restriction) and
+        prolong it.
         """
-        values = coarse.u_keep
-        if coarse.index < self.n_levels - 1:
-            walked = self._walk(coarse)[0][1:]
-            values = walked if inject else walked - coarse.u_keep
-        got = route(self.transport,
-                    self._transfer(self.problem.spatial.prolong_fields,
-                                   coarse, fine, values),
-                    coarse.owned, fine.closing)
+        src = coarse.at_root
+        if v is None:
+            v, src = self._walk(coarse)[0][1:], coarse.owned
+        got = route(self.transport, v, src, fine.closing)
+        if not inject:
+            got -= self._transfer(self.problem.spatial.restrict_fields,
+                                  fine, coarse, fine.c_store)
+        got = self._transfer(self.problem.spatial.prolong_fields, coarse,
+                             fine, got)
         fine.c_store[:] = got if inject else fine.c_store + got
 
     # --- cycles ---
@@ -550,11 +585,11 @@ class MgritSolver:
         """One V- or F-cycle from level l down.  What solve's measuring
         sweep of the level held back (lvl.held) stands in for the first
         FC-sweep, or for the restriction's sweep when gamma = 0, and is
-        let go once used.  The coarsest level is solved sequentially."""
+        let go once used.  The coarsest level is solved sequentially and
+        returns its rows (see _coarsest_solve); any other returns None."""
         lvl, sweeps = self.levels[l], self.cycle.gamma
         if l == self.n_levels - 1:
-            self._coarsest_solve(lvl)
-            return
+            return self._coarsest_solve(lvl)
         if lvl.held is not None and sweeps:
             lvl.c_store[:] = lvl.held[1]
             lvl.held, sweeps = None, sweeps - 1
@@ -562,8 +597,8 @@ class MgritSolver:
             self._fc_sweep(lvl)
         self._restrict_sweep(lvl, self.levels[l + 1], lvl.held)
         lvl.held = None
-        self._cycle(l + 1, f_cycle=f_cycle)
-        self._ascend(self.levels[l + 1], lvl)
+        self._ascend(self.levels[l + 1], lvl,
+                     self._cycle(l + 1, f_cycle=f_cycle))
         if f_cycle and l > 0:
             self._cycle(l)
 
@@ -573,9 +608,11 @@ class MgritSolver:
         self._smooth = True
         try:
             # use_rhs is False everywhere: _initialize_guess just ran
-            self._coarsest_solve(self.levels[-1])
+            v = self._coarsest_solve(self.levels[-1])
             for l in range(self.n_levels - 2, -1, -1):
-                self._ascend(self.levels[l + 1], self.levels[l], inject=True)
+                self._ascend(self.levels[l + 1], self.levels[l], v,
+                             inject=True)
+                v = None
                 if l > 0:
                     self._cycle(l)
         finally:
@@ -587,8 +624,6 @@ class MgritSolver:
         for lvl in self.levels:
             lvl.c_store[:] = lvl.anchor
             lvl.use_rhs, lvl.held = False, None
-            if lvl.index:
-                lvl.u_keep[:] = 0.0
 
     def seed(self, trajectory):
         """Load the fine-level C-store from a full trajectory (every rank

@@ -415,10 +415,10 @@ def _held_worker(transport, gamma):
         alive.append(("sweep", walks[-1]() is not None))
         return fc_sweep(*args)
 
-    def ascending(coarse, fine, *args):
+    def ascending(coarse, fine, *args, **kwargs):
         if fine.index == 0:
             alive.append(("ascend", walks[-1]() is not None))
-        return ascend(coarse, fine, *args)
+        return ascend(coarse, fine, *args, **kwargs)
 
     solver._measure, solver._fc_sweep = measuring, sweeping
     solver._ascend = ascending
@@ -544,14 +544,16 @@ def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
 
 def _coarsest_counting_worker(transport, job):
     """Solve, recording per coarsest solve whether the level had a
-    right-hand side and the messages this rank sent and took in it."""
+    right-hand side and the messages this rank sent and took in it, and
+    per ascent from the coarsest level the messages sent and taken."""
     n_steps, factors = job
     counting = _CountingTransport(transport)
     hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
                                factors)
     solver = MgritSolver(_problem(), hier, CycleSpec(nested_iterations=True),
                          StoppingCriterion(tolerance=1e-9), counting)
-    calls, coarsest = [], solver._coarsest_solve
+    calls, back = [], []
+    coarsest, ascend = solver._coarsest_solve, solver._ascend
 
     def counted(lvl, *args):
         sent, got, use_rhs = counting.sent, counting.got, lvl.use_rhs
@@ -559,16 +561,22 @@ def _coarsest_counting_worker(transport, job):
         calls.append((use_rhs, counting.sent - sent, counting.got - got))
         return out
 
-    solver._coarsest_solve = counted
+    def ascending(coarse, fine, *args, **kwargs):
+        sent, got = counting.sent, counting.got
+        ascend(coarse, fine, *args, **kwargs)
+        if coarse is solver.levels[-1]:
+            back.append((counting.sent - sent, counting.got - got))
+
+    solver._coarsest_solve, solver._ascend = counted, ascending
     run, _ = solver.solve()
-    return run, solver.levels[-1].owned, calls
+    return run, solver.levels[-1].owned, calls, back
 
 
 def test_a_rank_without_coarsest_points_sits_out_the_coarsest_solve():
     # mach-fsc-p2's shape: the coarsest level has 5 points in one
     # C-interval, so rank 1 owns none of them
     results = run_spmd(2, _coarsest_counting_worker, (512, [8, 4, 4]))
-    for run, owned, calls in results:
+    for run, owned, calls, _ in results:
         assert run.converged and owned == [(1, 5), (0, 0)]
         assert [c[0] for c in calls] == [False] + [True] * (len(calls) - 1)
     assert all(sent == got == 0 for _, sent, got in results[1][2])
@@ -576,13 +584,16 @@ def test_a_rank_without_coarsest_points_sits_out_the_coarsest_solve():
 
 def test_a_nested_coarsest_solve_sends_nothing_to_rank_0():
     # 64 steps, factor 4: the coarsest level's 4 intervals split 2 and 2;
-    # without a right-hand side only the rows come back from rank 0
-    (run, owned, calls), (_, _, calls_1) = run_spmd(
+    # without a right-hand side the solve moves nothing, and only the
+    # rows go from rank 0 to the fine owners in the ascent
+    (run, owned, calls, back), (_, _, calls_1, back_1) = run_spmd(
         2, _coarsest_counting_worker, (64, [4]))
     assert run.converged and owned == [(1, 9), (9, 17)]
-    assert calls[0] == (False, 1, 0) and calls_1[0] == (False, 0, 1)
-    assert set(calls[1:]) == {(True, 1, 1)}
-    assert set(calls_1[1:]) == {(True, 1, 1)}
+    assert calls[0] == calls_1[0] == (False, 0, 0)
+    assert set(calls[1:]) == {(True, 0, 1)}
+    assert set(calls_1[1:]) == {(True, 1, 0)}
+    assert len(back) == len(calls) and set(back) == {(1, 0)}
+    assert len(back_1) == len(calls) and set(back_1) == {(0, 1)}
 
 def _overwriting_worker(transport, _):
     """Solve, copy the answer, then overwrite the fine C-store and every

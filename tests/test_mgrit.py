@@ -12,10 +12,9 @@ from pintmg.mgrit import (LOOSE_TOL, CycleSpec, MgritSolver,
                           qoi_change, storage_estimate)
 from pintmg.problems import (DahlquistProblem, LinearDiffusionProblem,
                              NewtonOptions, NonlinearSaturationProblem,
-                             sequential_solve)
+                             SurrogateMachineProblem, sequential_solve)
 from pintmg.runtime import run_spmd
 from pintmg.state import SpaceTimeVector
-from pintmg.runtime import Decomposition
 from pintmg.time_hierarchy import TimeHierarchy, build_uniform_grid
 
 from callers import CALLERS, from_caller
@@ -214,11 +213,12 @@ def test_single_level_solver_is_sequential():
 # --- measured storage vs the closed-form count -------------------------------------
 
 def test_storage_estimate_closed_form_values():
-    assert storage_estimate(2, 32, [4], 1, 4) == 26
+    # one worker holds every finer C-point, so it keeps no copy
+    assert storage_estimate(2, 32, [4], 1, 4) == 18
     assert storage_estimate(1, 32, [], 1, 4) == 8
-    assert storage_estimate(3, 128, [4, 4], 1, 4) == 122
+    assert storage_estimate(3, 128, [4, 4], 1, 4) == 82
     # the coarsest grid has 3 points, so its factor 4 is clamped to 2
-    assert storage_estimate(3, 66, [8, 4], 1, 2) == 31
+    assert storage_estimate(3, 66, [8, 4], 1, 2) == 21
     with pytest.raises(ValueError):
         storage_estimate(3, 128, [4], 1, 4)
 
@@ -229,9 +229,9 @@ def test_engine_storage_matches_estimate_serial():
     hier = TimeHierarchy.build(grid, [4, 4])
     solver = MgritSolver(problem, hier, CycleSpec(kind="V", gamma=1))
     report = solver.storage_report()
-    assert report.total == 122
+    assert report.total == 82
     assert report.total == report.estimate
-    assert report.per_level == [32, 8 + 64, 2 + 16]
+    assert report.per_level == [32, 8 + 32, 2 + 8]
 
 
 def test_engine_storage_matches_estimate_two_workers():
@@ -258,9 +258,9 @@ def _peak_worker(transport, shape):
 
 
 @pytest.mark.parametrize("shape,p,totals", [
-    ((512, (8, 4, 4)), 2, [131, 122]),  # one coarsest C-interval
-    ((66, (4, 4)), 3, [33, 14, 14]),    # F-tails on every level
-    ((128, (4, 4, 2)), 3, [53, 48, 33]),
+    ((512, (8, 4, 4)), 2, [87, 82]),    # one coarsest C-interval
+    ((66, (4, 4)), 3, [29, 14, 10]),    # F-tails on every level
+    ((128, (4, 4, 2)), 3, [51, 44, 23]),
 ])
 def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
     reports = run_spmd(p, _peak_worker, shape)
@@ -269,10 +269,34 @@ def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
     assert all(r.total <= r.estimate for r in reports)
 
 
+class _RankStub:
+    """A transport of one rank of ``size`` that sends nothing: enough to
+    build that rank's solver without starting any other."""
+
+    def __init__(self, rank, size):
+        self.rank, self.size = rank, size
+
+    def send(self, dst, payload):
+        raise AssertionError("a rank stub sends nothing")
+
+    def recv(self, src):
+        raise AssertionError("a rank stub receives nothing")
+
+
+def _rank_solvers(n_steps, factors, p, problem=None):
+    """Each rank's solver of a p-rank V-cycle over the shape."""
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
+                               list(factors))
+    return [MgritSolver(problem or _linear_problem(), hier,
+                        CycleSpec(kind="V"), transport=_RankStub(w, p))
+            for w in range(p)]
+
+
 def test_storage_estimate_agrees_with_the_dealt_intervals():
-    # the closed form against the one dealer: per rank, each level's
-    # interval count, plus two states per owned point on a coarse level
+    # the estimate against what each rank's solver allocates, over
+    # random shapes
     rng = np.random.default_rng(24)
+    problem = _linear_problem()
     for _ in range(300):
         n_steps, factors = int(rng.integers(1, 400)), []
         steps, p = n_steps, int(rng.integers(1, 9))
@@ -282,16 +306,40 @@ def test_storage_estimate_agrees_with_the_dealt_intervals():
                 break
             factors.append(m)
             steps //= m
-        hier = TimeHierarchy.build(build_uniform_grid(0.0, 1.0, n_steps),
-                                   factors)
-        per_rank = [0] * p
-        for l, (g, m) in enumerate(zip(hier.grids, hier.level_factors)):
-            d = Decomposition(g.n_points, m, p)
-            for w, ((a, b), (lo, hi)) in enumerate(zip(d.intervals, d.owned)):
-                per_rank[w] += b - a + (2 * (hi - lo) if l else 0)
+        solvers = _rank_solvers(n_steps, factors, p, problem)
+        hier = solvers[0].hierarchy
         assert storage_estimate(hier.n_levels, n_steps, factors, p,
-                                hier.level_factors[-1]) == max(per_rank), (
-            n_steps, factors, p)
+                                hier.level_factors[-1]) == max(
+            s.storage_report().total for s in solvers), (n_steps, factors, p)
+
+
+@pytest.mark.parametrize("shape,p,per_level", [
+    # nl-v-p1, lin-sc-p2 and mach-fsc-p2
+    ((512, (16, 4, 4)), 1, [[32, 8 + 32, 2 + 8, 1 + 2]]),
+    ((2048, (8, 4, 4)), 2, [[128, 32 + 128, 8 + 32, 2 + 8]] * 2),
+    ((512, (8, 4, 4)), 2, [[32, 8 + 32, 2 + 8, 1 + 4],
+                           [32, 8 + 32, 2 + 8, 0]]),
+])
+def test_the_benchmark_shapes_keep_no_copy(shape, p, per_level):
+    # every rank owns the finer C-points of its coarse points, so it
+    # stores C-points and right-hand sides only
+    solvers = _rank_solvers(*shape, p)
+    assert [s.storage_report().per_level for s in solvers] == per_level
+    assert all(lvl.u_keep is None for s in solvers for lvl in s.levels)
+
+
+def test_a_misaligned_rank_keeps_a_copy():
+    # 300 steps, factors [4, 4, 3] at p = 3: level 1's points 25 .. 48 are
+    # rank 1's, but level 0's C-point 100 (level 1's point 25) is rank 0's;
+    # level 1's points 49 .. 75 are rank 2's, but level 0's C-points 196
+    # and 200 are rank 1's
+    solvers = _rank_solvers(300, (4, 4, 3), 3)
+    assert [[lvl.u_keep is not None for lvl in s.levels]
+            for s in solvers] == [[False] * 4, [False, True, False, False],
+                                  [False, True, False, False]]
+    assert [s.storage_report().per_level for s in solvers] == [
+        [25, 6 + 24, 2 + 6, 1 + 3], [25, 6 + 2 * 24, 2 + 6, 1 + 3],
+        [25, 6 + 2 * 27, 2 + 6, 0]]
 
 
 # --- worker-count invariance --------------------------------------------------------
@@ -356,6 +404,52 @@ def test_trajectory_bitwise_independent_of_worker_count(case):
         results = run_spmd(p, _bitwise_worker, case)
         assert all(it == iters_1 for it, _, _ in results)
         assert np.array_equal(results[0][2], fields_1)
+
+
+# kind, cycle, spatial strategy; 120 steps with factors [4, 3, 2] on three
+# grids.  At p = 3 and 4 some ranks hold the finer C-points of their coarse
+# points on a level whose grid is coarser than the finer level's, and
+# rebuild the restricted iterate for Newton's guesses, while others keep a
+# routed copy
+MIXED_CASES = [
+    ("nonlinear", "V", "direct"),
+    ("machine", "F", "delayed"),
+]
+
+
+def _mixed_worker(transport, case):
+    kind, cycle, strategy = case
+    problem = {"nonlinear": NonlinearSaturationProblem,
+               "machine": SurrogateMachineProblem}[kind](
+        15, n_spatial_grids=3, excitation=PwmSource(), source="random",
+        seed=5)
+    hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, 120), [4, 3, 2])
+    solver = MgritSolver(problem, hier,
+                         CycleSpec(kind=cycle, max_iters=30,
+                                   spatial_strategy=strategy,
+                                   nested_iterations=True),
+                         StoppingCriterion(tolerance=1e-9), transport)
+    run, sol = solver.solve()
+    # per level whose grid is coarser than the finer one's: a copy kept?
+    copies = [lvl.u_keep is not None for lvl in solver.levels[1:]
+              if lvl.spatial_level > solver.assignment[lvl.index - 1]]
+    return (run.iterations, run.converged, copies,
+            None if sol is None else (sol.fields, sol.scalars))
+
+
+@pytest.mark.parametrize("case", MIXED_CASES)
+def test_ranks_that_rebuild_and_ranks_that_copy_agree_bitwise(case):
+    [(iters_1, converged, _, (fields_1, scalars_1))] = run_spmd(
+        1, _mixed_worker, case)
+    assert converged
+    for p in (3, 4):
+        results = run_spmd(p, _mixed_worker, case)
+        assert all(it == iters_1 for it, _, _, _ in results)
+        assert any(set(level) == {False, True}
+                   for level in zip(*(copies for _, _, copies, _ in results)))
+        fields, scalars = results[0][3]
+        assert np.array_equal(fields, fields_1)
+        assert np.array_equal(scalars, scalars_1)
 
 
 # --- run bookkeeping ----------------------------------------------------------------
