@@ -22,34 +22,35 @@ in one call of the problem's step_many kernel (problems.batched_step),
 one row per interval, and layer m steps into the C-points.  Sweeps stop
 at the last owned C-point and hold their steps into the C-points back
 until the walk, which still reads the old C-values, is done; the ascent
-walks on through the F-tail one point at a time.  Each coarse level adds
-one full vector, the right-hand side.  The restricted iterate R u (for
-Newton's guesses and the error v - R u) is the finer C-store's rows
-restricted, unchanged from a restriction to the ascent after it, so the
-finer rank rebuilds it; a rank keeps a copy only where another rank
-holds finer C-points of its coarse points (a misaligned deal, as 300
-steps with factors [4, 4, 3] give rank 1 at p = 2), and never on the
-coarsest level.  A level keeps each store as one array of rows.  Index 0
-never needs a slot: on every level the iterate there equals the
-restricted initial value, which the problem hands out per grid.
-StorageReport counts exactly these workspace rows, read off the stores'
-lengths; running states inside a walk, Newton temporaries, the C-updates
-and walked states a measuring sweep holds back and the rows routed to
-rank 0 are not persistent and are not charged, mirroring how the serial
-baseline is charged a single running state.  The coarsest
-level's own C-store is allocated, because the model counts every level's
-C-points, but on two or more levels nothing reads it.  Nested
+walks on through the F-tail one point at a time.  Each coarse level
+above the coarsest adds one full vector, the right-hand side.  The
+restricted iterate R u (for Newton's guesses and the error v - R u) is
+the finer C-store's rows restricted, unchanged from a restriction to the
+ascent after it, so the finer rank rebuilds it; a rank keeps a copy only
+where another rank holds finer C-points of its coarse points (a
+misaligned deal, as 300 steps with factors [4, 4, 3] give rank 1 at
+p = 2).  The coarsest level of two or more keeps nothing: rank 0 steps
+through it at once on the right-hand side its restriction sends there,
+and no walk reads its C-values.  A level keeps each store as one array
+of rows.  Index 0 never needs a slot: on every level the iterate there
+equals the restricted initial value, which the problem hands out per
+grid.  StorageReport counts exactly these workspace rows, read off the
+stores' lengths; running states inside a walk, Newton temporaries, the
+C-updates and walked states a measuring sweep holds back and the rows
+routed to rank 0 are not persistent and are not charged, mirroring how
+the serial baseline is charged a single running state.  Nested
 iterations need no storage or mode of their own: their ascent injects v
 where a cycle's adds the prolonged v - R u.
 
 Rows move between ranks only by runtime.route, which sends each peer one
 block of consecutive points, read off per-rank [start, stop) ranges.
-The coarsest solve routes the right-hand side, if the level has one, to
-rank 0, where _tail steps the anchor on through it, so _step is the only
-way to the problem; the ascent sends those rows from rank 0 straight to
-the owners of the finer C-points (on a 1-level hierarchy they are the
-answer, routed back to their owners).  The fine trajectory is routed to
-rank 0 whole.  Restriction and ascent route row blocks between the two
+The restriction into the coarsest level routes its right-hand side from
+the closing C-points straight to rank 0, where the coarsest solve's
+_tail steps the anchor on through it, so _step is the only way to the
+problem; the ascent sends those rows from rank 0 straight to the owners
+of the finer C-points (on a 1-level hierarchy they are the answer,
+routed back to their owners).  The fine trajectory is routed to rank 0
+whole.  Other restrictions and ascents route row blocks between the two
 levels' per-rank lists of owned points and closing C-points
 (runtime.Decomposition), the ascent on the coarse grid, and the spatial
 transfers are the problem's row functions on a level's rows.
@@ -171,25 +172,26 @@ def storage_estimate(n_levels, n_fine_steps, factors, n_workers,
     """Peak per-worker stored states of the lean layout, from the dealt
     intervals (runtime.Decomposition).
 
-    Level l keeps its iterate at the closing C-points of the C-intervals
-    a worker owns, every coarse level the right-hand side per owned
-    point, and a coarse level above the coarsest a copy of the restricted
-    iterate per owned point only where _keeps_copy says so.  ``factors``
-    are the n_levels - 1 inter-level factors and ``coarsest_factor`` the
-    coarsest level's own (TimeHierarchy.level_factors[-1]).
+    Each level above the coarsest keeps its iterate at the closing
+    C-points of the C-intervals a worker owns, and a coarse one the
+    right-hand side per owned point and a copy of the restricted iterate
+    per owned point only where _keeps_copy says so; the coarsest level of
+    two or more keeps nothing.  ``factors`` are the n_levels - 1
+    inter-level factors and ``coarsest_factor`` the coarsest level's own
+    (TimeHierarchy.level_factors[-1]), which counts only on one level.
     """
     factors = list(factors)
     if len(factors) != n_levels - 1:
         raise ValueError(f"{n_levels} levels need {n_levels - 1} factors, "
                          f"got {len(factors)}")
     per_rank, n, finer = [0] * n_workers, n_fine_steps + 1, None
-    for l, m in enumerate(factors + [coarsest_factor]):
+    for l, m in enumerate(factors or [coarsest_factor]):
         d = Decomposition(n, m, n_workers)
         for w, ((a, b), (lo, hi)) in enumerate(zip(d.intervals, d.owned)):
             per_rank[w] += b - a
             if l:
-                copy = l < n_levels - 1 and _keeps_copy(finer[w], (lo, hi))
-                per_rank[w] += (1 + copy) * (hi - lo)
+                per_rank[w] += (1 + _keeps_copy(finer[w], (lo, hi))) * (
+                    hi - lo)
         finer, n = d.intervals, (n - 1) // m + 1
     return max(per_rank)
 
@@ -291,17 +293,17 @@ class _Level:
         self.width = self.nf + solver.problem.n_scalars
         init = solver.problem.initial_state(spatial_level)
         self.anchor = np.concatenate((init.field, init.scalars))
-        self.c_store = np.zeros((len(self.c_idx), self.width))
+        # the coarsest level of two or more keeps nothing (the module doc);
         # the restricted iterate is the finer C-store's rows from kept_at
-        # on, restricted, or a copy where _keeps_copy (not on the coarsest
-        # level, whose rows seed no Newton guess)
-        self.u_keep = self.rhs = None
-        if finer is not None:
-            self.rhs = np.zeros((self.own_hi - self.own_lo, self.width))
-            self.kept_at = self.own_lo - finer.closing[rank][0]
-            if index < solver.n_levels - 1 and _keeps_copy(
-                    finer.closing[rank], self.owned[rank]):
-                self.u_keep = np.zeros_like(self.rhs)
+        # on, restricted, or a copy where _keeps_copy
+        self.c_store = self.u_keep = self.rhs = None
+        if finer is None or index < solver.n_levels - 1:
+            self.c_store = np.zeros((len(self.c_idx), self.width))
+            if finer is not None:
+                self.rhs = np.zeros((self.own_hi - self.own_lo, self.width))
+                self.kept_at = self.own_lo - finer.closing[rank][0]
+                if _keeps_copy(finer.closing[rank], self.owned[rank]):
+                    self.u_keep = np.zeros_like(self.rhs)
         # the owned C-points among the owned points
         self.c_rows = slice(self.m - 1, len(self.c_idx) * self.m, self.m)
         self.use_rhs = False  # plain initial-value level until a descent fills it
@@ -509,9 +511,12 @@ class MgritSolver:
         index j = c / m: the restricted iterate and the coarse FAS
         right-hand side, then redistributes both to the coarse owner,
         which seeds the coarse iterate with the restricted values and
-        keeps them only where it has a copy.  ``held`` is a measuring
-        sweep's (walked, C-updates), which replace the sweep.  The coarse
-        steps, one per interval, are one kernel call.
+        keeps them only where it has a copy.  Into the coarsest level
+        only the right-hand side moves, to rank 0, and this returns it
+        there for _coarsest_solve (no rows elsewhere); otherwise None.
+        ``held`` is a measuring sweep's (walked, C-updates), which
+        replace the sweep.  The coarse steps, one per interval, are one
+        kernel call.
         """
         restrict = functools.partial(
             self._transfer, self.problem.spatial.restrict_fields, lvl, nxt)
@@ -524,6 +529,8 @@ class MgritSolver:
         rhs = kept - self._step(nxt, np.concatenate((left, kept))[:len(kept)],
                                 lvl.closing[self.transport.rank][0])
         rhs += restrict(res)
+        if nxt is self.levels[-1]:
+            return route(self.transport, rhs, lvl.closing, nxt.at_root)
         got = route(self.transport, np.stack((kept, rhs), axis=1),
                     lvl.closing, nxt.owned)
         nxt.rhs[:] = got[:, 1]
@@ -533,18 +540,16 @@ class MgritSolver:
         nxt.c_store[:] = got[nxt.c_rows, 0]  # coarse seed
 
     @_charged
-    def _coarsest_solve(self, lvl, prev_losses=None):
-        """Route the right-hand side (if the level has one) to rank 0,
-        which holds points 1 .. n - 1, and step the anchor through the
-        level with it there.  On a coarse level this returns those rows
-        v (rank 0; no rows elsewhere), which _ascend sends on.  On the
-        fine level (a 1-level hierarchy) v is the answer: its rows are
-        routed to their owners and this returns _measure's tuple with v
-        (rank 0; None elsewhere) for the held sweep, residual 0 by
+    def _coarsest_solve(self, lvl, rhs=None, prev_losses=None):
+        """Step the anchor through the level on rank 0, adding ``rhs``,
+        the rows of points 1 .. n - 1 the restriction sent there (None:
+        none, as in nested iterations).  On a coarse level this returns
+        the rows v (rank 0; no rows elsewhere), which _ascend sends on.
+        On the fine level (a 1-level hierarchy) v is the answer: its rows
+        are routed to their owners and this returns _measure's tuple with
+        v (rank 0; None elsewhere) for the held sweep, residual 0 by
         construction, losses from the routed v."""
         n, root = len(lvl.t), self.transport.rank == 0
-        rhs = (route(self.transport, lvl.rhs, lvl.owned, lvl.at_root)
-               if lvl.use_rhs else None)
         v = lvl.anchor[None]  # elsewhere v[1:] is no rows, of the width
         if root:
             v = self._tail(lvl, v, n, rhs)
@@ -582,23 +587,22 @@ class MgritSolver:
     # --- cycles ---
 
     def _cycle(self, l, f_cycle=False):
-        """One V- or F-cycle from level l down.  What solve's measuring
-        sweep of the level held back (lvl.held) stands in for the first
-        FC-sweep, or for the restriction's sweep when gamma = 0, and is
-        let go once used.  The coarsest level is solved sequentially and
-        returns its rows (see _coarsest_solve); any other returns None."""
-        lvl, sweeps = self.levels[l], self.cycle.gamma
-        if l == self.n_levels - 1:
-            return self._coarsest_solve(lvl)
+        """One V- or F-cycle from level l, above the coarsest, down.  What
+        solve's measuring sweep of the level held back (lvl.held) stands
+        in for the first FC-sweep, or for the restriction's sweep when
+        gamma = 0, and is let go once used.  The coarsest level is solved
+        sequentially on the right-hand side its restriction sent to rank
+        0 (see _coarsest_solve)."""
+        lvl, nxt, sweeps = self.levels[l], self.levels[l + 1], self.cycle.gamma
         if lvl.held is not None and sweeps:
             lvl.c_store[:] = lvl.held[1]
             lvl.held, sweeps = None, sweeps - 1
         for _ in range(sweeps):
             self._fc_sweep(lvl)
-        self._restrict_sweep(lvl, self.levels[l + 1], lvl.held)
+        rhs = self._restrict_sweep(lvl, nxt, lvl.held)
         lvl.held = None
-        self._ascend(self.levels[l + 1], lvl,
-                     self._cycle(l + 1, f_cycle=f_cycle))
+        self._ascend(nxt, lvl, self._coarsest_solve(nxt, rhs)
+                     if rhs is not None else self._cycle(l + 1, f_cycle))
         if f_cycle and l > 0:
             self._cycle(l)
 
@@ -607,7 +611,7 @@ class MgritSolver:
     def _nested_iterations(self):
         self._smooth = True
         try:
-            # use_rhs is False everywhere: _initialize_guess just ran
+            # no right-hand side anywhere: _initialize_guess just ran
             v = self._coarsest_solve(self.levels[-1])
             for l in range(self.n_levels - 2, -1, -1):
                 self._ascend(self.levels[l + 1], self.levels[l], v,
@@ -622,7 +626,8 @@ class MgritSolver:
 
     def _initialize_guess(self):
         for lvl in self.levels:
-            lvl.c_store[:] = lvl.anchor
+            if lvl.c_store is not None:
+                lvl.c_store[:] = lvl.anchor
             lvl.use_rhs, lvl.held = False, None
 
     def seed(self, trajectory):

@@ -73,9 +73,10 @@ class TimeHierarchy:
     """The grid stack plus one factor per level.
 
     level_factors[:-1] are the inter-level factors; the coarsest level
-    reuses the last one, clamped by level_factor (it still has its own
-    C/F structure: relaxation sweeps and the storage model are defined
-    per level).
+    reuses the last one, clamped by level_factor.  That factor shapes only
+    a 1-level hierarchy, whose level keeps its C-points and is walked;
+    the coarsest level of two or more is stepped through on one rank and
+    keeps nothing (see pintmg.mgrit).
     """
 
     grids: tuple

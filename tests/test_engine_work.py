@@ -466,14 +466,17 @@ def _machine_worker(transport, _):
 
 
 class _CountingTransport:
-    """A transport that counts the messages its rank sends and takes."""
+    """A transport that counts the messages its rank sends and takes, and
+    keeps what it sent."""
 
     def __init__(self, inner):
         self.rank, self.size, self._inner = inner.rank, inner.size, inner
         self.sent = self.got = 0
+        self.payloads = []
 
     def send(self, dst, payload):
         self.sent += 1
+        self.payloads.append(payload)
         self._inner.send(dst, payload)
 
     def recv(self, src):
@@ -543,22 +546,33 @@ def test_a_measuring_sweep_makes_one_reduction(monkeypatch):
 
 
 def _coarsest_counting_worker(transport, job):
-    """Solve, recording per coarsest solve whether the level had a
-    right-hand side and the messages this rank sent and took in it, and
-    per ascent from the coarsest level the messages sent and taken."""
+    """Solve, recording per coarsest solve whether it had a right-hand
+    side and the messages this rank sent and took in it, per restriction
+    into the coarsest level what this rank sent and the number of
+    messages it took, and per ascent from the coarsest level the messages
+    sent and taken."""
     n_steps, factors = job
     counting = _CountingTransport(transport)
     hier = TimeHierarchy.build(build_uniform_grid(0.0, 0.02, n_steps),
                                factors)
     solver = MgritSolver(_problem(), hier, CycleSpec(nested_iterations=True),
                          StoppingCriterion(tolerance=1e-9), counting)
-    calls, back = [], []
-    coarsest, ascend = solver._coarsest_solve, solver._ascend
+    calls, down, back = [], [], []
+    coarsest, restrict, ascend = (solver._coarsest_solve,
+                                  solver._restrict_sweep, solver._ascend)
 
-    def counted(lvl, *args):
-        sent, got, use_rhs = counting.sent, counting.got, lvl.use_rhs
-        out = coarsest(lvl, *args)
-        calls.append((use_rhs, counting.sent - sent, counting.got - got))
+    def counted(lvl, rhs=None, *args):
+        sent, got = counting.sent, counting.got
+        out = coarsest(lvl, rhs, *args)
+        calls.append((rhs is not None, counting.sent - sent,
+                      counting.got - got))
+        return out
+
+    def restricting(lvl, nxt, *args):
+        sent, got = counting.sent, counting.got
+        out = restrict(lvl, nxt, *args)
+        if nxt is solver.levels[-1]:
+            down.append((counting.payloads[sent:], counting.got - got))
         return out
 
     def ascending(coarse, fine, *args, **kwargs):
@@ -567,31 +581,47 @@ def _coarsest_counting_worker(transport, job):
         if coarse is solver.levels[-1]:
             back.append((counting.sent - sent, counting.got - got))
 
-    solver._coarsest_solve, solver._ascend = counted, ascending
+    solver._coarsest_solve, solver._restrict_sweep, solver._ascend = (
+        counted, restricting, ascending)
     run, _ = solver.solve()
-    return run, solver.levels[-1].owned, calls, back
+    return run, solver.levels[-1].owned, calls, down, back
+
+
+def _the_rows_go_straight_to_rank_0(results, start, rows):
+    """Each coarsest solve after the first (nested iterations, without a
+    right-hand side) follows a restriction in which rank 1 sends rank 0
+    its right-hand-side rows from coarsest point ``start`` on, ``rows`` of
+    them, in one message and without R u beside them; rank 0 takes that
+    one message; no coarsest solve sends or takes anything."""
+    (run, _, calls, down, _), (_, _, calls_1, down_1, _) = results
+    assert run.converged and len(calls) == len(calls_1) == len(down) + 1
+    assert calls[0] == calls_1[0] == (False, 0, 0)
+    assert set(calls[1:]) == set(calls_1[1:]) == {(True, 0, 0)}
+    assert {got for _, got in down} == {1}
+    for payloads, _ in down_1:
+        [(first, block)] = payloads
+        assert first == start and block.shape == (rows, 7)
 
 
 def test_a_rank_without_coarsest_points_sits_out_the_coarsest_solve():
     # mach-fsc-p2's shape: the coarsest level has 5 points in one
-    # C-interval, so rank 1 owns none of them
+    # C-interval, so rank 1 owns none of them, but it closes level 2's
+    # intervals 3 and 4, whose right-hand-side rows it sends rank 0
     results = run_spmd(2, _coarsest_counting_worker, (512, [8, 4, 4]))
-    for run, owned, calls, _ in results:
+    for run, owned, *_ in results:
         assert run.converged and owned == [(1, 5), (0, 0)]
-        assert [c[0] for c in calls] == [False] + [True] * (len(calls) - 1)
-    assert all(sent == got == 0 for _, sent, got in results[1][2])
+    _the_rows_go_straight_to_rank_0(results, 3, 2)
 
 
 def test_a_nested_coarsest_solve_sends_nothing_to_rank_0():
     # 64 steps, factor 4: the coarsest level's 4 intervals split 2 and 2;
-    # without a right-hand side the solve moves nothing, and only the
-    # rows go from rank 0 to the fine owners in the ascent
-    (run, owned, calls, back), (_, _, calls_1, back_1) = run_spmd(
-        2, _coarsest_counting_worker, (64, [4]))
+    # without a right-hand side the solve moves nothing, the restriction
+    # sends rank 1's rows to rank 0, and only the rows go from rank 0 to
+    # the fine owners in the ascent
+    results = run_spmd(2, _coarsest_counting_worker, (64, [4]))
+    (run, owned, calls, _, back), (_, _, _, _, back_1) = results
     assert run.converged and owned == [(1, 9), (9, 17)]
-    assert calls[0] == calls_1[0] == (False, 0, 0)
-    assert set(calls[1:]) == {(True, 0, 1)}
-    assert set(calls_1[1:]) == {(True, 1, 0)}
+    _the_rows_go_straight_to_rank_0(results, 9, 8)
     assert len(back) == len(calls) and set(back) == {(1, 0)}
     assert len(back_1) == len(calls) and set(back_1) == {(0, 1)}
 

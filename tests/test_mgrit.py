@@ -213,12 +213,16 @@ def test_single_level_solver_is_sequential():
 # --- measured storage vs the closed-form count -------------------------------------
 
 def test_storage_estimate_closed_form_values():
-    # one worker holds every finer C-point, so it keeps no copy
-    assert storage_estimate(2, 32, [4], 1, 4) == 18
+    # one worker holds every finer C-point, so it keeps no copy, and the
+    # coarsest level of two or more keeps nothing
+    assert storage_estimate(2, 32, [4], 1, 4) == 8
+    assert storage_estimate(3, 128, [4, 4], 1, 4) == 72
+    assert storage_estimate(3, 66, [8, 4], 1, 2) == 18
+    # ... so the coarsest factor shapes only a 1-level hierarchy, which
+    # keeps its C-store
     assert storage_estimate(1, 32, [], 1, 4) == 8
-    assert storage_estimate(3, 128, [4, 4], 1, 4) == 82
-    # the coarsest grid has 3 points, so its factor 4 is clamped to 2
-    assert storage_estimate(3, 66, [8, 4], 1, 2) == 21
+    assert storage_estimate(1, 32, [], 1, 2) == 16
+    assert storage_estimate(3, 66, [8, 4], 1, 4) == 18
     with pytest.raises(ValueError):
         storage_estimate(3, 128, [4], 1, 4)
 
@@ -229,9 +233,9 @@ def test_engine_storage_matches_estimate_serial():
     hier = TimeHierarchy.build(grid, [4, 4])
     solver = MgritSolver(problem, hier, CycleSpec(kind="V", gamma=1))
     report = solver.storage_report()
-    assert report.total == 82
+    assert report.total == 72
     assert report.total == report.estimate
-    assert report.per_level == [32, 8 + 32, 2 + 8]
+    assert report.per_level == [32, 8 + 32, 0]
 
 
 def test_engine_storage_matches_estimate_two_workers():
@@ -258,9 +262,9 @@ def _peak_worker(transport, shape):
 
 
 @pytest.mark.parametrize("shape,p,totals", [
-    ((512, (8, 4, 4)), 2, [87, 82]),    # one coarsest C-interval
-    ((66, (4, 4)), 3, [29, 14, 10]),    # F-tails on every level
-    ((128, (4, 4, 2)), 3, [51, 44, 23]),
+    ((512, (8, 4, 4)), 2, [82, 82]),    # one coarsest C-interval
+    ((66, (4, 4)), 3, [24, 14, 10]),    # F-tails on every level
+    ((128, (4, 4, 2)), 3, [48, 41, 23]),
 ])
 def test_storage_estimate_is_the_peak_over_uneven_ranks(shape, p, totals):
     reports = run_spmd(p, _peak_worker, shape)
@@ -315,10 +319,9 @@ def test_storage_estimate_agrees_with_the_dealt_intervals():
 
 @pytest.mark.parametrize("shape,p,per_level", [
     # nl-v-p1, lin-sc-p2 and mach-fsc-p2
-    ((512, (16, 4, 4)), 1, [[32, 8 + 32, 2 + 8, 1 + 2]]),
-    ((2048, (8, 4, 4)), 2, [[128, 32 + 128, 8 + 32, 2 + 8]] * 2),
-    ((512, (8, 4, 4)), 2, [[32, 8 + 32, 2 + 8, 1 + 4],
-                           [32, 8 + 32, 2 + 8, 0]]),
+    ((512, (16, 4, 4)), 1, [[32, 8 + 32, 2 + 8, 0]]),
+    ((2048, (8, 4, 4)), 2, [[128, 32 + 128, 8 + 32, 0]] * 2),
+    ((512, (8, 4, 4)), 2, [[32, 8 + 32, 2 + 8, 0]] * 2),
 ])
 def test_the_benchmark_shapes_keep_no_copy(shape, p, per_level):
     # every rank owns the finer C-points of its coarse points, so it
@@ -338,8 +341,29 @@ def test_a_misaligned_rank_keeps_a_copy():
             for s in solvers] == [[False] * 4, [False, True, False, False],
                                   [False, True, False, False]]
     assert [s.storage_report().per_level for s in solvers] == [
-        [25, 6 + 24, 2 + 6, 1 + 3], [25, 6 + 2 * 24, 2 + 6, 1 + 3],
+        [25, 6 + 24, 2 + 6, 0], [25, 6 + 2 * 24, 2 + 6, 0],
         [25, 6 + 2 * 27, 2 + 6, 0]]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("shape", [
+    (512, (16, 4, 4)), (2048, (8, 4, 4)), (512, (8, 4, 4))])
+def test_the_coarsest_level_keeps_nothing(shape, p):
+    # rank 0 steps through the coarsest level on the right-hand side its
+    # restriction sends there, so no rank stores a row of that level
+    for s in _rank_solvers(*shape, p):
+        report = s.storage_report()
+        assert report.per_level[-1] == 0 and report.total <= report.estimate
+        coarsest = s.levels[-1]
+        assert coarsest.c_store is coarsest.rhs is coarsest.u_keep is None
+
+
+def test_a_one_level_hierarchy_keeps_its_c_store():
+    # its own factor is 2: a C-point every other step
+    [solver] = _rank_solvers(32, (), 1)
+    assert solver.hierarchy.level_factors == (2,)
+    assert solver.storage_report().per_level == [16]
+    assert len(solver.levels[0].c_store) == 16
 
 
 # --- worker-count invariance --------------------------------------------------------

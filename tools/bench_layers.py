@@ -13,8 +13,13 @@ measures, as thread CPU time:
   level, of a p = 1 solver (no transport) after one solve has filled its
   stores and memos;
 - L1 coarsest: microseconds per point of that solver's coarsest solve,
-  ``_coarsest_solve(levels[-1])`` on the right-hand side the solve left
-  there;
+  ``_coarsest_solve(levels[-1], rhs)`` stepping through ``rhs``, the
+  rows one untimed ``_restrict_sweep(levels[-2], levels[-1])`` after the
+  solve sent to rank 0, as a cycle runs it.  On a tree whose restriction
+  still filled a coarsest C-store and right-hand side, and whose coarsest
+  solve took no rows (``rhs`` is None there), it steps through the level's
+  own right-hand side instead; the row compares only trees on the same
+  side of that change;
 - L1 restrict and L1 ascend: microseconds per coarse point of one
   ``_restrict_sweep(levels[0], levels[1])`` and of one
   ``_ascend(levels[1], levels[0])`` of that solver, the fine C-store put
@@ -147,8 +152,9 @@ class Layers:
     def coarsest_us(self):
         lvl = self.solver.levels[-1]
         points = len(lvl.t) - 1
+        rhs = self.solver._restrict_sweep(self.solver.levels[-2], lvl)
         t0 = time.thread_time()
-        self.solver._coarsest_solve(lvl)
+        self.solver._coarsest_solve(lvl, rhs)
         return (time.thread_time() - t0) * 1e6 / points
 
     def restrict_us(self):
